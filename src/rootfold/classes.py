@@ -48,6 +48,12 @@ def _is_prime(p):
     return True
 
 
+def _least_prime_factor(q):
+    if q < 2:
+        raise ValueError(f"q = {q} is not a prime power")
+    return next(d for d in range(2, q + 1) if q % d == 0)
+
+
 @dataclass(frozen=True)
 class FrobeniusStructure:
     q: int
@@ -67,13 +73,11 @@ class FrobeniusStructure:
 
     @classmethod
     def untwisted(cls, q, rank):
-        p = min(d for d in range(2, q + 1) if q % d == 0)
-        return cls(q, p, LatticeMap.identity(rank))
+        return cls(q, _least_prime_factor(q), LatticeMap.identity(rank))
 
     @classmethod
     def twisted(cls, q, tau):
-        p = min(d for d in range(2, q + 1) if q % d == 0)
-        return cls(q, p, tau)
+        return cls(q, _least_prime_factor(q), tau)
 
     def point_map(self, w_matrix=None) -> LatticeMap:
         """The matrix of w o Frobenius on dual-torus torsion points."""

@@ -160,7 +160,7 @@ def verify_isogeny_square(phi: Isogeny, a_src: GammaAction,
     problems = []
     rep = validate_isogeny(phi)
     if not rep.ok:
-        return ValidationReport(False, ["invalid isogeny"] + rep.problems)
+        return ValidationReport(False, ("invalid isogeny", *rep.problems))
     if not equivariant_for(phi, a_src, a_tgt):
         return ValidationReport(False, ["isogeny is not equivariant for the actions"])
     f_src, f_tgt = fold(a_src), fold(a_tgt)

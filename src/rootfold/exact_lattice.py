@@ -60,7 +60,7 @@ class LatticeMap:
     __slots__ = ("rows", "codomain_rank", "domain_rank")
 
     def __init__(self, rows):
-        self.rows: Mat = tuple(tuple(int(x) for x in r) for r in rows)
+        self.rows: Mat = tuple([tuple(map(int, r)) for r in rows])
         self.codomain_rank = len(self.rows)
         self.domain_rank = len(self.rows[0]) if self.rows else 0
         for r in self.rows:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .exact_lattice import LatticeMap, dot, vadd, vneg, vsub
 
 
@@ -166,6 +164,9 @@ class ValidationReport:
     ok: bool
     problems: tuple[str, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "problems", tuple(self.problems))
+
     def __bool__(self):
         return self.ok
 
@@ -234,60 +235,89 @@ class WeylElement:
         return len(self.word)
 
 
-def _matrix_group_closure(gens: list[LatticeMap], cap: int, rank: int):
-    """BFS closure of a finite integer matrix group.
+class _RowImages(dict):
+    """Memo of y -> y - <y, a> a^vee, which right multiplication by s_a does to a row.
 
-    Returns (matrices as LatticeMap list, canonical lex-least words), in
-    breadth-first order starting at the identity.  numpy int64 is safe here:
-    all groups in scope have entries far below overflow.
+    Rows of Weyl-group matrices fall in a few orbits, so each image is
+    computed once per closure.
     """
-    n = rank
-    if not gens or n == 0:
+
+    def __init__(self, a, av):
+        super().__init__()
+        self.a, self.av = a, av
+
+    def __missing__(self, row):
+        c = dot(row, self.a)
+        image = self[row] = tuple(x - c * y for x, y in zip(row, self.av))
+        return image
+
+
+def _matrix_group_closure(base: BasedRootDatum, cap: int):
+    """Breadth-first closure of the group generated by the simple reflections.
+
+    Element w is keyed by the pairings of w^-1(v) with the simple coroots.
+    v pairs nonzero with every coroot, so only the identity fixes it, and
+    w^-1(v) - v lies in the span of the simple roots, where those pairings
+    are injective for a finite group: the key determines w.  The step
+    w -> w s_i subtracts key[i] times row i of the Cartan matrix from the
+    key.  Only a newly found element needs its matrix, which is its
+    parent's with s_i applied to every row.  Returns (matrices as LatticeMap
+    list, canonical lex-least words), in breadth-first order starting at the
+    identity.
+    """
+    n = base.datum.rank
+    simples, cosimples = base.simple_roots, base.simple_coroots
+    if not simples:
         return [LatticeMap.identity(n)], [()]
-    gen_arr = [np.array(g.rows, dtype=np.int64) for g in gens]
-    ident = np.eye(n, dtype=np.int64)
-    seen = {ident.tobytes(): 0}
-    mats = [ident]
+    steps = []
+    for i, (a, av) in enumerate(zip(simples, cosimples)):
+        cartan_row = tuple((j, x) for j, x in enumerate(dot(a, bv) for bv in cosimples) if x)
+        steps.append((i, cartan_row, _RowImages(a, av).__getitem__))
+    v = _positivity_functional(n, base.datum.coroots)
+    key = tuple(dot(v, bv) for bv in cosimples)
+    seen = {key}
+    keys = [key]
+    mats = [LatticeMap.identity(n).rows]
     words = [()]
     frontier = [0]
     while frontier:
-        stack = np.stack([mats[i] for i in frontier])
-        prods = [stack @ g for g in gen_arr]
         new_frontier = []
-        for pos, idx in enumerate(frontier):
-            for gi in range(len(gen_arr)):
-                m = prods[gi][pos]
-                key = m.tobytes()
-                if key not in seen:
-                    if len(mats) >= cap:
-                        raise WeylCapError(f"group size exceeds cap {cap}")
-                    seen[key] = len(mats)
-                    mats.append(m)
-                    words.append(words[idx] + (gi,))
-                    new_frontier.append(len(mats) - 1)
+        for idx in frontier:
+            key = keys[idx]
+            for i, cartan_row, row_image in steps:
+                c = key[i]
+                new_key = list(key)
+                for j, a_ij in cartan_row:
+                    new_key[j] -= c * a_ij
+                new_key = tuple(new_key)
+                if new_key in seen:
+                    continue
+                if len(mats) >= cap:
+                    raise WeylCapError(f"group size exceeds cap {cap}")
+                seen.add(new_key)
+                new_frontier.append(len(mats))
+                keys.append(new_key)
+                mats.append(tuple(map(row_image, mats[idx])))
+                words.append(words[idx] + (i,))
         frontier = new_frontier
-    if int(np.abs(np.stack(mats)).max()) > 10**9:
-        raise AssertionError("matrix entries grew unexpectedly large")
-    out = [LatticeMap(m.tolist()) for m in mats]
-    return out, words
+    return [LatticeMap(m) for m in mats], words
 
 
 def weyl_group(rd: RootDatum | BasedRootDatum, cap: int = 1_000_000) -> list[WeylElement]:
     """All Weyl elements with canonical words, breadth-first from the identity."""
     base = rd if isinstance(rd, BasedRootDatum) else based_from_datum(rd)
-    gens = [base.datum.reflection(i) for i in base.simple_indices]
-    mats, words = _matrix_group_closure(gens, cap, base.datum.rank)
+    mats, words = _matrix_group_closure(base, cap)
     return [WeylElement(m, w) for m, w in zip(mats, words)]
 
 
-def _positivity_functional(rd: RootDatum):
-    """Deterministic integer functional nonzero on every root."""
-    if not rd.roots:
-        return (1,) * rd.rank
+def _positivity_functional(rank: int, vectors):
+    """Deterministic integer functional nonzero on every vector given."""
+    if not vectors:
+        return (1,) * rank
     t = 2
     while True:
-        f = tuple(t**i for i in range(rd.rank))
-        if all(dot(f, r) != 0 for r in rd.roots):
+        f = tuple(t**i for i in range(rank))
+        if all(dot(f, r) != 0 for r in vectors):
             return f
         t += 1
 
@@ -295,7 +325,7 @@ def _positivity_functional(rd: RootDatum):
 @lru_cache(maxsize=None)
 def based_from_datum(rd: RootDatum) -> BasedRootDatum:
     """Choose a base: positives from a generic functional, simples indecomposable."""
-    f = _positivity_functional(rd)
+    f = _positivity_functional(rd.rank, rd.roots)
     pos = [r for r in rd.roots if dot(f, r) > 0]
     pos_set = set(pos)
     simples = []

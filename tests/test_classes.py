@@ -55,6 +55,14 @@ def test_frobenius_validation():
         FrobeniusStructure(8, 3, LatticeMap.identity(1))
 
 
+@pytest.mark.parametrize("q", [1, 0, -3])
+def test_frobenius_rejects_q_below_two(q):
+    with pytest.raises(ValueError, match=f"q = {q} is not a prime power"):
+        FrobeniusStructure.untwisted(q, 1)
+    with pytest.raises(ValueError, match=f"q = {q} is not a prime power"):
+        FrobeniusStructure.twisted(q, LatticeMap.identity(1))
+
+
 def test_canonicalize_picks_least_translate():
     got = canonicalize_class(B.gl(2), TorsionVector((2, 1), 3))
     assert got == TorsionVector((1, 2), 3)
@@ -103,6 +111,12 @@ def test_verify_product_conorm():
 def test_verify_trivial_lift():
     assert verify_trivial_lift(B.gl(2), 2, (2, 3)).ok
     assert verify_trivial_lift(B.gl(1), 5, (3,)).ok
+
+
+def test_verify_reports_are_hashable():
+    rep = verify_trivial_lift(B.gl(2), 2, (3,))
+    assert rep.problems == ()
+    assert hash(rep) == hash(verify_trivial_lift(B.gl(2), 2, (3,)))
 
 
 def test_conorm_well_defined_on_random_points():

@@ -145,6 +145,17 @@ def test_invalid_isogenies_are_reported():
     assert not validate_isogeny(not_injective).ok
 
 
+def test_invalid_isogeny_square_report_is_hashable():
+    phi = Isogeny(B.from_cartan_sc(B.an_cartan(1)),
+                  B.from_cartan_ad(B.an_cartan(1)), LatticeMap([[1]]))
+    rep = verify_isogeny_square(phi, trivial_action(phi.source),
+                                trivial_action(phi.target))
+    assert not rep.ok
+    assert rep.problems[0] == "invalid isogeny"
+    assert rep.problems[1:] == validate_isogeny(phi).problems
+    assert rep in {rep}
+
+
 def test_dual_isogeny_transposes_and_involutes():
     phi = sl2_to_pgl2()
     psi = dual_isogeny(phi)

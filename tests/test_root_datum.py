@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import builders as B
+import rootfold
+from rootfold import catalog
 from rootfold.exact_lattice import LatticeMap, smith_normal_form
 from rootfold.root_datum import (
     RootDatum,
@@ -72,6 +78,15 @@ def test_weyl_sizes_exceptional():
     assert len(weyl_group(B.from_cartan_sc(B.E6_CARTAN))) == 51840
 
 
+def test_import_leaves_numpy_out():
+    src = str(Path(rootfold.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import rootfold, sys; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_weyl_torus_is_trivial():
     els = weyl_group(RootDatum(2, [], []))
     assert len(els) == 1
@@ -91,13 +106,14 @@ def test_a2_canonical_words():
 
 
 def test_words_multiply_to_matrix():
-    base = B.sp(2)
-    gens = [base.datum.reflection(i) for i in base.simple_indices]
-    for e in weyl_group(base):
-        m = LatticeMap.identity(base.datum.rank)
-        for g in e.word:
-            m = m @ gens[g]
-        assert m == e.matrix
+    bases = [B.sp(2)] + [catalog.group_datum(n) for n in ("gl4", "g2", "so8", "f4")]
+    for base in bases:
+        gens = [base.datum.reflection(i) for i in base.simple_indices]
+        for e in weyl_group(base):
+            m = LatticeMap.identity(base.datum.rank)
+            for g in e.word:
+                m = m @ gens[g]
+            assert m == e.matrix
 
 
 def test_weyl_closure_under_generators():
