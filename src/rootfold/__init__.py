@@ -48,15 +48,12 @@ from .duality_conorm import (
     verify_isogeny_square,
 )
 from .classes import (
-    GeometricClass,
     StableClass,
     FrobeniusStructure,
     canonicalize_class,
-    conorm_point,
     enumerate_stable_classes,
     lift_stable_class,
     levi_for_element,
-    rotation_action,
     subgroup_action,
     induced_quotient_action,
     verify_conorm_well_defined,
@@ -66,6 +63,7 @@ from .classes import (
     verify_pinning_factorization,
     verify_levi_factorization,
 )
+from .catalog import rotation_action
 from . import catalog
 
 __all__ = [
@@ -80,8 +78,8 @@ __all__ = [
     "FoldedDatum", "fold", "restricted_root_comparison", "dual_length_comparison",
     "NormData", "ConormData", "Isogeny", "build_conorm", "dual_isogeny",
     "verify_isogeny_square",
-    "GeometricClass", "StableClass", "FrobeniusStructure",
-    "canonicalize_class", "conorm_point", "enumerate_stable_classes",
+    "StableClass", "FrobeniusStructure",
+    "canonicalize_class", "enumerate_stable_classes",
     "lift_stable_class", "levi_for_element", "rotation_action",
     "subgroup_action", "induced_quotient_action",
     "verify_conorm_well_defined", "verify_product_conorm", "verify_trivial_lift",

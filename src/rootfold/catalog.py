@@ -15,11 +15,11 @@ short-root inclusion that cyclic stabilizers would guarantee.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from itertools import product as iproduct
 
-from .classes import rotation_action
 from .duality_conorm import Isogeny, validate_isogeny
-from .exact_lattice import LatticeMap, TorsionVector, dot
+from .exact_lattice import LatticeMap, TorsionVector, dot, solve_rational, vadd
 from .folding import fold, restricted_root_comparison
 from .gamma_action import FiniteGroup, GammaAction, validate_action
 from .root_datum import (
@@ -114,21 +114,17 @@ def _e(n, i, s=1):
     return tuple(v)
 
 
-def _vsum(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 @lru_cache(maxsize=None)
 def gl(n) -> BasedRootDatum:
     roots, coroots = [], []
     for i in range(n):
         for j in range(n):
             if i != j:
-                r = _vsum(_e(n, i), _e(n, j, -1))
+                r = vadd(_e(n, i), _e(n, j, -1))
                 roots.append(r)
                 coroots.append(r)
     rd = RootDatum(n, roots, coroots)
-    simples = tuple(rd.root_index(_vsum(_e(n, i), _e(n, i + 1, -1)))
+    simples = tuple(rd.root_index(vadd(_e(n, i), _e(n, i + 1, -1)))
                     for i in range(n - 1))
     return BasedRootDatum(rd, simples)
 
@@ -151,11 +147,11 @@ def sp(n) -> BasedRootDatum:
             coroots.append(_e(n, i, s))
         for j in range(i + 1, n):
             for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                r = _vsum(_e(n, i, si), _e(n, j, sj))
+                r = vadd(_e(n, i, si), _e(n, j, sj))
                 roots.append(r)
                 coroots.append(r)
     rd = RootDatum(n, roots, coroots)
-    simples = [rd.root_index(_vsum(_e(n, i), _e(n, i + 1, -1))) for i in range(n - 1)]
+    simples = [rd.root_index(vadd(_e(n, i), _e(n, i + 1, -1))) for i in range(n - 1)]
     simples.append(rd.root_index(_e(n, n - 1, 2)))
     return BasedRootDatum(rd, tuple(simples))
 
@@ -173,15 +169,15 @@ def so(n) -> BasedRootDatum:
     for i in range(m):
         for j in range(i + 1, m):
             for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                r = _vsum(_e(m, i, si), _e(m, j, sj))
+                r = vadd(_e(m, i, si), _e(m, j, sj))
                 roots.append(r)
                 coroots.append(r)
     rd = RootDatum(m, roots, coroots)
-    simples = [rd.root_index(_vsum(_e(m, i), _e(m, i + 1, -1))) for i in range(m - 1)]
+    simples = [rd.root_index(vadd(_e(m, i), _e(m, i + 1, -1))) for i in range(m - 1)]
     if n % 2 == 1:
         simples.append(rd.root_index(_e(m, m - 1)))
     else:
-        simples.append(rd.root_index(_vsum(_e(m, m - 2), _e(m, m - 1))))
+        simples.append(rd.root_index(vadd(_e(m, m - 2), _e(m, m - 1))))
     return BasedRootDatum(rd, tuple(simples))
 
 
@@ -335,12 +331,20 @@ def z4_composite_action() -> GammaAction:
                        [LatticeMap.identity(4), g, g @ g, g @ g @ g])
 
 
-def product_swap_action(base_half: BasedRootDatum) -> GammaAction:
-    return rotation_action(base_half, 2)
-
-
-def product_rotation_action(base_half: BasedRootDatum, m: int) -> GammaAction:
-    return rotation_action(base_half, m)
+def rotation_action(base_half: BasedRootDatum, m: int) -> GammaAction:
+    """Cyclic rotation of the factors of H^m."""
+    n = base_half.datum.rank
+    prod = base_half
+    for _ in range(m - 1):
+        prod = direct_sum(prod, base_half)
+    mats = []
+    for k in range(m):
+        rows = [[0] * (m * n) for _ in range(m * n)]
+        for i in range(m * n):
+            block, off = divmod(i, n)
+            rows[((block + k) % m) * n + off][i] = 1
+        mats.append(LatticeMap(rows))
+    return GammaAction(FiniteGroup.cyclic(m), prod, mats)
 
 
 @lru_cache(maxsize=None)
@@ -475,27 +479,6 @@ def s3_twisted_d4_action() -> GammaAction:
     raise RuntimeError("no small twist of the D4 graph symmetry drops a short root")
 
 
-def _rational_inverse(cols):
-    n = len(cols)
-    m = [[Fraction(cols[j][i]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return None
-        m[c], m[piv] = m[piv], m[c]
-        inv[c], inv[piv] = inv[piv], inv[c]
-        pv = m[c][c]
-        m[c] = [x / pv for x in m[c]]
-        inv[c] = [x / pv for x in inv[c]]
-        for r in range(n):
-            if r != c and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-                inv[r] = [a - f * b for a, b in zip(inv[r], inv[c])]
-    return inv
-
-
 def based_isomorphism(source: BasedRootDatum, target: BasedRootDatum):
     """Unimodular character-lattice map identifying two based data, or None.
 
@@ -504,12 +487,12 @@ def based_isomorphism(source: BasedRootDatum, target: BasedRootDatum):
     be integral, unimodular, and carry all roots and coroots across.  Used to
     pin down which isogeny form a folded datum is.
     """
-    from itertools import permutations
     n = target.datum.rank
     if (source.datum.rank != n or len(target.simple_indices) != n
             or len(source.simple_indices) != n):
         return None
-    inv = _rational_inverse(target.simple_roots)
+    inv = solve_rational(LatticeMap.from_columns(target.simple_roots, n),
+                         LatticeMap.identity(n))
     if inv is None:
         return None
     src = source.simple_roots
@@ -666,7 +649,7 @@ def preset(name: str) -> Preset:
         if head.startswith("gl") and parts[1:] == ["product", "swap"]:
             n = int(head[2:])
             return Preset(name, f"swap of two GL({n}) factors",
-                          product_swap_action(gl(n)), None)
+                          rotation_action(gl(n), 2), None)
     except (ValueError, IndexError) as exc:
         raise ValueError(f"malformed preset name {name!r}") from exc
     raise ValueError(f"unknown preset {name!r}")

@@ -15,7 +15,8 @@ way: representative, intermediate subgroup, isogeny, or Levi.
 import random
 from dataclasses import dataclass
 
-from .duality_conorm import ConormData, build_conorm
+from .catalog import rotation_action
+from .duality_conorm import ConormData
 from .exact_lattice import (
     LatticeMap,
     Sublattice,
@@ -32,6 +33,7 @@ from .root_datum import (
     based_from_datum,
     is_closed_subsystem,
     weyl_group,
+    weyl_group_order,
 )
 
 TorusPoint = TorsionVector
@@ -86,24 +88,12 @@ class FrobeniusStructure:
 
 
 @dataclass(frozen=True)
-class GeometricClass:
-    rep: TorsionVector
-
-    def __lt__(self, other):
-        return self.rep.key() < other.rep.key()
-
-
-@dataclass(frozen=True)
 class StableClass:
     rep: TorsionVector
     q: int
 
     def __lt__(self, other):
         return (self.rep.key(), self.q) < (other.rep.key(), other.q)
-
-
-def _simple_reflection_matrices(base: BasedRootDatum):
-    return [base.datum.reflection(i) for i in base.simple_indices]
 
 
 def _compiled_reflections(base: BasedRootDatum):
@@ -114,7 +104,7 @@ def _compiled_reflections(base: BasedRootDatum):
     """
     n = base.datum.rank
     out = []
-    for m in _simple_reflection_matrices(base):
+    for m in map(base.datum.reflection, base.simple_indices):
         rows = [(i, tuple(row)) for i, row in enumerate(m.rows)
                 if any(row[j] != (1 if j == i else 0) for j in range(n))]
         out.append(tuple(rows))
@@ -148,12 +138,6 @@ def _orbit_walk(base, point, needle=None):
     return seen, den
 
 
-def weyl_point_orbit(base: BasedRootDatum, point: TorsionVector):
-    """All Weyl translates of a dual-torus torsion point, as raw residues."""
-    seen, den = _orbit_walk(base, point)
-    return seen, den
-
-
 def weyl_orbit_contains(base: BasedRootDatum, a: TorsionVector,
                         b: TorsionVector) -> bool:
     """Whether two torsion points are Weyl translates of each other."""
@@ -166,13 +150,13 @@ def weyl_orbit_contains(base: BasedRootDatum, a: TorsionVector,
 
 def canonicalize_class(base: BasedRootDatum, point: TorsionVector) -> TorsionVector:
     """Least Weyl translate; equal points of equal classes get equal output."""
-    seen, den = weyl_point_orbit(base, point)
+    seen, den = _orbit_walk(base, point)
     return TorsionVector(min(seen), den)
 
 
 def class_stabilizer_size(base: BasedRootDatum, point: TorsionVector) -> int:
-    seen, _ = weyl_point_orbit(base, point)
-    order = len(weyl_group(base))
+    seen, _ = _orbit_walk(base, point)
+    order = weyl_group_order(base)
     assert order % len(seen) == 0
     return order // len(seen)
 
@@ -186,10 +170,6 @@ def enumerate_stable_classes(base: BasedRootDatum, frob: FrobeniusStructure):
         for x in solve_torsion_fixed(frob.point_map(w.matrix)):
             reps.add(canonicalize_class(base, x))
     return [StableClass(r, frob.q) for r in sorted(reps, key=lambda t: t.key())]
-
-
-def conorm_point(conorm: ConormData, point: TorsionVector) -> TorsionVector:
-    return conorm.apply(point)
 
 
 def lift_stable_class(conorm: ConormData, cls: StableClass) -> StableClass:
@@ -227,33 +207,6 @@ def verify_conorm_well_defined(a: GammaAction, count=100, den_bound=24, p=2,
     return ValidationReport(not problems, problems)
 
 
-def rotation_action(base_half: BasedRootDatum, m: int) -> GammaAction:
-    """Cyclic rotation of the factors of H^m."""
-    n = base_half.datum.rank
-    prod = base_half
-    for _ in range(m - 1):
-        prod = _direct_sum(prod, base_half)
-    mats = []
-    for k in range(m):
-        rows = [[0] * (m * n) for _ in range(m * n)]
-        for i in range(m * n):
-            block, off = divmod(i, n)
-            rows[((block + k) % m) * n + off][i] = 1
-        mats.append(LatticeMap(rows))
-    return GammaAction(FiniteGroup.cyclic(m), prod, mats)
-
-
-def _direct_sum(b1: BasedRootDatum, b2: BasedRootDatum) -> BasedRootDatum:
-    d1, d2 = b1.datum, b2.datum
-    n1, n2 = d1.rank, d2.rank
-    roots = ([r + (0,) * n2 for r in d1.roots] + [(0,) * n1 + r for r in d2.roots])
-    coroots = ([r + (0,) * n2 for r in d1.coroots] + [(0,) * n1 + r for r in d2.coroots])
-    rd = RootDatum(n1 + n2, roots, coroots)
-    simples = ([rd.root_index(d1.roots[i] + (0,) * n2) for i in b1.simple_indices]
-               + [rd.root_index((0,) * n1 + d2.roots[i]) for i in b2.simple_indices])
-    return BasedRootDatum(rd, tuple(simples))
-
-
 def verify_product_conorm(base_half: BasedRootDatum, m: int, qs) -> ValidationReport:
     """For the rotation of H^m the lift is the diagonal and the norm is x^m."""
     problems = []
@@ -283,7 +236,7 @@ def verify_product_conorm(base_half: BasedRootDatum, m: int, qs) -> ValidationRe
 
 
 def _orbit_fractions(base, point):
-    seen, den = weyl_point_orbit(base, point)
+    seen, den = _orbit_walk(base, point)
     return {TorsionVector(v, den).fractions() for v in seen}
 
 
@@ -459,7 +412,7 @@ def verify_levi_factorization(a: GammaAction, q=3, points_needed=3) -> Validatio
         levi_base = _based_subsystem(rd, levi)
         stab = [w for w in w_source if lift_pt.apply(w.matrix) == lift_pt]
         psi_base = _based_subsystem(rd, psi)
-        if len(stab) != len(weyl_group(psi_base)):
+        if len(stab) != weyl_group_order(psi_base):
             problems.append(f"stabilizer of {lift_pt.fractions()} is not the "
                             "vanishing-subsystem Weyl group")
         in_levi = canonicalize_class(levi_base, lift_pt)

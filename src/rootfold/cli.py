@@ -28,7 +28,7 @@ from .duality_conorm import ConormData, verify_isogeny_square
 from .exact_lattice import LatticeMap, TorsionVector
 from .folding import dual_length_comparison, fold, restricted_root_comparison
 from .gamma_action import FiniteGroup, GammaAction, validate_action
-from .root_datum import BasedRootDatum, RootDatum, cartan_type
+from .root_datum import BasedRootDatum, RootDatum, cartan_type, validate
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -129,9 +129,13 @@ def _explicit_datum(spec: dict) -> BasedRootDatum:
         rd = RootDatum(int(spec["rank"]),
                        [tuple(r) for r in spec["roots"]],
                        [tuple(c) for c in spec["coroots"]])
-        return BasedRootDatum(rd, tuple(spec.get("simples", ())))
+        base = BasedRootDatum(rd, tuple(spec.get("simples", ())))
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad explicit group spec: {exc}") from exc
+    rep = validate(base)
+    if not rep.ok:
+        raise UsageError("explicit group invalid: " + "; ".join(rep.problems))
+    return base
 
 
 def _explicit_action(cfg: JobConfig) -> GammaAction:

@@ -143,31 +143,13 @@ class LatticeMap:
     def inverse_unimodular(self) -> "LatticeMap":
         """Inverse of a square integer matrix with determinant +-1."""
         n = self.domain_rank
-        d = self.det()
-        if d not in (1, -1):
+        if n != self.codomain_rank:
+            raise ValueError("inverse of a non-square map")
+        # an integral inverse forces det = +-1, so no determinant is needed
+        inv = solve_rational(self, LatticeMap.identity(n))
+        if inv is None or any(x.denominator != 1 for row in inv for x in row):
             raise ValueError("matrix is not unimodular")
-        # Gauss-Jordan over Q; entries of the result are integers.
-        a = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
-             for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next(i for i in range(col, n) if a[i][col] != 0)
-            a[col], a[piv] = a[piv], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for i in range(n):
-                if i != col and a[i][col] != 0:
-                    f = a[i][col]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                v = a[i][n + j]
-                if v.denominator != 1:
-                    raise ValueError("inverse is not integral")
-                row.append(int(v))
-            rows.append(tuple(row))
-        return LatticeMap(rows)
+        return LatticeMap(inv)
 
     def inverse_transpose(self) -> "LatticeMap":
         return self.inverse_unimodular().transpose()
@@ -180,6 +162,39 @@ class LatticeMap:
 
     def __repr__(self):
         return f"LatticeMap({list(map(list, self.rows))})"
+
+
+def solve_rational(a, b):
+    """The unique rational X with a @ X = b, or None if there is none.
+
+    a is n x k and b is n x m, each a LatticeMap or a sequence of integer
+    rows; X comes back as k rows of Fractions.  Gauss-Jordan elimination on
+    the augmented matrix [a | b].  None means the columns of a are linearly
+    dependent or some column of b lies outside their span.  A matrix with no
+    rows is read as 0 x 0, the way LatticeMap stores it.
+    """
+    a = getattr(a, "rows", a)
+    b = getattr(b, "rows", b)
+    if len(a) != len(b):
+        raise ValueError("a and b must have the same number of rows")
+    if not a:
+        return ()
+    n, k = len(a), len(a[0])
+    aug = [[Fraction(x) for x in ra] + [Fraction(x) for x in rb] for ra, rb in zip(a, b)]
+    for col in range(k):
+        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if piv is None:
+            return None  # column col is a combination of the earlier ones
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        pivot_row = aug[col] = [x * inv for x in aug[col]]
+        for i in range(n):
+            f = aug[i][col]
+            if i != col and f != 0:
+                aug[i] = [x - f * y for x, y in zip(aug[i], pivot_row)]
+    if any(x != 0 for row in aug[k:] for x in row[k:]):
+        return None
+    return tuple(tuple(row[k:]) for row in aug[:k])
 
 
 def smith_normal_form(m: LatticeMap) -> tuple[LatticeMap, LatticeMap, LatticeMap]:
@@ -234,7 +249,6 @@ def smith_normal_form(m: LatticeMap) -> tuple[LatticeMap, LatticeMap, LatticeMap
                     b = rows[i][t]
                     if b % a == 0:
                         q = b // a
-                        row_op(i, t, 1, 0, 0, 1)  # no-op keeps shape explicit
                         for mat in (rows, u):
                             mat[i] = [x - q * y for x, y in zip(mat[i], mat[t])]
                     else:

@@ -30,6 +30,7 @@ from .gamma_action import (
     root_space_scalar,
     root_stabilizer,
     stabilizer_hypothesis,
+    validate_action,
 )
 from .root_datum import (
     BasedRootDatum,
@@ -82,8 +83,6 @@ def root_survives(a: GammaAction, root) -> bool:
 
 
 def fold(a: GammaAction) -> FoldedDatum:
-    from .gamma_action import validate_action
-
     rep = validate_action(a)
     if not rep.ok:
         raise ValueError("invalid action: " + "; ".join(rep.problems))

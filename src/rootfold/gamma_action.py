@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .chevalley import build_structure_constants, propagate_scalars
 from .exact_lattice import LatticeMap, TorsionVector
-from .root_datum import BasedRootDatum, ValidationReport
+from .root_datum import BasedRootDatum, ValidationReport, _components
 
 
 class FiniteGroup:
@@ -291,8 +291,6 @@ def stabilizer_hypothesis(a: GammaAction) -> StabilizerReport:
     faithfulness and triviality are reported per component for the callers
     that need the stronger or weaker reading.
     """
-    from .root_datum import _components
-
     rd = a.base.datum
     comps = _components(rd)
     records = []

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
-from .exact_lattice import LatticeMap, dot, vadd, vneg, vsub
+from .exact_lattice import LatticeMap, dot, solve_rational, vadd, vneg, vsub
 
 
 class WeylCapError(RuntimeError):
@@ -95,43 +96,17 @@ class BasedRootDatum:
         return tuple(self.datum.coroots[i] for i in self.simple_indices)
 
     def simple_coefficients(self, v):
-        """Coefficients of v in the simple roots, or None if outside their span."""
+        """Integer coefficients of v in the simple roots, or None if there are none.
+
+        None also when the simple roots are linearly dependent.
+        """
         simples = self.simple_roots
         if not simples:
             return None if any(v) else ()
-        cols = [list(s) for s in simples]
-        n = self.datum.rank
-        aug = [[Fraction(cols[j][i]) for j in range(len(simples))] + [Fraction(v[i])]
-               for i in range(n)]
-        k = len(simples)
-        row = 0
-        pivots = []
-        for col in range(k):
-            piv = next((i for i in range(row, n) if aug[i][col] != 0), None)
-            if piv is None:
-                continue
-            aug[row], aug[piv] = aug[piv], aug[row]
-            inv = 1 / aug[row][col]
-            aug[row] = [x * inv for x in aug[row]]
-            for i in range(n):
-                if i != row and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-            pivots.append(col)
-            row += 1
-        coeffs = [Fraction(0)] * k
-        for r, col in enumerate(pivots):
-            coeffs[col] = aug[r][k]
-        for i in range(row, n):
-            if aug[i][k] != 0:
-                return None
-        # verify (handles deficient pivot structure)
-        acc = (0,) * n
-        for c, s in zip(coeffs, simples):
-            if c.denominator != 1:
-                return None
-            acc = vadd(acc, tuple(int(c) * x for x in s))
-        return tuple(int(c) for c in coeffs) if acc == tuple(v) else None
+        x = solve_rational(tuple(zip(*simples)), [(c,) for c in v])
+        if x is None or any(c.denominator != 1 for c, in x):
+            return None
+        return tuple(int(c) for c, in x)
 
     def positive_roots(self):
         """Roots whose simple-root coefficients are all nonnegative."""
@@ -210,6 +185,9 @@ def validate(rd: RootDatum | BasedRootDatum) -> ValidationReport:
         for i in base.simple_indices:
             if i < 0 or i >= len(rd.roots):
                 problems.append("simple index out of range")
+        # the zero vector has coefficients exactly when the simples are independent
+        if not problems and base.simple_coefficients((0,) * rd.rank) is None:
+            problems.append("simple roots are linearly dependent")
         if not problems:
             for r in rd.roots:
                 c = base.simple_coefficients(r)
@@ -506,6 +484,25 @@ def cartan_type(rd: RootDatum | BasedRootDatum):
     types = sorted(_recognize_component(rd, c) for c in comps)
     semis = sum(r for _, r in types)
     return tuple(types), rd.rank - semis
+
+
+_EXCEPTIONAL_WEYL_ORDERS = {("G", 2): 12, ("F", 4): 1152, ("E", 6): 51840,
+                            ("E", 7): 2903040, ("E", 8): 696729600}
+
+
+def weyl_group_order(rd: RootDatum | BasedRootDatum) -> int:
+    """|W| from the Cartan type, without building the group."""
+    order = 1
+    for family, n in cartan_type(rd)[0]:
+        if family == "A":
+            order *= factorial(n + 1)
+        elif family in ("B", "C"):
+            order *= 2**n * factorial(n)
+        elif family == "D":
+            order *= 2 ** (n - 1) * factorial(n)
+        else:
+            order *= _EXCEPTIONAL_WEYL_ORDERS[family, n]
+    return order
 
 
 _TYPE_ALIASES = {

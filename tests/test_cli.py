@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from rootfold import ConormData, catalog, enumerate_stable_classes, fold
-from rootfold.classes import FrobeniusStructure, conorm_point
+from rootfold.classes import FrobeniusStructure
 from rootfold import cli
 from rootfold.cli import JobConfig, main, serialize_config
 
@@ -67,7 +67,7 @@ def test_lift_rows_match_library_conorm(capsys):
     assert payload["count"] == len(expected)
     for row, cls in zip(payload["lifts"], expected):
         assert row["class"] == {"num": list(cls.rep.nums), "den": cls.rep.den}
-        lifted = conorm_point(conorm, cls.rep)
+        lifted = conorm.apply(cls.rep)
         assert row["lift"]["den"] == lifted.den
 
 
@@ -161,6 +161,22 @@ def test_invalid_explicit_action_rejected(capsys, tmp_path):
     doc = tmp_path / "c.json"
     doc.write_text(json.dumps(bad))
     assert main(["fold", "--config", str(doc)]) == 2
+
+
+@pytest.mark.parametrize("coroots, simples, message", [
+    ([[1], [-1]], [5], "simple index out of range"),
+    ([[1], [1]], [0], "coroot of -a is not -coroot(a)"),
+])
+def test_invalid_explicit_group_rejected(capsys, tmp_path, coroots, simples, message):
+    group = {"rank": 1, "roots": [[2], [-2]], "coroots": coroots, "simples": simples}
+    doc = tmp_path / "c.json"
+    doc.write_text(json.dumps({"group": group, "q": 3}))
+    assert main(["classes", "--config", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rootfold: explicit group invalid: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_conorm_reports_adjointness(capsys):

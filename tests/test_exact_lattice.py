@@ -17,6 +17,7 @@ from rootfold.exact_lattice import (
     solve_torsion_fixed,
     kernel_basis,
     right_inverse,
+    solve_rational,
 )
 
 
@@ -107,6 +108,58 @@ def test_unimodular_inverse():
         n = rng.randint(1, 5)
         m = rand_unimodular(rng, n)
         assert is_identity(m @ m.inverse_unimodular())
+    assert LatticeMap.identity(0).inverse_unimodular() == LatticeMap.identity(0)
+    for bad in (LatticeMap([[2, 0], [0, 1]]),          # det 2
+                LatticeMap([[1, 1, 0], [0, 1, 1], [1, 2, 1]]),  # singular
+                LatticeMap([[1, 0, 0], [0, 1, 0]])):   # not square
+        with pytest.raises(ValueError):
+            bad.inverse_unimodular()
+
+
+def rational_product(a, x):
+    return [[sum(r[k] * x[k][j] for k in range(len(r))) for j in range(len(x[0]))]
+            for r in a.rows]
+
+
+def test_solve_rational_square_and_tall():
+    """k of the columns of a unimodular matrix, each scaled, have full rank."""
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        k = rng.randint(1, n)
+        m = rng.randint(1, 3)
+        u = rand_unimodular(rng, n).columns()
+        scales = [rng.choice((1, -2, 3)) for _ in range(k)]
+        a = LatticeMap.from_columns([tuple(c * x for x in u[j])
+                                     for j, c in enumerate(scales)], n)
+        y = rand_matrix(rng, k, m)
+        b = LatticeMap.from_columns(u[:k], n) @ y
+        x = solve_rational(a, b)
+        assert rational_product(a, x) == [list(r) for r in b.rows]
+        assert x == tuple(tuple(Fraction(v, c) for v in row)
+                          for row, c in zip(y.rows, scales))
+
+
+def test_solve_rational_returns_none():
+    dependent = LatticeMap([[1, 2], [2, 4], [0, 0]])
+    assert solve_rational(dependent, [(1,), (2,), (0,)]) is None
+    assert solve_rational(LatticeMap([[1, 1], [1, 1]]), [(0,), (0,)]) is None
+    wide = LatticeMap([[1, 0, 1], [0, 1, 1]])
+    assert solve_rational(wide, LatticeMap.identity(2)) is None
+    tall = LatticeMap([[1, 0], [0, 1], [1, 1]])
+    assert solve_rational(tall, [(1,), (1,), (3,)]) is None
+    assert solve_rational(tall, [(1,), (1,), (2,)]) == ((1,), (1,))
+    with pytest.raises(ValueError):
+        solve_rational(tall, LatticeMap.identity(2))
+
+
+def test_solve_rational_empty_shapes():
+    no_cols = LatticeMap.zero(3, 0)
+    assert no_cols.codomain_rank == 3 and no_cols.domain_rank == 0
+    assert solve_rational(no_cols, [(0, 0)] * 3) == ()
+    assert solve_rational(no_cols, [(0,), (1,), (0,)]) is None
+    assert solve_rational(LatticeMap.identity(0), LatticeMap.identity(0)) == ()
+    assert solve_rational((), ()) == ()
 
 
 def test_right_inverse():

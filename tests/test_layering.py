@@ -1,0 +1,39 @@
+"""The package's modules import one another in one direction only.
+
+Each module may import only modules earlier in LAYERS.  Imports inside
+functions count too, so a deferred import cannot hide a cycle.
+"""
+
+import ast
+from pathlib import Path
+
+LAYERS = ("exact_lattice", "root_datum", "chevalley", "gamma_action", "folding",
+          "duality_conorm", "catalog", "classes", "cli")
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rootfold"
+
+
+def relative_imports(path):
+    """Names of the sibling modules a source file imports, anywhere in it."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                out.update(alias.name for alias in node.names)
+            else:
+                out.add(node.module.split(".")[0])
+    return out
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+    assert modules == set(LAYERS)
+
+
+def test_imports_point_to_earlier_layers():
+    bad = []
+    for rank, name in enumerate(LAYERS):
+        for target in sorted(relative_imports(PACKAGE / f"{name}.py")):
+            if target not in LAYERS[:rank]:
+                bad.append(f"{name} imports {target}")
+    assert not bad, bad

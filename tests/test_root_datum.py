@@ -12,6 +12,7 @@ import rootfold
 from rootfold import catalog
 from rootfold.exact_lattice import LatticeMap, smith_normal_form
 from rootfold.root_datum import (
+    BasedRootDatum,
     RootDatum,
     based_from_datum,
     cartan_type,
@@ -26,6 +27,7 @@ from rootfold.root_datum import (
     same_type,
     validate,
     weyl_group,
+    weyl_group_order,
 )
 
 
@@ -41,6 +43,18 @@ def test_validate_catches_scaled_coroot():
     rep = validate(bad)
     assert not rep.ok
     assert any("2" in p for p in rep.problems)
+
+
+@pytest.mark.parametrize("which", [(0, 1, "sum"), (0, 0, 1)])
+def test_validate_rejects_dependent_simples(which):
+    gl3 = catalog.gl(3)
+    rd = gl3.datum
+    a1, a2 = gl3.simple_roots
+    pick = {0: rd.root_index(a1), 1: rd.root_index(a2),
+            "sum": rd.root_index(tuple(x + y for x, y in zip(a1, a2)))}
+    rep = validate(BasedRootDatum(rd, [pick[k] for k in which]))
+    assert not rep.ok
+    assert rep.problems == ("simple roots are linearly dependent",)
 
 
 def test_validate_torus():
@@ -76,6 +90,16 @@ def test_weyl_sizes_small():
 def test_weyl_sizes_exceptional():
     assert len(weyl_group(B.from_cartan_sc(B.F4_CARTAN))) == 1152
     assert len(weyl_group(B.from_cartan_sc(B.E6_CARTAN))) == 51840
+
+
+def test_weyl_group_order_matches_closure():
+    names = ("gl1", "gl3", "torus2", "sl4", "pgl3", "sp4", "sp6", "so5", "so7",
+             "so8", "spin9", "g2", "f4")
+    for name in names:
+        base = catalog.group_datum(name)
+        assert weyl_group_order(base) == len(weyl_group(base)), name
+    mixed = catalog.direct_sum(catalog.g2(), catalog.gl(3))
+    assert weyl_group_order(mixed) == len(weyl_group(mixed)) == 72
 
 
 def test_import_leaves_numpy_out():
