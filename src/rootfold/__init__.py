@@ -43,7 +43,6 @@ from .duality_conorm import (
     NormData,
     ConormData,
     Isogeny,
-    build_conorm,
     dual_isogeny,
     verify_isogeny_square,
 )
@@ -76,7 +75,7 @@ __all__ = [
     "FiniteGroup", "GammaAction", "validate_action", "pinned_projection",
     "root_orbit", "root_stabilizer", "root_space_scalar", "stabilizer_hypothesis",
     "FoldedDatum", "fold", "restricted_root_comparison", "dual_length_comparison",
-    "NormData", "ConormData", "Isogeny", "build_conorm", "dual_isogeny",
+    "NormData", "ConormData", "Isogeny", "dual_isogeny",
     "verify_isogeny_square",
     "StableClass", "FrobeniusStructure",
     "canonicalize_class", "enumerate_stable_classes",

@@ -228,7 +228,7 @@ def _signed_flip(m) -> LatticeMap:
     rows = [[0] * m for _ in range(m)]
     for c in range(m):
         rows[m - 1 - c][c] = -1
-    return LatticeMap(rows)
+    return LatticeMap(rows, m)
 
 
 def _perm_matrix(perm) -> LatticeMap:
@@ -236,7 +236,7 @@ def _perm_matrix(perm) -> LatticeMap:
     rows = [[0] * n for _ in range(n)]
     for i, p in enumerate(perm):
         rows[p][i] = 1
-    return LatticeMap(rows)
+    return LatticeMap(rows, n)
 
 
 def trivial_action(base: BasedRootDatum, m: int = 1) -> GammaAction:
@@ -343,7 +343,7 @@ def rotation_action(base_half: BasedRootDatum, m: int) -> GammaAction:
         for i in range(m * n):
             block, off = divmod(i, n)
             rows[((block + k) % m) * n + off][i] = 1
-        mats.append(LatticeMap(rows))
+        mats.append(LatticeMap(rows, m * n))
     return GammaAction(FiniteGroup.cyclic(m), prod, mats)
 
 

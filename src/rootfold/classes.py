@@ -36,8 +36,6 @@ from .root_datum import (
     weyl_group_order,
 )
 
-TorusPoint = TorsionVector
-
 
 def _is_prime(p):
     if p < 2:
@@ -215,7 +213,7 @@ def verify_product_conorm(base_half: BasedRootDatum, m: int, qs) -> ValidationRe
     conorm = ConormData(fd)
     n = base_half.datum.rank
     stacked = LatticeMap([[1 if c == r % n else 0 for c in range(n)]
-                          for r in range(m * n)])
+                          for r in range(m * n)], n)
     if conorm.matrix != stacked:
         problems.append("conorm is not the diagonal embedding")
     if fd.restriction @ conorm.matrix != LatticeMap.identity(n).scale(m):

@@ -17,7 +17,6 @@ from .classes import (
     FrobeniusStructure,
     enumerate_stable_classes,
     lift_stable_class,
-    verify_conorm_well_defined,
     verify_levi_factorization,
     verify_normal_subgroup_composition,
     verify_pinning_factorization,
@@ -149,7 +148,7 @@ def _explicit_action(cfg: JobConfig) -> GammaAction:
                 [tuple(p) for p in spec["permutations"]])
         else:
             group = FiniteGroup.cyclic(int(spec.get("cyclic", 1)))
-        diagrams = [LatticeMap([list(map(int, row)) for row in mat])
+        diagrams = [LatticeMap([list(map(int, row)) for row in mat], base.datum.rank)
                     for mat in spec["diagrams"]]
         twists = None
         if "twists" in spec:
@@ -199,7 +198,7 @@ def _frobenius(cfg: JobConfig, rank: int) -> FrobeniusStructure:
     try:
         if cfg.tau is None:
             return FrobeniusStructure.untwisted(cfg.q, rank)
-        tau = LatticeMap([list(map(int, row)) for row in cfg.tau])
+        tau = LatticeMap([list(map(int, row)) for row in cfg.tau], rank)
         return FrobeniusStructure.twisted(cfg.q, tau)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad frobenius data: {exc}") from exc
@@ -246,9 +245,9 @@ def cmd_fold(cfg: JobConfig):
         "command": "fold",
         "source_type": type_string(action.base),
         "rank": fd.rank,
-        "type": type_string(fd.fixed) if fd.rank else "T0",
-        "roots": len(fd.fixed.roots) if fd.rank else 0,
-        "restriction": _jsonable(fd.restriction) if fd.rank else [],
+        "type": type_string(fd.fixed),
+        "roots": len(fd.fixed.roots),
+        "restriction": _jsonable(fd.restriction),
         "provenance": prov,
     }
     return payload, True
@@ -266,7 +265,7 @@ def cmd_conorm(cfg: JobConfig):
     payload = {
         "command": "conorm",
         "group_order": k,
-        "folded_type": type_string(fd.fixed) if fd.rank else "T0",
+        "folded_type": type_string(fd.fixed),
         "conorm": _jsonable(conorm.matrix),
         "norm_on_cochar": _jsonable(conorm.norm.norm_to_folded),
         "adjoint_ok": adjoint_ok,
@@ -301,7 +300,7 @@ def cmd_lift(cfg: JobConfig):
         rows.append({"class": _jsonable(c.rep), "lift": _jsonable(lifted.rep)})
     payload = {
         "command": "lift",
-        "folded_type": type_string(fd.fixed) if fd.rank else "T0",
+        "folded_type": type_string(fd.fixed),
         "q": frob.q,
         "count": len(rows),
         "lifts": rows,

@@ -64,12 +64,6 @@ class ConormData:
         return point.apply(self.matrix)
 
 
-def build_conorm(a) -> ConormData:
-    """Conorm data of an action or of an already computed fold."""
-    folded = a if isinstance(a, FoldedDatum) else fold(a)
-    return ConormData(folded)
-
-
 class Isogeny:
     """An isogeny of connected reductive groups, via its character pullback.
 
@@ -94,9 +88,6 @@ class Isogeny:
         _, d, _ = smith_normal_form(self.char_pullback)
         k = min(d.codomain_rank, d.domain_rank)
         return tuple(d.rows[i][i] for i in range(k) if d.rows[i][i] != 1)
-
-    def cochar_pushforward(self) -> LatticeMap:
-        return self.char_pullback.transpose()
 
     def __repr__(self):
         return f"Isogeny(degree={self.degree()})"

@@ -55,34 +55,36 @@ class LatticeMap:
     """A homomorphism Z^domain_rank -> Z^codomain_rank given by an integer matrix.
 
     Stored row-major; acts on column vectors, so ``m(v)`` is matrix times v.
+    Both ranks are part of the map: a matrix with no rows needs its
+    ``domain_rank`` given, and a 0 x 2 map differs from a 0 x 3 map.
     """
 
     __slots__ = ("rows", "codomain_rank", "domain_rank")
 
-    def __init__(self, rows):
+    def __init__(self, rows, domain_rank=None):
         self.rows: Mat = tuple([tuple(map(int, r)) for r in rows])
         self.codomain_rank = len(self.rows)
-        self.domain_rank = len(self.rows[0]) if self.rows else 0
+        if domain_rank is None:
+            if not self.rows:
+                raise ValueError("a map with no rows needs its domain_rank")
+            domain_rank = len(self.rows[0])
+        self.domain_rank = domain_rank
         for r in self.rows:
-            if len(r) != self.domain_rank:
+            if len(r) != domain_rank:
                 raise ValueError("ragged matrix")
 
     @classmethod
     def identity(cls, n: int) -> "LatticeMap":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def zero(cls, codomain: int, domain: int) -> "LatticeMap":
-        return cls(tuple((0,) * domain for _ in range(codomain)))
+        return cls(tuple((0,) * domain for _ in range(codomain)), domain)
 
     @classmethod
-    def from_columns(cls, cols, codomain_rank=None):
+    def from_columns(cls, cols, codomain_rank: int) -> "LatticeMap":
         cols = [tuple(c) for c in cols]
-        if codomain_rank is None:
-            if not cols:
-                raise ValueError("need codomain_rank for an empty column list")
-            codomain_rank = len(cols[0])
-        return cls(tuple(tuple(c[i] for c in cols) for i in range(codomain_rank)))
+        return cls(tuple(tuple(c[i] for c in cols) for i in range(codomain_rank)), len(cols))
 
     def columns(self):
         return [tuple(r[j] for r in self.rows) for j in range(self.domain_rank)]
@@ -103,16 +105,18 @@ class LatticeMap:
         return self.compose(other)
 
     def __add__(self, other):
-        return LatticeMap(tuple(vadd(a, b) for a, b in zip(self.rows, other.rows, strict=True)))
+        return LatticeMap(tuple(vadd(a, b) for a, b in zip(self.rows, other.rows, strict=True)),
+                          self.domain_rank)
 
     def __sub__(self, other):
-        return LatticeMap(tuple(vsub(a, b) for a, b in zip(self.rows, other.rows, strict=True)))
+        return LatticeMap(tuple(vsub(a, b) for a, b in zip(self.rows, other.rows, strict=True)),
+                          self.domain_rank)
 
     def scale(self, c: int) -> "LatticeMap":
-        return LatticeMap(tuple(vscale(c, r) for r in self.rows))
+        return LatticeMap(tuple(vscale(c, r) for r in self.rows), self.domain_rank)
 
     def transpose(self) -> "LatticeMap":
-        return LatticeMap(tuple(zip(*self.rows)) if self.rows else ())
+        return LatticeMap.from_columns(self.rows, self.domain_rank)
 
     def det(self) -> int:
         if self.domain_rank != self.codomain_rank:
@@ -149,19 +153,20 @@ class LatticeMap:
         inv = solve_rational(self, LatticeMap.identity(n))
         if inv is None or any(x.denominator != 1 for row in inv for x in row):
             raise ValueError("matrix is not unimodular")
-        return LatticeMap(inv)
+        return LatticeMap(inv, n)
 
     def inverse_transpose(self) -> "LatticeMap":
         return self.inverse_unimodular().transpose()
 
     def __eq__(self, other):
-        return isinstance(other, LatticeMap) and self.rows == other.rows
+        return (isinstance(other, LatticeMap) and self.rows == other.rows
+                and self.domain_rank == other.domain_rank)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.rows, self.domain_rank))
 
     def __repr__(self):
-        return f"LatticeMap({list(map(list, self.rows))})"
+        return f"LatticeMap({list(map(list, self.rows))}, domain_rank={self.domain_rank})"
 
 
 def solve_rational(a, b):
@@ -170,16 +175,16 @@ def solve_rational(a, b):
     a is n x k and b is n x m, each a LatticeMap or a sequence of integer
     rows; X comes back as k rows of Fractions.  Gauss-Jordan elimination on
     the augmented matrix [a | b].  None means the columns of a are linearly
-    dependent or some column of b lies outside their span.  A matrix with no
-    rows is read as 0 x 0, the way LatticeMap stores it.
+    dependent or some column of b lies outside their span.  A sequence of
+    rows has no room for the column count of an empty matrix, so no rows is
+    read as 0 x 0; a LatticeMap keeps its shape.
     """
-    a = getattr(a, "rows", a)
-    b = getattr(b, "rows", b)
+    rows = getattr(a, "rows", a)
+    k = getattr(a, "domain_rank", len(rows[0]) if rows else 0)
+    a, b = rows, getattr(b, "rows", b)
     if len(a) != len(b):
         raise ValueError("a and b must have the same number of rows")
-    if not a:
-        return ()
-    n, k = len(a), len(a[0])
+    n = len(a)
     aug = [[Fraction(x) for x in ra] + [Fraction(x) for x in rb] for ra, rb in zip(a, b)]
     for col in range(k):
         piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
@@ -289,7 +294,7 @@ def smith_normal_form(m: LatticeMap) -> tuple[LatticeMap, LatticeMap, LatticeMap
             for mat in (rows, u):
                 mat[t] = [-x for x in mat[t]]
         t += 1
-    return LatticeMap(u), LatticeMap(rows), LatticeMap(v)
+    return LatticeMap(u, nr), LatticeMap(rows, nc), LatticeMap(v, nc)
 
 
 def row_hermite_form(m: LatticeMap) -> LatticeMap:
@@ -326,7 +331,7 @@ def row_hermite_form(m: LatticeMap) -> LatticeMap:
             if q != 0:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
         r += 1
-    return LatticeMap(rows)
+    return LatticeMap(rows, nc)
 
 
 def column_hermite_form(m: LatticeMap) -> LatticeMap:
@@ -336,19 +341,14 @@ def column_hermite_form(m: LatticeMap) -> LatticeMap:
     positive pivots, and entries left of a pivot reduced into [0, pivot).
     """
     h = row_hermite_form(m.transpose())
-    cols = [tuple(r) for r in h.rows if any(r)]
-    if not cols:
-        return LatticeMap.zero(m.codomain_rank, 0)
-    return LatticeMap.from_columns(cols, m.codomain_rank)
+    return LatticeMap.from_columns([r for r in h.rows if any(r)], m.codomain_rank)
 
 
 def kernel_basis(m: LatticeMap) -> LatticeMap:
     """Basis (columns) of the integer kernel of m; always a saturated sublattice."""
     u, d, v = smith_normal_form(m)
     rank = sum(1 for i in range(min(d.codomain_rank, d.domain_rank)) if d.rows[i][i] != 0)
-    cols = v.columns()[rank:]
-    return column_hermite_form(LatticeMap.from_columns(cols, m.domain_rank)) if cols \
-        else LatticeMap.zero(m.domain_rank, 0)
+    return column_hermite_form(LatticeMap.from_columns(v.columns()[rank:], m.domain_rank))
 
 
 def right_inverse(p: LatticeMap) -> LatticeMap:
@@ -360,7 +360,7 @@ def right_inverse(p: LatticeMap) -> LatticeMap:
             raise ValueError("map is not surjective")
     # p = u^-1 d v^-1 with d = [I | 0]; a right inverse is v [I; 0] u
     sel = LatticeMap(tuple(tuple(1 if i == j else 0 for j in range(r))
-                           for i in range(p.domain_rank)))
+                           for i in range(p.domain_rank)), r)
     return v @ sel @ u
 
 
@@ -402,12 +402,9 @@ class Sublattice:
 
     def saturation(self) -> "Sublattice":
         """Smallest sublattice containing this one with torsion-free quotient."""
-        if self.rank == 0:
-            return self
-        # saturate: kernel of the projection onto a complement, computed by SNF
+        # U @ basis @ V = D, so the first rank columns of U^-1 span the saturation
         u, d, v = smith_normal_form(self.basis)
-        cols = [u.inverse_unimodular()(tuple(1 if i == j else 0 for i in range(self.ambient_rank)))
-                for j in range(self.rank)]
+        cols = u.inverse_unimodular().columns()[:self.rank]
         return Sublattice(self.ambient_rank, LatticeMap.from_columns(cols, self.ambient_rank))
 
     def __eq__(self, other):
@@ -434,14 +431,9 @@ class QuotientLattice:
     def __init__(self, ambient_rank: int, relation_generators: LatticeMap):
         self.ambient_rank = ambient_rank
         self.relations = Sublattice(ambient_rank, relation_generators).saturation()
-        if self.relations.rank == 0:
-            self.projection = LatticeMap.identity(ambient_rank)
-            return
+        # the rows of U past the relation rank vanish on the relations
         u, d, v = smith_normal_form(self.relations.basis)
-        rk = self.relations.rank
-        proj_rows = u.rows[rk:]
-        p = LatticeMap(proj_rows) if proj_rows else LatticeMap.zero(0, ambient_rank)
-        self.projection = row_hermite_form(p)
+        self.projection = row_hermite_form(LatticeMap(u.rows[self.relations.rank:], ambient_rank))
 
     @property
     def rank(self) -> int:
@@ -462,7 +454,7 @@ def fixed_sublattice(maps: list[LatticeMap]) -> Sublattice:
             raise ValueError("maps must be square of equal rank")
         diff = m - LatticeMap.identity(n)
         stacked.extend(diff.rows)
-    ker = kernel_basis(LatticeMap(stacked))
+    ker = kernel_basis(LatticeMap(stacked, n))
     return Sublattice(n, ker)
 
 
@@ -475,8 +467,7 @@ def coinvariant_quotient(maps: list[LatticeMap]) -> QuotientLattice:
     for m in maps:
         diff = m - LatticeMap.identity(n)
         cols.extend(diff.columns())
-    gen = LatticeMap.from_columns(cols, n) if cols else LatticeMap.zero(n, 0)
-    return QuotientLattice(n, gen)
+    return QuotientLattice(n, LatticeMap.from_columns(cols, n))
 
 
 class TorsionVector:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_lattice import (
-    LatticeMap,
     coinvariant_quotient,
     dot,
     fixed_sublattice,
@@ -95,10 +94,6 @@ def fold(a: GammaAction) -> FoldedDatum:
     proj = quot.projection
     s = sub.rank
     assert proj.codomain_rank == s, "fixed and coinvariant ranks must agree"
-    if s == 0:
-        fixed = RootDatum(0, [], [])
-        base = BasedRootDatum(fixed, ())
-        return FoldedDatum(a, fixed, base, proj, sub.basis, {})
     lift = right_inverse(proj)
     pairing = lift.transpose() @ sub.basis
     if abs(pairing.det()) != 1:

@@ -162,11 +162,13 @@ def validate(rd: RootDatum | BasedRootDatum) -> ValidationReport:
         for c in (2, 3):
             if tuple(c * x for x in a) in root_set:
                 problems.append(f"root system not reduced at root {i}")
-    # negation must match up coroots too
-    for a, av in zip(rd.roots, rd.coroots):
+    # negation must match up coroots too; each +-pair is checked once
+    for i, a in enumerate(rd.roots):
         na = vneg(a)
-        if na in root_set and rd.coroot_of(na) != vneg(av):
-            problems.append("coroot of -a is not -coroot(a)")
+        if na in root_set:
+            j = rd.root_index(na)
+            if i < j and rd.coroots[j] != vneg(rd.coroots[i]):
+                problems.append(f"roots {i} and {j}: coroot of -a is not -coroot(a)")
     # reflections permute roots, coreflections permute coroots compatibly
     for i in range(len(rd.roots)):
         if problems:
@@ -245,8 +247,6 @@ def _matrix_group_closure(base: BasedRootDatum, cap: int):
     """
     n = base.datum.rank
     simples, cosimples = base.simple_roots, base.simple_coroots
-    if not simples:
-        return [LatticeMap.identity(n)], [()]
     steps = []
     for i, (a, av) in enumerate(zip(simples, cosimples)):
         cartan_row = tuple((j, x) for j, x in enumerate(dot(a, bv) for bv in cosimples) if x)
@@ -278,7 +278,7 @@ def _matrix_group_closure(base: BasedRootDatum, cap: int):
                 mats.append(tuple(map(row_image, mats[idx])))
                 words.append(words[idx] + (i,))
         frontier = new_frontier
-    return [LatticeMap(m) for m in mats], words
+    return [LatticeMap(m, n) for m in mats], words
 
 
 def weyl_group(rd: RootDatum | BasedRootDatum, cap: int = 1_000_000) -> list[WeylElement]:

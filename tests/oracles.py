@@ -15,6 +15,9 @@ def bracket_factory(sc):
     rd = sc.base.datum
     rank = rd.rank
     root_set = set(rd.roots)
+    # every N_{a,b} the bracket can need, read from the table once
+    n_ab = {(a, b): sc.n(a, b) for a in rd.roots for b in rd.roots
+            if tuple(p + q for p, q in zip(a, b)) in root_set}
 
     def bracket(x, y):
         # x, y: ({root: coeff}, [cartan coeffs length rank])
@@ -29,7 +32,7 @@ def bracket_factory(sc):
                     for i in range(rank):
                         ho[i] += ca * cb * cv[i]
                 elif s in root_set:
-                    ro[s] = ro.get(s, 0) + ca * cb * sc.n(a, b)
+                    ro[s] = ro.get(s, 0) + ca * cb * n_ab[a, b]
         for a, ca in rx.items():
             pairing = sum(hy[i] * a[i] for i in range(rank))
             ro[a] = ro.get(a, 0) - ca * pairing

@@ -23,8 +23,9 @@ from rootfold.classes import (
     verify_product_conorm,
     verify_trivial_lift,
 )
-from rootfold.duality_conorm import build_conorm
+from rootfold.duality_conorm import ConormData
 from rootfold.exact_lattice import LatticeMap, TorsionVector
+from rootfold.folding import fold
 from rootfold.gamma_action import FiniteGroup, GammaAction
 
 
@@ -97,7 +98,7 @@ def test_gl_counts_match_oracle_and_formula():
 
 def test_lift_through_flip_fold():
     a = z2_flip_action(2)
-    conorm = build_conorm(a)
+    conorm = ConormData(fold(a))
     cls = StableClass(TorsionVector((1,), 3), 3)
     lifted = lift_stable_class(conorm, cls)
     assert lifted.rep == TorsionVector((1, 2), 3)

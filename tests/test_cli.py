@@ -179,6 +179,51 @@ def test_invalid_explicit_group_rejected(capsys, tmp_path, coroots, simples, mes
     assert captured.err.count("\n") == 1
 
 
+ANISOTROPIC_CONFIG = {
+    "group": {"rank": 1, "roots": [], "coroots": [], "simples": []},
+    "action_spec": {"cyclic": 2, "diagrams": [[[1]], [[-1]]]},
+    "q": 3,
+}
+
+RANK_ZERO_CONFIG = {
+    "group": {"rank": 0, "roots": [], "coroots": [], "simples": []},
+    "action_spec": {"cyclic": 2, "diagrams": [[], []]},
+    "q": 3,
+}
+
+
+def config_path(tmp_path, doc):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_anisotropic_fold_has_conorm_and_lifts(capsys, tmp_path):
+    path = config_path(tmp_path, ANISOTROPIC_CONFIG)
+    rc, payload = run_json(capsys, ["conorm", "--config", path])
+    assert rc == 0
+    assert payload["conorm"] == [[]]
+    assert payload["adjoint_ok"] is True
+    rc, payload = run_json(capsys, ["lift", "--config", path])
+    assert rc == 0
+    assert payload["lifts"] == [{"class": {"num": [], "den": 1},
+                                 "lift": {"num": [0], "den": 1}}]
+
+
+@pytest.mark.parametrize("command", ["fold", "conorm", "lift"])
+def test_rank_zero_explicit_action(capsys, tmp_path, command):
+    rc, payload = run_json(capsys, [command, "--config", config_path(tmp_path, RANK_ZERO_CONFIG)])
+    assert rc == 0
+    assert payload["command"] == command
+
+
+def test_rank_zero_preset_with_empty_tau(capsys, tmp_path):
+    path = config_path(tmp_path, {"preset": "torus0", "q": 3, "tau": []})
+    rc, payload = run_json(capsys, ["classes", "--config", path])
+    assert rc == 0
+    assert payload["classes"] == [{"rep": {"num": [], "den": 1}, "order": 1}]
+
+
 def test_conorm_reports_adjointness(capsys):
     rc, payload = run_json(capsys, ["conorm", "--preset", "e6ad-pinned"])
     assert rc == 0

@@ -4,11 +4,11 @@ import builders as B
 from test_chevalley import perm_map
 from test_gamma_action import z2_flip_action
 
+from rootfold import catalog
 from rootfold.duality_conorm import (
     ConormData,
     Isogeny,
     NormData,
-    build_conorm,
     dual_isogeny,
     equivariant_for,
     fold_isogeny,
@@ -71,41 +71,41 @@ def sl_gl1_to_gl(n):
 
 
 def test_trivial_conorm_is_identity():
-    c = build_conorm(trivial_action(B.gl(2)))
+    c = ConormData(fold(trivial_action(B.gl(2))))
     assert c.matrix == LatticeMap.identity(2)
 
 
 def test_trivial_larger_group_conorm_is_multiplication():
-    c = build_conorm(trivial_action(B.gl(2), k=3))
+    c = ConormData(fold(trivial_action(B.gl(2), k=3)))
     assert c.matrix == LatticeMap.identity(2).scale(3)
 
 
 def test_gl2_flip_conorm_golden():
-    c = build_conorm(z2_flip_action(2))
+    c = ConormData(fold(z2_flip_action(2)))
     assert c.matrix == LatticeMap([[1], [-1]])
 
 
 def test_conorm_point_application():
-    c = build_conorm(z2_flip_action(2))
+    c = ConormData(fold(z2_flip_action(2)))
     img = c.apply(TorsionVector((1,), 5))
     assert img.fractions() == (Fraction(1, 5), Fraction(4, 5))
 
 
 def test_product_swap_conorm_stacks_identities():
-    c = build_conorm(swap_action(B.gl(2)))
+    c = ConormData(fold(swap_action(B.gl(2))))
     assert c.matrix == LatticeMap([[1, 0], [0, 1], [1, 0], [0, 1]])
 
 
 def test_conorm_agrees_with_pinned_projection():
     tw = [(0, 0, 0, 0), (Fraction(1, 2), Fraction(1, 2), 0, 0)]
-    twisted = build_conorm(z2_flip_action(4, twist=tw))
-    pinned = build_conorm(z2_flip_action(4))
+    twisted = ConormData(fold(z2_flip_action(4, twist=tw)))
+    pinned = ConormData(fold(z2_flip_action(4)))
     assert twisted.matrix == pinned.matrix
 
 
 def test_conorm_image_is_diagram_fixed():
     for a in (z2_flip_action(4), swap_action(B.gl(2))):
-        c = build_conorm(a)
+        c = ConormData(fold(a))
         for d in a.diagram:
             assert d @ c.matrix == c.matrix
 
@@ -115,6 +115,16 @@ def test_restriction_of_conorm_is_group_order():
     fd = fold(a)
     c = ConormData(fd)
     assert fd.restriction @ c.matrix == LatticeMap.identity(fd.rank).scale(2)
+
+
+def test_anisotropic_fold_has_empty_conorm():
+    a = GammaAction(FiniteGroup.cyclic(2), catalog.torus(1),
+                    [LatticeMap.identity(1), LatticeMap([[-1]])])
+    fd = fold(a)
+    c = ConormData(fd)
+    assert (c.matrix.codomain_rank, c.matrix.domain_rank) == (1, 0)
+    assert fd.restriction @ c.matrix == LatticeMap.identity(0).scale(2)
+    assert c.apply(TorsionVector((), 1)) == TorsionVector((0,), 1)
 
 
 def test_norm_presentations_are_transposes():

@@ -160,12 +160,39 @@ def test_solve_rational_empty_shapes():
     assert solve_rational(no_cols, [(0,), (1,), (0,)]) is None
     assert solve_rational(LatticeMap.identity(0), LatticeMap.identity(0)) == ()
     assert solve_rational((), ()) == ()
+    # two zero columns in a zero-dimensional space are dependent
+    assert solve_rational(LatticeMap.zero(0, 2), LatticeMap.zero(0, 1)) is None
+
+
+def test_shape_is_kept_without_rows():
+    assert LatticeMap.zero(2, 0).transpose() == LatticeMap.zero(0, 2)
+    t = LatticeMap.zero(2, 0).transpose()
+    assert (t.codomain_rank, t.domain_rank) == (0, 2)
+    assert LatticeMap.zero(0, 2) != LatticeMap.zero(0, 3)
+    assert hash(LatticeMap.zero(0, 2)) != hash(LatticeMap.zero(0, 3))
+    assert LatticeMap.zero(3, 0) @ LatticeMap.zero(0, 2) == LatticeMap.zero(3, 2)
+    assert LatticeMap.from_columns([], 2) == LatticeMap.zero(2, 0)
+    with pytest.raises(ValueError):
+        LatticeMap([])
+    with pytest.raises(ValueError):
+        LatticeMap([[1, 2]], 3)
+
+
+def test_rank_zero_lattices():
+    flip = LatticeMap([[-1]])
+    assert fixed_sublattice([flip]).basis == LatticeMap.zero(1, 0)
+    assert coinvariant_quotient([flip]).projection == LatticeMap.zero(0, 1)
+    assert kernel_basis(LatticeMap.identity(2)) == LatticeMap.zero(2, 0)
+    assert Sublattice(2, LatticeMap.zero(2, 0)).saturation().rank == 0
+    assert QuotientLattice(2, LatticeMap.zero(2, 0)).projection == LatticeMap.identity(2)
+    assert solve_torsion_fixed(LatticeMap.identity(0).scale(3)) == [TorsionVector((), 1)]
 
 
 def test_right_inverse():
     p = LatticeMap([[1, 1, 0], [0, 2, 1]])
     r = right_inverse(p)
     assert is_identity(p @ r)
+    assert right_inverse(LatticeMap.zero(0, 3)) == LatticeMap.zero(3, 0)
     with pytest.raises(ValueError):
         right_inverse(LatticeMap([[2, 0], [0, 1]]))
 

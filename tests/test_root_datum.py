@@ -57,6 +57,13 @@ def test_validate_rejects_dependent_simples(which):
     assert rep.problems == ("simple roots are linearly dependent",)
 
 
+def test_validate_reports_each_coroot_pair_once():
+    rep = validate(RootDatum(1, [(2,), (-2,)], [(1,), (1,)]))
+    assert not rep.ok
+    pairs = [p for p in rep.problems if "coroot of -a is not -coroot(a)" in p]
+    assert pairs == ["roots 0 and 1: coroot of -a is not -coroot(a)"]
+
+
 def test_validate_torus():
     assert validate(RootDatum(1, [], [])).ok
 
