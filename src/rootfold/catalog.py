@@ -5,30 +5,22 @@ torus); exceptional groups and simply connected forms are generated from
 Cartan matrices with Bourbaki node numbering.  Exceptional types above rank
 six are deliberately absent.
 
-Two presets are found by bounded search over small-denominator twists the
-first time they are requested and then cached: the inner twist of the split
-involution of adjoint E6 whose fold is C4 rather than F4, and the twisted
-symmetric-group action on D4 whose fold drops to A2 and breaks the
-short-root inclusion that cyclic stabilizers would guarantee.
+Three presets carry fixed torus twists: the inner twist of the split
+involution of adjoint E6 whose fold is C4 rather than F4, the inner twist of
+the cyclic triality on D4 whose fold is A2 rather than G2, and the twisted
+full graph symmetry of D4 whose fold drops short restricted roots and so
+breaks the short-root inclusion that cyclic stabilizers would guarantee.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from itertools import product as iproduct
 
 from .duality_conorm import Isogeny, validate_isogeny
 from .exact_lattice import LatticeMap, TorsionVector, dot, solve_rational, vadd
-from .folding import fold, restricted_root_comparison
-from .gamma_action import FiniteGroup, GammaAction, validate_action
-from .root_datum import (
-    BasedRootDatum,
-    RootDatum,
-    cartan_type,
-    generate_datum,
-    same_type,
-)
+from .gamma_action import FiniteGroup, GammaAction
+from .root_datum import BasedRootDatum, RootDatum, generate_datum
 
 _HALF = Fraction(1, 2)
 
@@ -351,51 +343,12 @@ def rotation_action(base_half: BasedRootDatum, m: int) -> GammaAction:
 def twisted_e6_c4_action() -> GammaAction:
     """Inner twist of the pinned E6 involution folding to C4 instead of F4.
 
-    Found by searching two-torsion twists; the choice is cached, and the
-    search re-verifies the fold type each time it runs.
+    The two-torsion twist at node 4 keeps eight of the involution-fixed
+    roots, and the fold is the adjoint C4.
     """
     a = pinned_e6_action("adjoint")
-    rd = a.base.datum
-    sc = a.pinned_scalars(1)
-    fixed = [r for r in rd.roots if a.act_root(1, r) == r]
-    for bits in iproduct((0, 1), repeat=6):
-        t = TorsionVector(bits, 2)
-        alive = sum(1 for r in fixed if (sc[r] + t.pairing(r)) % 1 == 0)
-        if alive != 8:
-            continue
-        cand = GammaAction(a.group, a.base, a.diagram, [(0,) * 6, t])
-        if not validate_action(cand).ok:
-            continue
-        try:
-            fd = fold(cand)
-        except (ValueError, AssertionError):
-            continue
-        types, central = cartan_type(fd.fixed)
-        if central == 0 and same_type(types, (("C", 4),)):
-            return cand
-    raise RuntimeError("no two-torsion twist of E6 folds to C4")
-
-
-def _d4_orbit_data():
-    """Triality-fixed roots of D4 and one (representative, stabilizer) per
-    length-three orbit of the full graph symmetry."""
-    group = FiniteGroup.from_permutations(_S3_PERMS)
-    mats = [_d4_matrix(p) for p in _S3_PERMS]
-    pinned = GammaAction(group, d4(), mats)
-    rd = pinned.base.datum
-    fixed = [r for r in rd.roots
-             if all(pinned.act_root(i, r) == r for i in range(6))]
-    orbit_reps = []
-    seen = set(fixed)
-    for r in rd.roots:
-        if r in seen:
-            continue
-        orb = {pinned.act_root(i, r) for i in range(6)}
-        seen |= orb
-        rep, stab = next((o, i) for o in sorted(orb) for i in (3, 4, 5)
-                         if pinned.act_root(i, o) == o)
-        orbit_reps.append((rep, stab))
-    return pinned, fixed, orbit_reps
+    return GammaAction(a.group, a.base, a.diagram,
+                       [(0,) * 6, (0, 0, 0, _HALF, 0, 0)])
 
 
 @lru_cache(maxsize=None)
@@ -403,28 +356,12 @@ def twisted_triality_a2_action() -> GammaAction:
     """Inner twist of the cyclic triality whose fold is A2, not G2.
 
     The twist kills every triality-fixed root; the six orbit restrictions
-    survive and form the short hexagon.  Found by searching order-three
-    twists of the generator and cached afterwards.
+    survive and form the short hexagon.
     """
     a = triality_action()
-    rd = a.base.datum
-    fixed = [r for r in rd.roots if a.act_root(1, r) == r]
-    for bits in iproduct((0, 1, 2), repeat=4):
-        t = TorsionVector(bits, 3)
-        if any(t.pairing(f) == 0 for f in fixed):
-            continue
-        tw = [TorsionVector.zero(4), t, t + t.apply(a.coaction(1))]
-        cand = GammaAction(a.group, a.base, a.diagram, tw)
-        if not validate_action(cand).ok:
-            continue
-        try:
-            fd = fold(cand)
-        except (ValueError, AssertionError):
-            continue
-        types, central = cartan_type(fd.fixed)
-        if central == 0 and same_type(types, (("A", 2),)):
-            return cand
-    raise RuntimeError("no order-three twist of the triality folds to A2")
+    t = TorsionVector((0, 1, 0, 0), 3)
+    return GammaAction(a.group, a.base, a.diagram,
+                       [TorsionVector.zero(4), t, t + t.apply(a.coaction(1))])
 
 
 @lru_cache(maxsize=None)
@@ -433,50 +370,14 @@ def s3_twisted_d4_action() -> GammaAction:
 
     With a non-cyclic stabilizer the short roots of the pinned fold need not
     all survive.  The cocycle constraints tie each orbit of short roots to a
-    fixed long root, so the searched twist removes matched long-short pairs
-    and the fold lands strictly inside G2; the short-inclusion report then
-    carries a concrete missing root.  Found by bounded search over
-    small-denominator twists of the two generators and cached.
+    fixed long root, so the two-torsion twists on the three reflections
+    remove matched long-short pairs and the fold lands strictly inside G2;
+    the short-inclusion report then carries a concrete missing root.
     """
-    pinned, fixed, orbit_reps = _d4_orbit_data()
-    group, base, mats = pinned.group, pinned.base, list(pinned.diagram)
-    r_idx, s_idx = 1, 3
-
-    def extend(t_r, t_s):
-        tw = {0: TorsionVector.zero(4), r_idx: t_r, s_idx: t_s}
-        changed = True
-        while changed:
-            changed = False
-            for g in (r_idx, s_idx):
-                for h, th in list(tw.items()):
-                    gh = group.mult(g, h)
-                    if gh not in tw:
-                        tw[gh] = tw[g] + th.apply(pinned.coaction(g))
-                        changed = True
-        return [tw[i] for i in range(6)] if len(tw) == 6 else None
-
-    thirds = [TorsionVector(b, 3) for b in iproduct((0, 1, 2), repeat=4)]
-    quarters = [TorsionVector(b, 4) for b in iproduct((0, 1, 2, 3), repeat=4)]
-    for t_r in thirds:
-        for t_s in quarters:
-            tw = extend(t_r, t_s)
-            if tw is None:
-                continue
-            if all(tw[stab].pairing(rep) == 0 for rep, stab in orbit_reps):
-                continue
-            try:
-                cand = GammaAction(group, base, mats, tw)
-            except ValueError:
-                continue
-            if not validate_action(cand).ok:
-                continue
-            try:
-                rep = restricted_root_comparison(cand)
-            except (ValueError, AssertionError):
-                continue
-            if not rep.underline_short_in_phi and rep.missing_short is not None:
-                return cand
-    raise RuntimeError("no small twist of the D4 graph symmetry drops a short root")
+    a = full_s3_action()
+    z = (0,) * 4
+    return GammaAction(a.group, a.base, a.diagram,
+                       [z, z, z, (0, 0, 0, _HALF), (0, 0, 0, _HALF), (_HALF, 0, 0, 0)])
 
 
 def based_isomorphism(source: BasedRootDatum, target: BasedRootDatum):

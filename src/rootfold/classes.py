@@ -21,7 +21,6 @@ from .exact_lattice import (
     LatticeMap,
     Sublattice,
     TorsionVector,
-    right_inverse,
     solve_torsion_fixed,
 )
 from .folding import fold
@@ -284,9 +283,8 @@ def induced_quotient_action(a: GammaAction, normal_indices):
     a0 = subgroup_action(a, normal_indices)
     fd0 = fold(a0)
     q_group, coset_of, reps = a.group.quotient_by(normal_indices)
-    lift0 = right_inverse(fd0.restriction)
-    diagrams = [fd0.restriction @ a.diagram[g] @ lift0 for g in reps]
-    twists = [a.twist[g].apply(lift0.transpose()) for g in reps]
+    diagrams = [fd0.restriction @ a.diagram[g] @ fd0.section for g in reps]
+    twists = [a.twist[g].apply(fd0.section.transpose()) for g in reps]
     a_bar = GammaAction(q_group, fd0.fixed_base, diagrams, twists)
     return a_bar, fd0
 
@@ -301,8 +299,7 @@ def verify_normal_subgroup_composition(a: GammaAction, normal_indices,
     conorm0 = ConormData(fd0)
     fd_bar = fold(a_bar)
     conorm_bar = ConormData(fd_bar)
-    lift_full = right_inverse(fd_full.restriction)
-    transport = fd_bar.restriction @ fd0.restriction @ lift_full
+    transport = fd_bar.restriction @ fd0.restriction @ fd_full.section
     if abs(transport.det()) != 1:
         problems.append("stagewise and direct folds are not unimodularly identified")
         return ValidationReport(False, problems)

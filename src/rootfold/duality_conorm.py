@@ -11,7 +11,7 @@ section is immaterial (asserted at build time).
 Every map here is an exact integer matrix; nothing is floating point.
 """
 
-from .exact_lattice import LatticeMap, TorsionVector, right_inverse, smith_normal_form
+from .exact_lattice import LatticeMap, TorsionVector, smith_normal_form
 from .folding import FoldedDatum, fold
 from .gamma_action import GammaAction
 from .root_datum import BasedRootDatum, ValidationReport, dual_based
@@ -33,11 +33,10 @@ class NormData:
         for d in a.diagram:
             if sum_diag @ d != sum_diag:
                 raise AssertionError("norm does not kill the relation lattice")
-        lift = right_inverse(folded.restriction)
         self.folded = folded
         self.norm_on_cochar = sum_co
-        self.norm_pullback = sum_diag @ lift
-        self.norm_to_folded = lift.transpose() @ sum_co
+        self.norm_pullback = sum_diag @ folded.section
+        self.norm_to_folded = folded.section.transpose() @ sum_co
         # the two coordinate presentations are transposes of each other
         assert self.norm_to_folded.transpose() == self.norm_pullback
         # on the fixed sublattice the norm is multiplication by |Gamma|
@@ -133,8 +132,7 @@ def equivariant_for(phi: Isogeny, a_src: GammaAction, a_tgt: GammaAction) -> boo
 def fold_isogeny(phi: Isogeny, f_src: FoldedDatum, f_tgt: FoldedDatum) -> Isogeny:
     """The induced isogeny between fixed-point folds of an equivariant isogeny."""
     m = phi.char_pullback
-    lift = right_inverse(f_tgt.restriction)
-    m_bar = f_src.restriction @ m @ lift
+    m_bar = f_src.restriction @ m @ f_tgt.section
     if m_bar @ f_tgt.restriction != f_src.restriction @ m:
         raise AssertionError("isogeny does not descend to the folds")
     return Isogeny(f_src.fixed_base, f_tgt.fixed_base, m_bar)

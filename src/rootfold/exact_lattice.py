@@ -84,6 +84,8 @@ class LatticeMap:
     @classmethod
     def from_columns(cls, cols, codomain_rank: int) -> "LatticeMap":
         cols = [tuple(c) for c in cols]
+        if any(len(c) != codomain_rank for c in cols):
+            raise ValueError(f"columns must have length {codomain_rank}")
         return cls(tuple(tuple(c[i] for c in cols) for i in range(codomain_rank)), len(cols))
 
     def columns(self):
@@ -104,13 +106,17 @@ class LatticeMap:
     def __matmul__(self, other):
         return self.compose(other)
 
+    def _check_same_shape(self, other):
+        if (self.codomain_rank, self.domain_rank) != (other.codomain_rank, other.domain_rank):
+            raise ValueError("maps of different shapes")
+
     def __add__(self, other):
-        return LatticeMap(tuple(vadd(a, b) for a, b in zip(self.rows, other.rows, strict=True)),
-                          self.domain_rank)
+        self._check_same_shape(other)
+        return LatticeMap(tuple(map(vadd, self.rows, other.rows)), self.domain_rank)
 
     def __sub__(self, other):
-        return LatticeMap(tuple(vsub(a, b) for a, b in zip(self.rows, other.rows, strict=True)),
-                          self.domain_rank)
+        self._check_same_shape(other)
+        return LatticeMap(tuple(map(vsub, self.rows, other.rows)), self.domain_rank)
 
     def scale(self, c: int) -> "LatticeMap":
         return LatticeMap(tuple(vscale(c, r) for r in self.rows), self.domain_rank)

@@ -49,14 +49,19 @@ class FoldedRootRecord:
 
 
 class FoldedDatum:
-    __slots__ = ("source", "fixed", "fixed_base", "restriction", "corestriction",
-                 "provenance")
+    """The fold of ``source``; ``section`` is an integer right inverse of
+    ``restriction``, the coinvariant projection of the source characters."""
 
-    def __init__(self, source, fixed, fixed_base, restriction, corestriction, provenance):
+    __slots__ = ("source", "fixed", "fixed_base", "restriction", "section",
+                 "corestriction", "provenance")
+
+    def __init__(self, source, fixed, fixed_base, restriction, section, corestriction,
+                 provenance):
         self.source = source
         self.fixed = fixed
         self.fixed_base = fixed_base
         self.restriction = restriction
+        self.section = section
         self.corestriction = corestriction
         self.provenance = provenance
 
@@ -138,7 +143,7 @@ def fold(a: GammaAction) -> FoldedDatum:
     rep3 = validate(base)
     if not rep3.ok:
         raise AssertionError("folded base invalid: " + "; ".join(rep3.problems))
-    return FoldedDatum(a, fixed, base, proj, cores, records)
+    return FoldedDatum(a, fixed, base, proj, lift, cores, records)
 
 
 def _base_indices(a, fixed, records):

@@ -132,32 +132,40 @@ class FiniteGroup:
 
 
 class GammaAction:
-    """diagram[i] acts on X, twist[i] is a torsion cocharacter; index 0 = identity."""
+    """diagram[i] acts on X, twist[i] is a torsion cocharacter; index 0 = identity.
+
+    ``twist`` is None (all zero), one entry per element, or a dict from element
+    index to twist with zero for the missing ones.  Counts and shapes that do
+    not fit the group and the rank raise ``ValueError``.
+    """
 
     __slots__ = ("group", "base", "diagram", "twist", "_sc", "_pinned_cache", "_co_cache")
 
     def __init__(self, group: FiniteGroup, base: BasedRootDatum, diagram, twist=None):
         self.group = group
         self.base = base
-        rank = base.datum.rank
-        self.diagram = tuple(diagram[i] for i in range(group.size))
-        if twist is None:
-            self.twist = tuple(TorsionVector.zero(rank) for _ in range(group.size))
-        else:
-            tw = []
-            for i in range(group.size):
-                if isinstance(twist, dict):
-                    t = twist.get(i, TorsionVector.zero(rank))
-                else:
-                    t = twist[i]
-                if not isinstance(t, TorsionVector):
-                    t = TorsionVector.from_fractions(t)
-                tw.append(t)
-            self.twist = tuple(tw)
+        rank, n = base.datum.rank, group.size
+        self.diagram = tuple(diagram)
+        if len(self.diagram) != n:
+            raise ValueError(f"diagram has {len(self.diagram)} parts for a group of order {n}")
         simple_set = set(base.simple_roots)
         for i, d in enumerate(self.diagram):
+            if (d.codomain_rank, d.domain_rank) != (rank, rank):
+                raise ValueError(f"diagram part {i} is {d.codomain_rank} x "
+                                 f"{d.domain_rank}, not {rank} x {rank}")
             if {tuple(d(s)) for s in simple_set} != simple_set:
                 raise ValueError(f"diagram part {i} does not preserve the base")
+        if twist is None:
+            twist = {}
+        if isinstance(twist, dict):
+            twist = [twist.get(i, TorsionVector.zero(rank)) for i in range(n)]
+        self.twist = tuple(t if isinstance(t, TorsionVector) else TorsionVector.from_fractions(t)
+                           for t in twist)
+        if len(self.twist) != n:
+            raise ValueError(f"twist has {len(self.twist)} entries for a group of order {n}")
+        for i, t in enumerate(self.twist):
+            if t.rank != rank:
+                raise ValueError(f"twist {i} has rank {t.rank}, not {rank}")
         self._sc = None
         self._pinned_cache = {}
         self._co_cache = {}

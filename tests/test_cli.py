@@ -210,6 +210,24 @@ def test_anisotropic_fold_has_conorm_and_lifts(capsys, tmp_path):
                                  "lift": {"num": [0], "den": 1}}]
 
 
+@pytest.mark.parametrize("rank, spec", [
+    (1, {"cyclic": 3, "diagrams": [[[1]]]}),
+    (1, {"cyclic": 2, "diagrams": [[[1]], [[-1]]], "twists": [{"num": [0], "den": 1}]}),
+    (1, {"cyclic": 2, "diagrams": [[[1]], [[-1]]],
+         "twists": [{"num": [0], "den": 1}, {"num": [1, 1], "den": 2}]}),
+    (2, {"cyclic": 2, "diagrams": [[[1, 0]], [[1, 0]]]}),
+])
+def test_malformed_explicit_action_exits_two(capsys, tmp_path, rank, spec):
+    group = {"rank": rank, "roots": [], "coroots": [], "simples": []}
+    path = config_path(tmp_path, {"group": group, "action_spec": spec, "q": 3})
+    assert main(["fold", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rootfold: bad explicit action spec: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("command", ["fold", "conorm", "lift"])
 def test_rank_zero_explicit_action(capsys, tmp_path, command):
     rc, payload = run_json(capsys, [command, "--config", config_path(tmp_path, RANK_ZERO_CONFIG)])

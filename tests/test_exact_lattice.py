@@ -178,6 +178,19 @@ def test_shape_is_kept_without_rows():
         LatticeMap([[1, 2]], 3)
 
 
+def test_shape_mismatch_raises():
+    with pytest.raises(ValueError):
+        LatticeMap.from_columns([(1, 2, 3)], 2)
+    with pytest.raises(ValueError):
+        LatticeMap.from_columns([(1, 2), (3,)], 2)
+    for op in (LatticeMap.__add__, LatticeMap.__sub__):
+        with pytest.raises(ValueError):
+            op(LatticeMap.zero(0, 2), LatticeMap.zero(0, 3))
+        with pytest.raises(ValueError):
+            op(LatticeMap.identity(2), LatticeMap.zero(2, 3))
+    assert LatticeMap.identity(2) - LatticeMap.identity(2) == LatticeMap.zero(2, 2)
+
+
 def test_rank_zero_lattices():
     flip = LatticeMap([[-1]])
     assert fixed_sublattice([flip]).basis == LatticeMap.zero(1, 0)

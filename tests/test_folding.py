@@ -239,3 +239,14 @@ def test_fold_rejects_invalid_action():
     bad = z2_flip_action(4, twist=[(0, 0, 0, 0), (Fraction(1, 3), 0, 0, 0)])
     with pytest.raises(ValueError):
         fold(bad)
+
+
+def test_section_splits_the_restriction():
+    anisotropic = GammaAction(FiniteGroup.cyclic(2), B.torus(1),
+                              [LatticeMap.identity(1), LatticeMap([[-1]])])
+    for a in (z2_flip_action(4), sl_reversal_action(5), d4_action(S3_PERMS),
+              anisotropic):
+        fd = fold(a)
+        n = a.base.datum.rank
+        assert (fd.section.codomain_rank, fd.section.domain_rank) == (n, fd.rank)
+        assert fd.restriction @ fd.section == LatticeMap.identity(fd.rank)

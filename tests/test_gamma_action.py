@@ -115,6 +115,18 @@ def test_non_base_preserving_rejected():
         GammaAction(g, B.gl(2), [LatticeMap.identity(2), swap])
 
 
+@pytest.mark.parametrize("diagram, twist, message", [
+    ([LatticeMap.identity(2)], None, "diagram has 1 parts"),
+    ([LatticeMap.identity(2), LatticeMap([[1, 0]])], None, "diagram part 1 is 1 x 2"),
+    ([LatticeMap.identity(2), LatticeMap.identity(3)], None, "diagram part 1 is 3 x 3"),
+    ([LatticeMap.identity(2)] * 2, [(0, 0)], "twist has 1 entries"),
+    ([LatticeMap.identity(2)] * 2, [(0, 0), (Fraction(1, 2),)], "twist 1 has rank 1"),
+])
+def test_mismatched_shapes_rejected(diagram, twist, message):
+    with pytest.raises(ValueError, match=message):
+        GammaAction(FiniteGroup.cyclic(2), B.gl(2), diagram, twist)
+
+
 def test_non_homomorphism_reported():
     g = FiniteGroup.cyclic(3)
     ident = LatticeMap.identity(4)
