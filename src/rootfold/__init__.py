@@ -8,11 +8,9 @@ exact equality.  No floats anywhere.
 from .exact_lattice import (
     LatticeMap,
     Sublattice,
-    QuotientLattice,
     TorsionVector,
     smith_normal_form,
     fixed_sublattice,
-    coinvariant_quotient,
     solve_torsion_fixed,
 )
 from .root_datum import (
@@ -40,7 +38,6 @@ from .gamma_action import (
 )
 from .folding import FoldedDatum, fold, restricted_root_comparison, dual_length_comparison
 from .duality_conorm import (
-    NormData,
     ConormData,
     Isogeny,
     dual_isogeny,
@@ -66,8 +63,8 @@ from .catalog import rotation_action
 from . import catalog
 
 __all__ = [
-    "LatticeMap", "Sublattice", "QuotientLattice", "TorsionVector",
-    "smith_normal_form", "fixed_sublattice", "coinvariant_quotient", "solve_torsion_fixed",
+    "LatticeMap", "Sublattice", "TorsionVector",
+    "smith_normal_form", "fixed_sublattice", "solve_torsion_fixed",
     "RootDatum", "BasedRootDatum", "WeylElement", "validate", "weyl_group",
     "invariant_inner_product", "classify_length", "cartan_type",
     "is_closed_subsystem", "dual_root_datum",
@@ -75,7 +72,7 @@ __all__ = [
     "FiniteGroup", "GammaAction", "validate_action", "pinned_projection",
     "root_orbit", "root_stabilizer", "root_space_scalar", "stabilizer_hypothesis",
     "FoldedDatum", "fold", "restricted_root_comparison", "dual_length_comparison",
-    "NormData", "ConormData", "Isogeny", "dual_isogeny",
+    "ConormData", "Isogeny", "dual_isogeny",
     "verify_isogeny_square",
     "StableClass", "FrobeniusStructure",
     "canonicalize_class", "enumerate_stable_classes",

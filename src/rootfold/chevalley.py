@@ -122,23 +122,19 @@ def build_structure_constants(base: BasedRootDatum) -> StructureConstants:
     return sc
 
 
-def propagate_scalars(sc: StructureConstants, diagram: LatticeMap, simple_scalars=None):
+def propagate_scalars(sc: StructureConstants, diagram: LatticeMap):
     """Scalars of the automorphism with X_a -> zeta^{c(a)} X_{d(a)}, as exponents.
 
-    diagram must permute the simple roots of sc.base.  With zero seeds this is
-    the unique pinned extension; nonzero seeds must come from an actual
-    automorphism for the result to be consistent.  Returns {root: Fraction in
-    [0,1)} covering every root.
+    diagram must permute the simple roots of sc.base.  This is the unique
+    pinned extension, with c = 0 on the simple roots.  Returns {root: Fraction
+    in [0,1)} covering every root.
     """
     base = sc.base
     simples = base.simple_roots
     images = {s: tuple(diagram(s)) for s in simples}
     if set(images.values()) != set(simples):
         raise ValueError("diagram part must permute the simple roots")
-    c = {}
-    for s in simples:
-        seed = Fraction(0) if simple_scalars is None else Fraction(simple_scalars.get(s, 0))
-        c[s] = seed % 1
+    c = dict.fromkeys(simples, Fraction(0))
     for g in sc.order:
         if g in c:
             continue

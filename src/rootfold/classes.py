@@ -67,6 +67,9 @@ class FrobeniusStructure:
             q //= self.p
         if q != 1:
             raise ValueError(f"{self.q} is not a power of {self.p}")
+        if self.tau.domain_rank != self.tau.codomain_rank:
+            raise ValueError(f"tau must be square, not {self.tau.codomain_rank} x "
+                             f"{self.tau.domain_rank}")
         if abs(self.tau.det()) != 1:
             raise ValueError("twist must be invertible over the integers")
 
@@ -158,10 +161,28 @@ def class_stabilizer_size(base: BasedRootDatum, point: TorsionVector) -> int:
     return order // len(seen)
 
 
+def _check_twist(rd: RootDatum, tau: LatticeMap):
+    """Raise unless tau is an automorphism of the root datum.
+
+    tau must permute the roots, and its inverse transpose must carry the
+    coroot of each root to the coroot of the image root, that is, tau
+    transposed must carry the coroot of the image back.  The base need not be
+    fixed.
+    """
+    if tau.domain_rank != rd.rank:
+        raise ValueError(f"tau has rank {tau.domain_rank} but the datum has rank {rd.rank}")
+    tau_t = tau.transpose()
+    for r in rd.roots:
+        image = tau(r)
+        if not rd.is_root(image):
+            raise ValueError(f"tau does not permute the roots: {r} goes to {image}")
+        if tau_t(rd.coroot_of(image)) != rd.coroot_of(r):
+            raise ValueError(f"tau does not carry the coroot of {r} to that of {image}")
+
+
 def enumerate_stable_classes(base: BasedRootDatum, frob: FrobeniusStructure):
     """Sorted canonical representatives of the Frobenius-stable classes."""
-    if frob.tau.domain_rank != base.datum.rank:
-        raise ValueError("twist rank does not match the datum")
+    _check_twist(base.datum, frob.tau)
     reps = set()
     for w in weyl_group(base):
         for x in solve_torsion_fixed(frob.point_map(w.matrix)):

@@ -9,7 +9,7 @@ and 2 on unusable input.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog
@@ -58,14 +58,13 @@ class JobConfig:
     which: str | None = None
     group: dict | None = None
     action_spec: dict | None = None
-    options: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobConfig":
         if not isinstance(d, dict):
             raise UsageError("config document must be a JSON object")
         known = {"preset", "action", "q", "tau", "format", "budget", "which",
-                 "group", "action_spec", "options"}
+                 "group", "action_spec"}
         unknown = sorted(set(d) - known)
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
@@ -79,7 +78,6 @@ class JobConfig:
             which=d.get("which"),
             group=d.get("group"),
             action_spec=d.get("action_spec"),
-            options=dict(d.get("options", {})),
         )
         if cfg.fmt not in ("table", "json"):
             raise UsageError(f"unknown format {cfg.fmt!r}")
@@ -100,8 +98,6 @@ class JobConfig:
             d["format"] = self.fmt
         if self.budget != "full":
             d["budget"] = self.budget
-        if self.options:
-            d["options"] = dict(sorted(self.options.items()))
         return d
 
 
@@ -204,6 +200,13 @@ def _frobenius(cfg: JobConfig, rank: int) -> FrobeniusStructure:
         raise UsageError(f"bad frobenius data: {exc}") from exc
 
 
+def _stable_classes(base: BasedRootDatum, frob: FrobeniusStructure):
+    try:
+        return enumerate_stable_classes(base, frob)
+    except ValueError as exc:
+        raise UsageError(f"bad frobenius data: {exc}") from exc
+
+
 def _jsonable(x):
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
@@ -258,16 +261,13 @@ def cmd_conorm(cfg: JobConfig):
     fd = fold(action)
     conorm = ConormData(fd)
     k = action.group.size
-    lhs = fd.restriction @ conorm.matrix
-    adjoint_ok = (lhs == LatticeMap.identity(fd.rank).scale(k)
-                  and conorm.norm.norm_to_folded
-                  == conorm.matrix.transpose())
+    adjoint_ok = fd.restriction @ conorm.matrix == LatticeMap.identity(fd.rank).scale(k)
     payload = {
         "command": "conorm",
         "group_order": k,
         "folded_type": type_string(fd.fixed),
         "conorm": _jsonable(conorm.matrix),
-        "norm_on_cochar": _jsonable(conorm.norm.norm_to_folded),
+        "norm_on_cochar": _jsonable(conorm.matrix.transpose()),
         "adjoint_ok": adjoint_ok,
     }
     return payload, adjoint_ok
@@ -276,7 +276,7 @@ def cmd_conorm(cfg: JobConfig):
 def cmd_classes(cfg: JobConfig):
     base = resolve_group(cfg)
     frob = _frobenius(cfg, base.datum.rank)
-    classes = enumerate_stable_classes(base, frob)
+    classes = _stable_classes(base, frob)
     rows = [{"rep": _jsonable(c.rep), "order": c.rep.den} for c in classes]
     payload = {
         "command": "classes",
@@ -293,7 +293,7 @@ def cmd_lift(cfg: JobConfig):
     fd = fold(action)
     conorm = ConormData(fd)
     frob = _frobenius(cfg, fd.rank)
-    classes = enumerate_stable_classes(fd.fixed_base, frob)
+    classes = _stable_classes(fd.fixed_base, frob)
     rows = []
     for c in classes:
         lifted = lift_stable_class(conorm, c)
@@ -343,20 +343,21 @@ def verify_isogeny_suite(qs):
     return out
 
 
+def _action_or_default(cfg: JobConfig, default: str) -> GammaAction:
+    """The job's action, or the ``default`` preset's when the job names none."""
+    if cfg.preset is None and cfg.action is None and cfg.action_spec is None:
+        return catalog.preset(default).action
+    return resolve_action(cfg)
+
+
 def verify_pinning(cfg: JobConfig, qs):
-    try:
-        action = resolve_action(cfg)
-    except UsageError:
-        action = catalog.preset("gl4-so-twist").action
+    action = _action_or_default(cfg, "gl4-so-twist")
     return [_report_entry("pinning factorization",
                           verify_pinning_factorization(action, qs))]
 
 
 def verify_levi(cfg: JobConfig):
-    try:
-        action = resolve_action(cfg)
-    except UsageError:
-        action = catalog.inner_block_gl4_action()
+    action = _action_or_default(cfg, "gl4-inner-block")
     q = cfg.q if cfg.q is not None else 3
     return [_report_entry(f"levi factorization q={q}",
                           verify_levi_factorization(action, q=q))]

@@ -4,9 +4,12 @@ The norm of the action sends a point of the big torus to the product of its
 translates; on cocharacters it is the sum of the coaction maps.  The conorm is
 the dual-torus transpose of the norm.  On torsion points of the dual torus,
 written in the folded character lattice, the conorm acts by the integer matrix
-``(sum of diagram maps) @ lift`` where ``lift`` is any integer section of the
-coinvariant projection; the sum kills the relation lattice, so the choice of
-section is immaterial (asserted at build time).
+``(sum of diagram maps) @ section`` where ``section`` is any integer section
+of the coinvariant projection; the sum kills the relation lattice, so the
+choice of section is immaterial (asserted at build time).  The norm from the
+source cocharacters to the folded ones is that matrix transposed, because the
+group is closed under inverses and so the coactions sum to the transpose of
+the diagram sum.
 
 Every map here is an exact integer matrix; nothing is floating point.
 """
@@ -17,34 +20,6 @@ from .gamma_action import GammaAction
 from .root_datum import BasedRootDatum, ValidationReport, dual_based
 
 
-class NormData:
-    """Norm of an action: torus-level data of z -> prod_gamma gamma(z)."""
-
-    __slots__ = ("folded", "norm_on_cochar", "norm_pullback", "norm_to_folded")
-
-    def __init__(self, folded: FoldedDatum):
-        a = folded.source
-        n = a.base.datum.rank
-        sum_diag = LatticeMap.zero(n, n)
-        sum_co = LatticeMap.zero(n, n)
-        for i in a.group.elements():
-            sum_diag = sum_diag + a.diagram[i]
-            sum_co = sum_co + a.coaction(i)
-        for d in a.diagram:
-            if sum_diag @ d != sum_diag:
-                raise AssertionError("norm does not kill the relation lattice")
-        self.folded = folded
-        self.norm_on_cochar = sum_co
-        self.norm_pullback = sum_diag @ folded.section
-        self.norm_to_folded = folded.section.transpose() @ sum_co
-        # the two coordinate presentations are transposes of each other
-        assert self.norm_to_folded.transpose() == self.norm_pullback
-        # on the fixed sublattice the norm is multiplication by |Gamma|
-        k = a.group.size
-        assert sum_co @ folded.corestriction == folded.corestriction.scale(k)
-        assert folded.restriction @ self.norm_pullback == LatticeMap.identity(folded.rank).scale(k)
-
-
 class ConormData:
     """Conorm of an action: the norm transposed to the dual tori.
 
@@ -52,12 +27,22 @@ class ConormData:
     the folded character lattice) to torsion points of the source dual torus.
     """
 
-    __slots__ = ("folded", "matrix", "norm")
+    __slots__ = ("folded", "matrix")
 
     def __init__(self, folded: FoldedDatum):
+        a = folded.source
+        n = a.base.datum.rank
+        sum_diag = LatticeMap.zero(n, n)
+        for d in a.diagram:
+            sum_diag = sum_diag + d
+        for d in a.diagram:
+            if sum_diag @ d != sum_diag:
+                raise AssertionError("norm does not kill the relation lattice")
         self.folded = folded
-        self.norm = NormData(folded)
-        self.matrix = self.norm.norm_pullback
+        self.matrix = sum_diag @ folded.section
+        # on the folded torus the norm is multiplication by |Gamma|
+        k = a.group.size
+        assert folded.restriction @ self.matrix == LatticeMap.identity(folded.rank).scale(k)
 
     def apply(self, point: TorsionVector) -> TorsionVector:
         return point.apply(self.matrix)
@@ -142,9 +127,9 @@ def verify_isogeny_square(phi: Isogeny, a_src: GammaAction,
                           a_tgt: GammaAction) -> ValidationReport:
     """Check that conorm and isogeny pullback commute after folding.
 
-    The square compares ``norm_pullback_src @ folded_pullback`` with
-    ``char_pullback @ norm_pullback_tgt`` as maps from folded target
-    characters to source characters.
+    The square compares ``conorm_src @ folded_pullback`` with
+    ``char_pullback @ conorm_tgt`` as maps from folded target characters to
+    source characters.
     """
     problems = []
     rep = validate_isogeny(phi)

@@ -425,30 +425,6 @@ class Sublattice:
         return f"Sublattice(rank {self.rank} of Z^{self.ambient_rank})"
 
 
-class QuotientLattice:
-    """Free quotient of Z^ambient_rank by a saturated relation sublattice.
-
-    ``projection`` is surjective onto Z^rank and is stored in canonical row
-    Hermite form, so equal quotients always get the identical matrix.
-    """
-
-    __slots__ = ("ambient_rank", "relations", "projection")
-
-    def __init__(self, ambient_rank: int, relation_generators: LatticeMap):
-        self.ambient_rank = ambient_rank
-        self.relations = Sublattice(ambient_rank, relation_generators).saturation()
-        # the rows of U past the relation rank vanish on the relations
-        u, d, v = smith_normal_form(self.relations.basis)
-        self.projection = row_hermite_form(LatticeMap(u.rows[self.relations.rank:], ambient_rank))
-
-    @property
-    def rank(self) -> int:
-        return self.ambient_rank - self.relations.rank
-
-    def __repr__(self):
-        return f"QuotientLattice(Z^{self.ambient_rank} -> Z^{self.rank})"
-
-
 def fixed_sublattice(maps: list[LatticeMap]) -> Sublattice:
     """Sublattice of vectors fixed by every map; saturated by construction."""
     if not maps:
@@ -462,18 +438,6 @@ def fixed_sublattice(maps: list[LatticeMap]) -> Sublattice:
         stacked.extend(diff.rows)
     ker = kernel_basis(LatticeMap(stacked, n))
     return Sublattice(n, ker)
-
-
-def coinvariant_quotient(maps: list[LatticeMap]) -> QuotientLattice:
-    """Quotient of Z^n by the saturation of span{m(x) - x}."""
-    if not maps:
-        raise ValueError("need at least one map")
-    n = maps[0].domain_rank
-    cols = []
-    for m in maps:
-        diff = m - LatticeMap.identity(n)
-        cols.extend(diff.columns())
-    return QuotientLattice(n, LatticeMap.from_columns(cols, n))
 
 
 class TorsionVector:

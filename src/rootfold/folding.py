@@ -1,27 +1,24 @@
 """Root datum of the fixed-point subgroup of a finite action.
 
 Cocharacters of the folded torus are the fixed sublattice of the source
-cocharacters; characters are the coinvariants of the source characters.  The
-corestriction basis is normalized so the two sides pair by the standard dot
-product, which keeps every later norm/conorm identity a literal matrix
-identity.
+cocharacters; characters are the coinvariants of the source characters.  Only
+the cocharacter side is computed: the fixed sublattice is saturated, so
+pairing with its Hermite basis maps the source characters onto the folded
+ones with the saturated relation lattice as kernel.  The restriction is that
+basis transposed and the corestriction is the basis itself, so the two sides
+pair by the standard dot product by construction, which keeps every later
+norm/conorm identity a literal matrix identity.
 
 A restricted root survives (beta = i^* alpha lies in the folded system) iff
 every stabilizer element acts with scalar one on the alpha root space; the
 folded coroot is the orbit sum of source coroots times a multiplier in {1, 2}
-fixed by the pairing normalization.
+that makes it pair to 2 with the restricted root.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_lattice import (
-    coinvariant_quotient,
-    dot,
-    fixed_sublattice,
-    right_inverse,
-    vadd,
-)
+from .exact_lattice import dot, fixed_sublattice, right_inverse, vadd
 from .gamma_action import (
     GammaAction,
     pinned_projection,
@@ -49,8 +46,12 @@ class FoldedRootRecord:
 
 
 class FoldedDatum:
-    """The fold of ``source``; ``section`` is an integer right inverse of
-    ``restriction``, the coinvariant projection of the source characters."""
+    """The fold of ``source``.
+
+    ``restriction`` is the coinvariant projection of the source characters,
+    ``corestriction`` its transpose (the fixed cocharacter basis), and
+    ``section`` an integer right inverse of ``restriction``.
+    """
 
     __slots__ = ("source", "fixed", "fixed_base", "restriction", "section",
                  "corestriction", "provenance")
@@ -92,18 +93,9 @@ def fold(a: GammaAction) -> FoldedDatum:
         raise ValueError("invalid action: " + "; ".join(rep.problems))
     rd = a.base.datum
     n = rd.rank
-    coacts = [a.coaction(i) for i in a.group.elements()]
-    diags = list(a.diagram)
-    sub = fixed_sublattice(coacts)
-    quot = coinvariant_quotient(diags)
-    proj = quot.projection
-    s = sub.rank
-    assert proj.codomain_rank == s, "fixed and coinvariant ranks must agree"
+    sub = fixed_sublattice([a.coaction(i) for i in a.group.elements()])
+    proj = sub.basis.transpose()
     lift = right_inverse(proj)
-    pairing = lift.transpose() @ sub.basis
-    if abs(pairing.det()) != 1:
-        raise AssertionError("coinvariant/invariant pairing is not perfect")
-    cores = sub.basis @ pairing.inverse_unimodular()
 
     # one record per surviving orbit; distinct orbits may share a restriction
     records = {}
@@ -128,14 +120,13 @@ def fold(a: GammaAction) -> FoldedDatum:
         mult = 2 // pair
         scaled = tuple(mult * x for x in sigma)
         # coordinates of the orbit sum in the corestriction basis
-        in_hnf = sub.coordinates(scaled)
-        assert in_hnf is not None
-        beta_vee = tuple(pairing(in_hnf))
+        beta_vee = sub.coordinates(scaled)
+        assert beta_vee is not None
         assert dot(beta, beta_vee) == 2
         records[beta] = FoldedRootRecord(beta, beta_vee, orb, alpha, mult)
 
     roots = sorted(records)
-    fixed = RootDatum(s, roots, [records[r].coroot for r in roots])
+    fixed = RootDatum(sub.rank, roots, [records[r].coroot for r in roots])
     rep2 = validate(fixed)
     if not rep2.ok:
         raise AssertionError("folded datum invalid: " + "; ".join(rep2.problems))
@@ -143,7 +134,7 @@ def fold(a: GammaAction) -> FoldedDatum:
     rep3 = validate(base)
     if not rep3.ok:
         raise AssertionError("folded base invalid: " + "; ".join(rep3.problems))
-    return FoldedDatum(a, fixed, base, proj, lift, cores, records)
+    return FoldedDatum(a, fixed, base, proj, lift, sub.basis, records)
 
 
 def _base_indices(a, fixed, records):

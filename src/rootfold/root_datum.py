@@ -60,12 +60,8 @@ class RootDatum:
                            for r in range(n)])
 
     def coreflection(self, i: int) -> LatticeMap:
-        """s_i on X^vee: y -> y - <root_i, y> coroot_i."""
-        a = self.roots[i]
-        av = self.coroots[i]
-        n = self.rank
-        return LatticeMap([[ (1 if r == c else 0) - av[r] * a[c] for c in range(n)]
-                           for r in range(n)])
+        """s_i on X^vee: y -> y - <root_i, y> coroot_i, the transpose of s_i on X."""
+        return self.reflection(i).transpose()
 
     def __eq__(self, other):
         return (isinstance(other, RootDatum) and self.rank == other.rank

@@ -6,6 +6,7 @@ import builders as B
 from oracles import gl_class_count
 from test_gamma_action import z2_flip_action
 
+from rootfold import catalog
 from rootfold.classes import (
     FrobeniusStructure,
     StableClass,
@@ -94,6 +95,39 @@ def test_gl_counts_match_oracle_and_formula():
             frob = FrobeniusStructure.untwisted(q, n)
             got = len(enumerate_stable_classes(B.gl(n), frob))
             assert got == gl_class_count(n, q) == q ** (n - 1) * (q - 1)
+
+
+def test_twisted_gl_counts_match_unitary_formula():
+    # Steinberg: q^semisimple rank * |Z°^F|, and the flip makes |Z°^F| = q + 1
+    for n in (1, 2, 3):
+        tau = catalog.pinned_gl_action(n).diagram[1]
+        for q in (2, 3, 4, 5):
+            got = len(enumerate_stable_classes(B.gl(n), FrobeniusStructure.twisted(q, tau)))
+            assert got == q ** (n - 1) * (q + 1), (n, q)
+
+
+def test_frobenius_rejects_non_square_tau():
+    with pytest.raises(ValueError, match="tau must be square"):
+        FrobeniusStructure.twisted(3, LatticeMap([[1, 0]]))
+
+
+@pytest.mark.parametrize("tau, match", [
+    ([[1, 1], [0, 1]], "tau does not permute the roots"),
+    # fixes the root (1, -1) but moves its coroot
+    ([[2, 1], [-1, 0]], "tau does not carry the coroot"),
+])
+def test_enumerate_rejects_a_tau_that_is_no_automorphism(tau, match):
+    frob = FrobeniusStructure.twisted(3, LatticeMap(tau))
+    with pytest.raises(ValueError, match=match):
+        enumerate_stable_classes(B.gl(2), frob)
+
+
+def test_enumerate_accepts_a_tau_that_moves_the_base():
+    # the longest Weyl element times the flip: an automorphism that fixes no base
+    w0 = LatticeMap([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    tau = w0 @ catalog.pinned_gl_action(3).diagram[1]
+    frob = FrobeniusStructure.twisted(2, tau)
+    assert len(enumerate_stable_classes(B.gl(3), frob)) == 2 ** 2 * 3
 
 
 def test_lift_through_flip_fold():

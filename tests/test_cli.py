@@ -116,14 +116,15 @@ def test_usage_errors_exit_two(capsys, tmp_path):
 
 def test_unknown_config_keys_rejected(tmp_path, capsys):
     doc = tmp_path / "c.json"
-    doc.write_text(json.dumps({"preset": "gl2", "qq": 3}))
-    assert main(["classes", "--config", str(doc)]) == 2
-    assert "qq" in capsys.readouterr().err
+    for key, val in [("qq", 3), ("options", {"b": 1})]:
+        doc.write_text(json.dumps({"preset": "gl2", key: val}))
+        assert main(["classes", "--config", str(doc)]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_config_roundtrip_is_idempotent():
     doc = {"preset": "d4", "action": "triality", "q": 2,
-           "format": "json", "budget": "small", "options": {"b": 1, "a": 2}}
+           "format": "json", "budget": "small"}
     once = serialize_config(JobConfig.from_dict(doc))
     twice = serialize_config(JobConfig.from_dict(json.loads(once)))
     assert once == twice
@@ -210,6 +211,13 @@ def test_anisotropic_fold_has_conorm_and_lifts(capsys, tmp_path):
                                  "lift": {"num": [0], "den": 1}}]
 
 
+def assert_one_usage_line(captured, prefix):
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("rank, spec", [
     (1, {"cyclic": 3, "diagrams": [[[1]]]}),
     (1, {"cyclic": 2, "diagrams": [[[1]], [[-1]]], "twists": [{"num": [0], "den": 1}]}),
@@ -221,11 +229,29 @@ def test_malformed_explicit_action_exits_two(capsys, tmp_path, rank, spec):
     group = {"rank": rank, "roots": [], "coroots": [], "simples": []}
     path = config_path(tmp_path, {"group": group, "action_spec": spec, "q": 3})
     assert main(["fold", "--config", path]) == 2
+    assert_one_usage_line(capsys.readouterr(), "rootfold: bad explicit action spec: ")
+
+
+@pytest.mark.parametrize("argv", [["pinning", "--preset", "nonsense"],
+                                  ["levi", "--preset", "gl4-so-twist-typo"],
+                                  ["levi", "--action", "pinned"]])
+def test_verify_rejects_a_bad_action(capsys, argv):
+    assert main(["verify", *argv, "--budget", "small"]) == 2
+    assert_one_usage_line(capsys.readouterr(), "rootfold: ")
+
+
+@pytest.mark.parametrize("command, doc, match", [
+    ("classes", {"preset": "gl2", "q": 3, "tau": [[1, 1], [0, 1]]}, "permute the roots"),
+    ("classes", {"preset": "gl2", "q": 3, "tau": [[2, 1], [-1, 0]]}, "coroot"),
+    ("classes", {"preset": "gl2", "q": 3, "tau": [[1, 0]]}, "tau must be square"),
+    ("lift", {"preset": "gl2-product-swap", "q": 3, "tau": [[1, 1], [0, 1]]},
+     "permute the roots"),
+])
+def test_bad_tau_exits_two(capsys, tmp_path, command, doc, match):
+    assert main([command, "--config", config_path(tmp_path, doc)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("rootfold: bad explicit action spec: ")
-    assert captured.err.count("\n") == 1
-    assert "Traceback" not in captured.err
+    assert_one_usage_line(captured, "rootfold: bad frobenius data: tau ")
+    assert match in captured.err
 
 
 @pytest.mark.parametrize("command", ["fold", "conorm", "lift"])

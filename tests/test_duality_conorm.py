@@ -8,7 +8,6 @@ from rootfold import catalog
 from rootfold.duality_conorm import (
     ConormData,
     Isogeny,
-    NormData,
     dual_isogeny,
     equivariant_for,
     fold_isogeny,
@@ -125,11 +124,6 @@ def test_anisotropic_fold_has_empty_conorm():
     assert (c.matrix.codomain_rank, c.matrix.domain_rank) == (1, 0)
     assert fd.restriction @ c.matrix == LatticeMap.identity(0).scale(2)
     assert c.apply(TorsionVector((), 1)) == TorsionVector((0,), 1)
-
-
-def test_norm_presentations_are_transposes():
-    nd = NormData(fold(z2_flip_action(4)))
-    assert nd.norm_to_folded.transpose() == nd.norm_pullback
 
 
 def test_sl2_to_pgl2_is_valid_degree_two():

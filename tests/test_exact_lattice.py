@@ -7,13 +7,11 @@ import pytest
 from rootfold.exact_lattice import (
     LatticeMap,
     Sublattice,
-    QuotientLattice,
     TorsionVector,
     smith_normal_form,
     column_hermite_form,
     row_hermite_form,
     fixed_sublattice,
-    coinvariant_quotient,
     solve_torsion_fixed,
     kernel_basis,
     right_inverse,
@@ -194,10 +192,8 @@ def test_shape_mismatch_raises():
 def test_rank_zero_lattices():
     flip = LatticeMap([[-1]])
     assert fixed_sublattice([flip]).basis == LatticeMap.zero(1, 0)
-    assert coinvariant_quotient([flip]).projection == LatticeMap.zero(0, 1)
     assert kernel_basis(LatticeMap.identity(2)) == LatticeMap.zero(2, 0)
     assert Sublattice(2, LatticeMap.zero(2, 0)).saturation().rank == 0
-    assert QuotientLattice(2, LatticeMap.zero(2, 0)).projection == LatticeMap.identity(2)
     assert solve_torsion_fixed(LatticeMap.identity(0).scale(3)) == [TorsionVector((), 1)]
 
 
@@ -236,34 +232,6 @@ def test_fixed_sublattice_swap():
 def test_fixed_sublattice_negation():
     s = fixed_sublattice([LatticeMap([[-1, 0], [0, -1]])])
     assert s.rank == 0
-
-
-def test_coinvariant_swap():
-    swap = LatticeMap([[0, 1], [1, 0]])
-    q = coinvariant_quotient([swap])
-    assert q.rank == 1
-    # projection kills x - swap(x) and is canonical row Hermite form
-    assert q.projection(( 1, -1)) == (0,)
-    assert q.projection.rows == ((1, 1),) or q.projection((1, 0)) != (0,)
-
-
-def test_coinvariant_saturation_applied():
-    # m(x) - x spans an index-2 sublattice of a rank-1 space; saturation makes
-    # the quotient free of rank 1
-    m = LatticeMap([[1, 2], [0, -1]])
-    q = coinvariant_quotient([m])
-    assert q.rank == 1
-    assert q.relations.contains((1, -1))
-
-
-def test_rank_identity_fixed_plus_coinvariant():
-    rng = random.Random(5)
-    perms3 = [LatticeMap([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
-              LatticeMap([[0, 1, 0], [1, 0, 0], [0, 0, 1]])]
-    for maps in ([perms3[0]], [perms3[1]], perms3):
-        f = fixed_sublattice(maps)
-        q = coinvariant_quotient(maps)
-        assert f.rank == q.rank
 
 
 def test_solve_torsion_fixed_scalar_2():

@@ -6,7 +6,9 @@ import builders as B
 from test_chevalley import flip_map, perm_map
 from test_gamma_action import S3_PERMS, d4_action, z2_flip_action
 
-from rootfold.exact_lattice import LatticeMap, dot, right_inverse
+from rootfold import catalog
+from rootfold.duality_conorm import ConormData
+from rootfold.exact_lattice import LatticeMap, dot, right_inverse, smith_normal_form
 from rootfold.folding import (
     dual_length_comparison,
     fold,
@@ -250,3 +252,47 @@ def test_section_splits_the_restriction():
         n = a.base.datum.rank
         assert (fd.section.codomain_rank, fd.section.domain_rank) == (n, fd.rank)
         assert fd.restriction @ fd.section == LatticeMap.identity(fd.rank)
+
+
+def _torus_involution(m):
+    return GammaAction(FiniteGroup.cyclic(2), B.torus(2), [LatticeMap.identity(2), m])
+
+
+def test_torus_fold_projections():
+    swap = fold(_torus_involution(LatticeMap([[0, 1], [1, 0]])))
+    assert swap.restriction == LatticeMap([[1, 1]])
+    assert swap.corestriction == LatticeMap([[1], [1]])
+    # d(x) - x spans only 2(1, -1); the restriction still kills (1, -1) and
+    # is onto Z, so the relations were saturated
+    index_two = fold(_torus_involution(LatticeMap([[1, 2], [0, -1]])))
+    assert index_two.rank == 1
+    assert index_two.restriction((1, -1)) == (0,)
+    assert index_two.restriction == LatticeMap([[1, 1]])
+    assert index_two.restriction @ index_two.section == LatticeMap.identity(1)
+
+
+CATALOG_ACTIONS = [name for name in catalog.preset_names() if "<" not in name] + [
+    "gl3-pinned", "gl4-pinned", "gl4-so-twist", "sl4-pinned", "sl5-pinned",
+    "pgl4-pinned", "so8-pinned", "gl2-trivial-z3", "gl2-product-swap"]
+
+
+def _matrix_rank(m):
+    _, d, _ = smith_normal_form(m)
+    return sum(1 for i in range(min(d.codomain_rank, d.domain_rank)) if d.rows[i][i])
+
+
+@pytest.mark.parametrize("name", CATALOG_ACTIONS)
+def test_fold_projections_on_catalog_presets(name):
+    a = catalog.preset(name).action
+    fd = fold(a)
+    n = a.base.datum.rank
+    ident = LatticeMap.identity(n)
+    relations = []
+    for d in a.diagram:
+        assert fd.restriction @ (d - ident) == LatticeMap.zero(fd.rank, n)
+        relations.extend((d - ident).columns())
+    assert fd.restriction @ fd.section == LatticeMap.identity(fd.rank)
+    assert fd.corestriction == fd.restriction.transpose()
+    assert fd.rank + _matrix_rank(LatticeMap.from_columns(relations, n)) == n
+    conorm = ConormData(fd).matrix
+    assert fd.restriction @ conorm == LatticeMap.identity(fd.rank).scale(a.group.size)
