@@ -16,6 +16,7 @@ derived value, so an inconsistent sign system cannot survive construction.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact_lattice import LatticeMap, vadd, vneg, vsub
 from .root_datum import BasedRootDatum, form_value, invariant_inner_product
@@ -76,14 +77,14 @@ class StructureConstants:
         return self._resolve(vneg(b), vneg(a))
 
 
+@lru_cache(maxsize=None)
 def build_structure_constants(base: BasedRootDatum) -> StructureConstants:
+    """The signed table of ``base``, built once per based datum and shared."""
     rd = base.datum
     form = invariant_inner_product(rd)
     sq = {r: form_value(form, r, r) for r in rd.roots}
-    coeffs = {}
-    for i in base.positive_roots():
-        r = rd.roots[i]
-        coeffs[r] = base.simple_coefficients(r)
+    all_coeffs = base.root_coefficients()
+    coeffs = {rd.roots[i]: all_coeffs[i] for i in base.positive_roots()}
     order = tuple(sorted(coeffs, key=lambda r: (sum(coeffs[r]), tuple(-x for x in coeffs[r]))))
     okey = {r: k for k, r in enumerate(order)}
     simples = base.simple_roots

@@ -14,6 +14,8 @@ way: representative, intermediate subgroup, isogeny, or Levi.
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+from math import gcd, lcm
 
 from .catalog import rotation_action
 from .duality_conorm import ConormData
@@ -161,13 +163,29 @@ def class_stabilizer_size(base: BasedRootDatum, point: TorsionVector) -> int:
     return order // len(seen)
 
 
+@lru_cache(maxsize=None)
+def max_finite_order(n: int) -> int:
+    """M(n), the largest lcm(m_1, ..., m_r) with phi(m_1) + ... + phi(m_r) <= n.
+
+    Every element of finite order in GL_n(Z) has order at most M(n).  A
+    knapsack over m with phi(m) <= n, which forces m <= 2 n^2.
+    """
+    reach = [{1} for _ in range(n + 1)]  # lcms reachable with budget at most b
+    for m in range(2, 2 * n * n + 1):
+        phi = sum(1 for k in range(1, m) if gcd(k, m) == 1)
+        for b in range(n, phi - 1, -1):
+            reach[b] |= {lcm(x, m) for x in reach[b - phi]}
+    return max(reach[n])
+
+
 def _check_twist(rd: RootDatum, tau: LatticeMap):
-    """Raise unless tau is an automorphism of the root datum.
+    """Raise unless tau is an automorphism of the root datum of finite order.
 
     tau must permute the roots, and its inverse transpose must carry the
     coroot of each root to the coroot of the image root, that is, tau
     transposed must carry the coroot of the image back.  The base need not be
-    fixed.
+    fixed.  Some power tau^k with k <= max_finite_order(rank) must be the
+    identity.
     """
     if tau.domain_rank != rd.rank:
         raise ValueError(f"tau has rank {tau.domain_rank} but the datum has rank {rd.rank}")
@@ -178,6 +196,14 @@ def _check_twist(rd: RootDatum, tau: LatticeMap):
             raise ValueError(f"tau does not permute the roots: {r} goes to {image}")
         if tau_t(rd.coroot_of(image)) != rd.coroot_of(r):
             raise ValueError(f"tau does not carry the coroot of {r} to that of {image}")
+    bound = max_finite_order(rd.rank)
+    identity = LatticeMap.identity(rd.rank)
+    power = tau
+    for _ in range(bound):
+        if power == identity:
+            return
+        power = power @ tau
+    raise ValueError(f"tau has infinite order: no power up to {bound} is the identity")
 
 
 def enumerate_stable_classes(base: BasedRootDatum, frob: FrobeniusStructure):

@@ -47,6 +47,25 @@ class UsageError(Exception):
     """Configuration or flag problem; maps to exit code 2."""
 
 
+# JSON type of each config key other than q (checked with its range), and its name
+_CONFIG_TYPES = {
+    "preset": (str, "a string"), "action": (str, "a string"), "which": (str, "a string"),
+    "format": (str, "a string"), "budget": (str, "a string"),
+    "group": (dict, "an object"), "action_spec": (dict, "an object"),
+    "tau": (list, "a list of lists of integers"),
+}
+
+
+def _check_config_types(d: dict):
+    for key, (kind, name) in _CONFIG_TYPES.items():
+        val = d.get(key)
+        if val is None:
+            continue
+        if not isinstance(val, kind) or key == "tau" and not all(
+                isinstance(row, list) and all(type(x) is int for x in row) for row in val):
+            raise UsageError(f"config key {key!r} must be {name}")
+
+
 @dataclass
 class JobConfig:
     preset: str | None = None
@@ -68,6 +87,7 @@ class JobConfig:
         unknown = sorted(set(d) - known)
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+        _check_config_types(d)
         cfg = cls(
             preset=d.get("preset"),
             action=d.get("action"),

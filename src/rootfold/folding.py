@@ -127,13 +127,11 @@ def fold(a: GammaAction) -> FoldedDatum:
 
     roots = sorted(records)
     fixed = RootDatum(sub.rank, roots, [records[r].coroot for r in roots])
-    rep2 = validate(fixed)
+    base = BasedRootDatum(fixed, _base_indices(a, fixed, records))
+    # one validation covers the datum axioms and then the base
+    rep2 = validate(base)
     if not rep2.ok:
         raise AssertionError("folded datum invalid: " + "; ".join(rep2.problems))
-    base = BasedRootDatum(fixed, _base_indices(a, fixed, records))
-    rep3 = validate(base)
-    if not rep3.ok:
-        raise AssertionError("folded base invalid: " + "; ".join(rep3.problems))
     return FoldedDatum(a, fixed, base, proj, lift, sub.basis, records)
 
 

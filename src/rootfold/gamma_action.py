@@ -24,7 +24,7 @@ class FiniteGroup:
         self.size = len(self.table)
         self.names = tuple(names) if names else tuple(str(i) for i in range(self.size))
         n = self.size
-        if any(len(r) != n for r in self.table) or len(self.names) != n:
+        if not n or any(len(r) != n for r in self.table) or len(self.names) != n:
             raise ValueError("malformed multiplication table")
         for i in range(n):
             if self.table[0][i] != i or self.table[i][0] != i:
@@ -114,6 +114,8 @@ class FiniteGroup:
     def from_permutations(cls, perms, names=None):
         """Group of permutation tuples; perms[0] must be the identity."""
         perms = [tuple(p) for p in perms]
+        if not perms:
+            raise ValueError("no permutations")
         index = {p: i for i, p in enumerate(perms)}
         if len(index) != len(perms):
             raise ValueError("duplicate permutations")
@@ -139,7 +141,7 @@ class GammaAction:
     not fit the group and the rank raise ``ValueError``.
     """
 
-    __slots__ = ("group", "base", "diagram", "twist", "_sc", "_pinned_cache", "_co_cache")
+    __slots__ = ("group", "base", "diagram", "twist", "_pinned_cache", "_co_cache")
 
     def __init__(self, group: FiniteGroup, base: BasedRootDatum, diagram, twist=None):
         self.group = group
@@ -166,15 +168,8 @@ class GammaAction:
         for i, t in enumerate(self.twist):
             if t.rank != rank:
                 raise ValueError(f"twist {i} has rank {t.rank}, not {rank}")
-        self._sc = None
         self._pinned_cache = {}
         self._co_cache = {}
-
-    @property
-    def sc(self):
-        if self._sc is None:
-            self._sc = build_structure_constants(self.base)
-        return self._sc
 
     def coaction(self, i) -> LatticeMap:
         """Action of element i on the cocharacter lattice."""
@@ -187,7 +182,8 @@ class GammaAction:
 
     def pinned_scalars(self, i):
         if i not in self._pinned_cache:
-            self._pinned_cache[i] = propagate_scalars(self.sc, self.diagram[i])
+            sc = build_structure_constants(self.base)
+            self._pinned_cache[i] = propagate_scalars(sc, self.diagram[i])
         return self._pinned_cache[i]
 
     def __eq__(self, other):

@@ -27,6 +27,8 @@ class RootDatum:
 
     def __init__(self, rank: int, roots, coroots):
         self.rank = int(rank)
+        if self.rank < 0:
+            raise ValueError(f"rank {self.rank} is negative")
         self.roots = tuple(tuple(int(x) for x in r) for r in roots)
         self.coroots = tuple(tuple(int(x) for x in c) for c in coroots)
         if len(self.roots) != len(self.coroots):
@@ -75,13 +77,18 @@ class RootDatum:
 
 
 class BasedRootDatum:
-    """A root datum with a chosen simple system (indices into `roots`)."""
+    """A root datum with a chosen simple system (indices into `roots`).
 
-    __slots__ = ("datum", "simple_indices")
+    The simple-root coefficients of all the roots come from one elimination,
+    made the first time they are needed and kept with the base.
+    """
+
+    __slots__ = ("datum", "simple_indices", "_root_coefficients")
 
     def __init__(self, datum: RootDatum, simple_indices):
         self.datum = datum
         self.simple_indices = tuple(int(i) for i in simple_indices)
+        self._root_coefficients = None
 
     @property
     def simple_roots(self):
@@ -91,27 +98,51 @@ class BasedRootDatum:
     def simple_coroots(self):
         return tuple(self.datum.coroots[i] for i in self.simple_indices)
 
+    def _solve(self, vectors):
+        """Integer simple-root coefficients of each vector, by one elimination.
+
+        None for a vector whose coefficients are not integers.  None for the
+        whole list when some vector is outside the span of the simples, or
+        when the simples are dependent.
+        """
+        rank = self.datum.rank
+        x = solve_rational(LatticeMap.from_columns(self.simple_roots, rank),
+                           LatticeMap.from_columns(vectors, rank))
+        if x is None:
+            return None
+        cols = (tuple(row[j] for row in x) for j in range(len(vectors)))
+        return tuple(tuple(map(int, c)) if all(f.denominator == 1 for f in c) else None
+                     for c in cols)
+
+    def _solve_one(self, v):
+        x = self._solve([v])
+        return None if x is None else x[0]
+
+    def root_coefficients(self):
+        """Simple-root coefficients of every root, in root order; None where there are none."""
+        if self._root_coefficients is None:
+            roots = self.datum.roots
+            coeffs = self._solve(roots)
+            if coeffs is None:
+                # some root is outside the span of the simples: solve root by root
+                coeffs = tuple(map(self._solve_one, roots))
+            self._root_coefficients = coeffs
+        return self._root_coefficients
+
     def simple_coefficients(self, v):
         """Integer coefficients of v in the simple roots, or None if there are none.
 
         None also when the simple roots are linearly dependent.
         """
-        simples = self.simple_roots
-        if not simples:
-            return None if any(v) else ()
-        x = solve_rational(tuple(zip(*simples)), [(c,) for c in v])
-        if x is None or any(c.denominator != 1 for c, in x):
-            return None
-        return tuple(int(c) for c, in x)
+        i = self.datum._index.get(tuple(v))
+        if i is not None:
+            return self.root_coefficients()[i]
+        return self._solve_one(v)
 
     def positive_roots(self):
         """Roots whose simple-root coefficients are all nonnegative."""
-        out = []
-        for i, r in enumerate(self.datum.roots):
-            c = self.simple_coefficients(r)
-            if c is not None and all(x >= 0 for x in c):
-                out.append(i)
-        return tuple(out)
+        return tuple(i for i, c in enumerate(self.root_coefficients())
+                     if c is not None and all(x >= 0 for x in c))
 
     def height(self, v) -> int:
         c = self.simple_coefficients(v)
@@ -165,18 +196,19 @@ def validate(rd: RootDatum | BasedRootDatum) -> ValidationReport:
             j = rd.root_index(na)
             if i < j and rd.coroots[j] != vneg(rd.coroots[i]):
                 problems.append(f"roots {i} and {j}: coroot of -a is not -coroot(a)")
-    # reflections permute roots, coreflections permute coroots compatibly
-    for i in range(len(rd.roots)):
+    # s_a(b) = b - <b, a^vee> a permutes the roots, and the coroot of s_a(b)
+    # is s_a on the coroots, b^vee - <a, b^vee> a^vee
+    for i, (a, av) in enumerate(zip(rd.roots, rd.coroots)):
         if problems:
             break
-        s = rd.reflection(i)
-        sv = rd.coreflection(i)
-        for a, av in zip(rd.roots, rd.coroots):
-            sa = s(a)
-            if sa not in root_set:
+        for b, bv in zip(rd.roots, rd.coroots):
+            k = dot(b, av)
+            sb = tuple(x - k * y for x, y in zip(b, a))
+            if sb not in root_set:
                 problems.append(f"reflection {i} does not permute the roots")
                 break
-            if rd.coroot_of(sa) != sv(av):
+            k = dot(a, bv)
+            if rd.coroot_of(sb) != tuple(x - k * y for x, y in zip(bv, av)):
                 problems.append(f"coreflection {i} incompatible with reflection")
                 break
     if base is not None and not problems:

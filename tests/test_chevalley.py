@@ -1,11 +1,15 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 import builders as B
 import oracles
+from rootfold import catalog
 from rootfold.chevalley import build_structure_constants, propagate_scalars
 from rootfold.exact_lattice import LatticeMap, vadd, vneg
+from rootfold.root_datum import BasedRootDatum
 
 
 def flip_map(m):
@@ -204,3 +208,39 @@ def test_rejects_non_diagram_map():
     bad = LatticeMap([[0, 1, 0], [1, 0, 0], [0, 0, 1]])  # swaps e1,e2: not base-preserving
     with pytest.raises(ValueError):
         propagate_scalars(sc, bad)
+
+
+# --- one table per based datum ---
+
+CATALOG_GROUPS = ("e6ad", "e6sc", "f4", "g2", "d4", "gl2", "gl4", "sl3", "pgl3", "sp4",
+                  "sp6", "so5", "so7", "so8", "spin7", "torus2")
+
+
+def catalog_bases():
+    bases = {catalog.group_datum(name) for name in CATALOG_GROUPS}
+    presets = [*catalog.GOLDEN_FOLDS, *(n for n in catalog.preset_names() if "<" not in n)]
+    return bases | {catalog.preset(name).action.base for name in presets}
+
+
+def test_shared_table_equals_a_fresh_build_on_every_catalog_base():
+    for base in catalog_bases():
+        shared = build_structure_constants(base)
+        assert build_structure_constants(BasedRootDatum(base.datum, base.simple_indices)) is shared
+        fresh = build_structure_constants.__wrapped__(base)
+        assert shared.order == fresh.order
+        assert shared._table == fresh._table
+        assert shared._extra == fresh._extra
+        assert shared._sq == fresh._sq
+
+
+def test_root_inclusion_suite_builds_one_table_per_base():
+    code = ("import contextlib, io\n"
+            "from rootfold import cli\n"
+            "from rootfold.chevalley import build_structure_constants\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify', 'root-inclusion', '--budget', 'full']) == 0\n"
+            "print(build_structure_constants.cache_info().misses)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    # 8 distinct bases among the 14 suite presets, each folded with its pinned projection
+    assert int(proc.stdout) == 8

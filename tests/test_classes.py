@@ -15,6 +15,7 @@ from rootfold.classes import (
     enumerate_stable_classes,
     levi_for_element,
     lift_stable_class,
+    max_finite_order,
     subgroup_action,
     vanishing_subsystem,
     verify_conorm_well_defined,
@@ -212,3 +213,21 @@ def test_levi_factorization_inner_gl4():
 def test_levi_factorization_rejects_outer():
     rep = verify_levi_factorization(z2_flip_action(4), q=3)
     assert not rep.ok
+
+
+def test_max_finite_order_is_the_glnz_bound():
+    # largest finite order in GL_n(Z), OEIS A005417
+    assert [max_finite_order(n) for n in range(9)] == [1, 2, 6, 6, 12, 12, 30, 30, 60]
+
+
+def test_twist_of_infinite_order_is_rejected():
+    tau = LatticeMap([[2, 1], [1, 1]])
+    with pytest.raises(ValueError, match="^tau has infinite order"):
+        enumerate_stable_classes(catalog.group_datum("torus2"), FrobeniusStructure.twisted(2, tau))
+
+
+@pytest.mark.parametrize("group, tau", [("gl2", [[0, 1], [1, 0]]),
+                                        ("gl3", [[-1, 0, 0], [0, -1, 0], [0, 0, -1]])])
+def test_twists_of_finite_order_are_accepted(group, tau):
+    frob = FrobeniusStructure.twisted(3, LatticeMap(tau))
+    assert enumerate_stable_classes(catalog.group_datum(group), frob)

@@ -246,6 +246,7 @@ def test_verify_rejects_a_bad_action(capsys, argv):
     ("classes", {"preset": "gl2", "q": 3, "tau": [[1, 0]]}, "tau must be square"),
     ("lift", {"preset": "gl2-product-swap", "q": 3, "tau": [[1, 1], [0, 1]]},
      "permute the roots"),
+    ("classes", {"preset": "torus2", "q": 2, "tau": [[2, 1], [1, 1]]}, "infinite order"),
 ])
 def test_bad_tau_exits_two(capsys, tmp_path, command, doc, match):
     assert main([command, "--config", config_path(tmp_path, doc)]) == 2

@@ -6,7 +6,8 @@ import builders as B
 from test_chevalley import flip_map, perm_map
 from test_gamma_action import S3_PERMS, d4_action, z2_flip_action
 
-from rootfold import catalog
+from rootfold import catalog, folding
+from rootfold.chevalley import build_structure_constants
 from rootfold.duality_conorm import ConormData
 from rootfold.exact_lattice import LatticeMap, dot, right_inverse, smith_normal_form
 from rootfold.folding import (
@@ -296,3 +297,23 @@ def test_fold_projections_on_catalog_presets(name):
     assert fd.rank + _matrix_rank(LatticeMap.from_columns(relations, n)) == n
     conorm = ConormData(fd).matrix
     assert fd.restriction @ conorm == LatticeMap.identity(fd.rank).scale(a.group.size)
+
+
+def test_fold_validates_once(monkeypatch):
+    calls = []
+    real = folding.validate
+    monkeypatch.setattr(folding, "validate", lambda rd: calls.append(rd) or real(rd))
+    for name in ("e6ad-pinned", "d4-triality", "gl4-so-twist", "gl2-trivial-z3"):
+        calls.clear()
+        fd = fold(catalog.preset(name).action)
+        assert calls == [fd.fixed_base]
+
+
+def test_restricted_root_comparison_builds_one_table():
+    a = catalog.preset("e6ad-pinned").action
+    unused = GammaAction(a.group, a.base, a.diagram, a.twist)  # no pinned scalars yet
+    build_structure_constants.cache_clear()
+    restricted_root_comparison(unused)
+    info = build_structure_constants.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert info.hits >= 1

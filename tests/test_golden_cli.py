@@ -32,8 +32,8 @@ LIFTS = [("gl4-pinned", 3), ("d4-triality", 4), ("sl5-pinned", 3), ("gl2-product
 
 def golden_jobs():
     jobs = list(README_JOBS)
-    jobs += [["verify", which, "--format", "json"]
-             for which in cli.VERIFY_KINDS if which != "root-inclusion"]
+    jobs += [["verify", which, "--format", "json"] for which in cli.VERIFY_KINDS]
+    jobs.append(["verify", "long-roots"])
     jobs += [[cmd, "--preset", name, "--format", "json"]
              for name in catalog.GOLDEN_FOLDS for cmd in ("fold", "conorm")]
     jobs += [["classes", "--preset", group, "--q", "3", "--format", "json"]
