@@ -12,10 +12,10 @@ full graph symmetry of D4 whose fold drops short restricted roots and so
 breaks the short-root inclusion that cyclic stabilizers would guarantee.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from typing import NamedTuple
 
 from .duality_conorm import Isogeny, validate_isogeny
 from .exact_lattice import LatticeMap, TorsionVector, dot, solve_rational, vadd
@@ -453,8 +453,7 @@ def sl_gl1_flip_action(n) -> GammaAction:
                        [LatticeMap.identity(n), LatticeMap(rows)])
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(NamedTuple):
     name: str
     description: str
     action: GammaAction

@@ -17,9 +17,10 @@ derived value, so an inconsistent sign system cannot survive construction.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .exact_lattice import LatticeMap, vadd, vneg, vsub
-from .root_datum import BasedRootDatum, form_value, invariant_inner_product
+from .exact_lattice import LatticeMap, dot, vadd, vneg, vsub
+from .root_datum import BasedRootDatum, invariant_inner_product
 
 
 class StructureConstants:
@@ -81,8 +82,11 @@ class StructureConstants:
 def build_structure_constants(base: BasedRootDatum) -> StructureConstants:
     """The signed table of ``base``, built once per based datum and shared."""
     rd = base.datum
+    # squared lengths through the form scaled to integers: one Fraction per root
     form = invariant_inner_product(rd)
-    sq = {r: form_value(form, r, r) for r in rd.roots}
+    den = lcm(*(x.denominator for row in form for x in row))
+    int_form = [tuple(int(x * den) for x in row) for row in form]
+    sq = {r: Fraction(dot(r, [dot(row, r) for row in int_form]), den) for r in rd.roots}
     all_coeffs = base.root_coefficients()
     coeffs = {rd.roots[i]: all_coeffs[i] for i in base.positive_roots()}
     order = tuple(sorted(coeffs, key=lambda r: (sum(coeffs[r]), tuple(-x for x in coeffs[r]))))

@@ -13,9 +13,10 @@ way: representative, intermediate subgroup, isogeny, or Levi.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .catalog import rotation_action
 from .duality_conorm import ConormData
@@ -55,25 +56,29 @@ def _least_prime_factor(q):
     return next(d for d in range(2, q + 1) if q % d == 0)
 
 
-@dataclass(frozen=True)
-class FrobeniusStructure:
-    q: int
-    p: int
-    tau: LatticeMap
+class FrobeniusStructure(namedtuple("FrobeniusStructure", "q p tau")):
+    """q = p^k with p prime, and tau an integral automorphism of X.
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        q = self.q
-        while q % self.p == 0:
-            q //= self.p
-        if q != 1:
-            raise ValueError(f"{self.q} is not a power of {self.p}")
-        if self.tau.domain_rank != self.tau.codomain_rank:
-            raise ValueError(f"tau must be square, not {self.tau.codomain_rank} x "
-                             f"{self.tau.domain_rank}")
-        if abs(self.tau.det()) != 1:
+    Construction raises ``ValueError`` when p is not prime, q is not a power
+    of p, or tau is not square and invertible over the integers.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, q: int, p: int, tau: LatticeMap):
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        rest = q
+        while rest % p == 0:
+            rest //= p
+        if rest != 1:
+            raise ValueError(f"{q} is not a power of {p}")
+        if tau.domain_rank != tau.codomain_rank:
+            raise ValueError(f"tau must be square, not {tau.codomain_rank} x "
+                             f"{tau.domain_rank}")
+        if abs(tau.det()) != 1:
             raise ValueError("twist must be invertible over the integers")
+        return super().__new__(cls, q, p, tau)
 
     @classmethod
     def untwisted(cls, q, rank):
@@ -89,8 +94,7 @@ class FrobeniusStructure:
         return m if w_matrix is None else w_matrix @ m
 
 
-@dataclass(frozen=True)
-class StableClass:
+class StableClass(NamedTuple):
     rep: TorsionVector
     q: int
 

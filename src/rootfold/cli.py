@@ -9,7 +9,6 @@ and 2 on unusable input.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog
@@ -56,27 +55,55 @@ _CONFIG_TYPES = {
 }
 
 
+def _is_int_tree(x, depth: int) -> bool:
+    """x is a JSON integer (not a bool) nested in ``depth`` levels of lists."""
+    if depth == 0:
+        return type(x) is int
+    return isinstance(x, list) and all(_is_int_tree(y, depth - 1) for y in x)
+
+
 def _check_config_types(d: dict):
     for key, (kind, name) in _CONFIG_TYPES.items():
         val = d.get(key)
         if val is None:
             continue
-        if not isinstance(val, kind) or key == "tau" and not all(
-                isinstance(row, list) and all(type(x) is int for x in row) for row in val):
+        if not isinstance(val, kind) or key == "tau" and not _is_int_tree(val, 2):
             raise UsageError(f"config key {key!r} must be {name}")
 
 
-@dataclass
 class JobConfig:
-    preset: str | None = None
-    action: str | None = None
-    q: int | None = None
-    tau: list | None = None
-    fmt: str = "table"
-    budget: str = "full"
-    which: str | None = None
-    group: dict | None = None
-    action_spec: dict | None = None
+    """One job's settings: the config document's keys, then the flags over them."""
+
+    __slots__ = ("preset", "action", "q", "tau", "fmt", "budget", "which", "group",
+                 "action_spec")
+
+    def __init__(self, preset: str | None = None, action: str | None = None,
+                 q: int | None = None, tau: list | None = None, fmt: str = "table",
+                 budget: str = "full", which: str | None = None,
+                 group: dict | None = None, action_spec: dict | None = None):
+        self.preset = preset
+        self.action = action
+        self.q = q
+        self.tau = tau
+        self.fmt = fmt
+        self.budget = budget
+        self.which = which
+        self.group = group
+        self.action_spec = action_spec
+
+    def _fields(self):
+        return tuple(getattr(self, key) for key in self.__slots__)
+
+    def __eq__(self, other):
+        if not isinstance(other, JobConfig):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable: flags are merged in place
+
+    def __repr__(self):
+        args = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
+        return f"JobConfig({args})"
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobConfig":
@@ -139,12 +166,26 @@ def serialize_config(cfg: JobConfig) -> str:
     return json.dumps(cfg.to_dict(), sort_keys=True, indent=2)
 
 
+# nesting depth of the integers under each key of an explicit spec
+_GROUP_INTS = {"rank": 0, "roots": 2, "coroots": 2, "simples": 1}
+_ACTION_INTS = {"cyclic": 0, "permutations": 2, "diagrams": 3}
+_TWIST_INTS = {"num": 1, "den": 0}
+_INT_SHAPES = ("an integer", "a list of integers", "a list of lists of integers",
+               "a list of integer matrices")
+
+
+def _check_ints(spec: dict, depths: dict, what: str):
+    for key, depth in depths.items():
+        if key in spec and not _is_int_tree(spec[key], depth):
+            raise UsageError(f"bad explicit {what} spec: key {key!r} must be "
+                             f"{_INT_SHAPES[depth]}")
+
+
 def _explicit_datum(spec: dict) -> BasedRootDatum:
+    _check_ints(spec, _GROUP_INTS, "group")
     try:
-        rd = RootDatum(int(spec["rank"]),
-                       [tuple(r) for r in spec["roots"]],
-                       [tuple(c) for c in spec["coroots"]])
-        base = BasedRootDatum(rd, tuple(spec.get("simples", ())))
+        rd = RootDatum(spec["rank"], spec["roots"], spec["coroots"])
+        base = BasedRootDatum(rd, spec.get("simples", ()))
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad explicit group spec: {exc}") from exc
     rep = validate(base)
@@ -158,19 +199,26 @@ def _explicit_action(cfg: JobConfig) -> GammaAction:
     if cfg.group is None:
         raise UsageError("explicit action_spec needs an explicit group")
     base = _explicit_datum(cfg.group)
+    _check_ints(spec, _ACTION_INTS, "action")
+    twists = spec.get("twists", [])
+    if not (isinstance(twists, list) and all(isinstance(t, dict) for t in twists)):
+        raise UsageError("bad explicit action spec: key 'twists' must be a list of objects")
+    for t in twists:
+        _check_ints(t, _TWIST_INTS, "action")
     try:
+        diagrams = spec["diagrams"]
+        # the group table costs |Gamma|^3 to check: compare the order first
+        order = len(spec["permutations"]) if "permutations" in spec else spec.get("cyclic", 1)
+        if order > 0 and order != len(diagrams):
+            raise ValueError(f"diagram has {len(diagrams)} parts for a group of order {order}")
         if "permutations" in spec:
-            group = FiniteGroup.from_permutations(
-                [tuple(p) for p in spec["permutations"]])
+            group = FiniteGroup.from_permutations(spec["permutations"])
         else:
-            group = FiniteGroup.cyclic(int(spec.get("cyclic", 1)))
-        diagrams = [LatticeMap([list(map(int, row)) for row in mat], base.datum.rank)
-                    for mat in spec["diagrams"]]
-        twists = None
-        if "twists" in spec:
-            twists = [TorsionVector([int(x) for x in t["num"]], int(t["den"]))
-                      for t in spec["twists"]]
-        action = GammaAction(group, base, diagrams, twists)
+            group = FiniteGroup.cyclic(order)
+        diagrams = [LatticeMap(mat, base.datum.rank) for mat in diagrams]
+        twist = ([TorsionVector(t["num"], t["den"]) for t in twists] if "twists" in spec
+                 else None)
+        action = GammaAction(group, base, diagrams, twist)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad explicit action spec: {exc}") from exc
     rep = validate_action(action)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
+from operator import mul
 
 
 Vec = tuple[int, ...]
@@ -32,7 +33,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError("vector length mismatch")
+    return sum(map(mul, u, v))
 
 
 def vadd(u, v):
@@ -94,7 +97,7 @@ class LatticeMap:
     def __call__(self, v):
         if len(v) != self.domain_rank:
             raise ValueError("vector length mismatch")
-        return tuple(dot(r, v) for r in self.rows)
+        return tuple([sum(map(mul, r, v)) for r in self.rows])
 
     def compose(self, other: "LatticeMap") -> "LatticeMap":
         """self after other, i.e. the matrix product self @ other."""

@@ -15,8 +15,8 @@ folded coroot is the orbit sum of source coroots times a multiplier in {1, 2}
 that makes it pair to 2 with the restricted root.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact_lattice import dot, fixed_sublattice, right_inverse, vadd
 from .gamma_action import (
@@ -36,8 +36,7 @@ from .root_datum import (
 )
 
 
-@dataclass(frozen=True)
-class FoldedRootRecord:
+class FoldedRootRecord(NamedTuple):
     root: tuple
     coroot: tuple
     orbit: tuple
@@ -150,8 +149,7 @@ def _base_indices(a, fixed, records):
     return tuple(sorted(simples))
 
 
-@dataclass(frozen=True)
-class RestrictionComparison:
+class RestrictionComparison(NamedTuple):
     phi: tuple
     underline_phi: tuple
     phi_in_underline: bool
@@ -192,8 +190,7 @@ def restricted_root_comparison(a: GammaAction) -> RestrictionComparison:
     )
 
 
-@dataclass(frozen=True)
-class DualLengthComparison:
+class DualLengthComparison(NamedTuple):
     phi_dual: tuple
     underline_dual: tuple
     long_dual_in_phi_dual: bool

@@ -6,8 +6,9 @@ plus a torsion cocharacter modulo the center.  Everything downstream (folding,
 norms, conorms) consumes actions in this normal form.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 from .chevalley import build_structure_constants, propagate_scalars
 from .exact_lattice import LatticeMap, TorsionVector
@@ -141,7 +142,7 @@ class GammaAction:
     not fit the group and the rank raise ``ValueError``.
     """
 
-    __slots__ = ("group", "base", "diagram", "twist", "_pinned_cache", "_co_cache")
+    __slots__ = ("group", "base", "diagram", "twist", "_pinned_cache")
 
     def __init__(self, group: FiniteGroup, base: BasedRootDatum, diagram, twist=None):
         self.group = group
@@ -169,13 +170,10 @@ class GammaAction:
             if t.rank != rank:
                 raise ValueError(f"twist {i} has rank {t.rank}, not {rank}")
         self._pinned_cache = {}
-        self._co_cache = {}
 
     def coaction(self, i) -> LatticeMap:
         """Action of element i on the cocharacter lattice."""
-        if i not in self._co_cache:
-            self._co_cache[i] = self.diagram[i].inverse_transpose()
-        return self._co_cache[i]
+        return _coaction(self.diagram[i])
 
     def act_root(self, i, root):
         return tuple(self.diagram[i](root))
@@ -204,41 +202,61 @@ class GammaAction:
         return f"GammaAction(|Gamma|={self.group.size}, rank={self.base.datum.rank})"
 
 
+@lru_cache(maxsize=None)
+def _coaction(diagram: LatticeMap) -> LatticeMap:
+    """Inverse transpose of a diagram part, once per matrix."""
+    return diagram.inverse_transpose()
+
+
 def validate_action(a: GammaAction) -> ValidationReport:
-    problems = []
-    rd = a.base.datum
-    root_set = set(rd.roots)
-    coroot_set = set(rd.coroots)
-    for i, d in enumerate(a.diagram):
-        if {tuple(d(r)) for r in root_set} != root_set:
-            problems.append(f"diagram part {i} does not permute the roots")
-            continue
-        co = a.coaction(i)
-        if {tuple(co(c)) for c in coroot_set} != coroot_set:
-            problems.append(f"coaction of {i} does not permute the coroots")
-        else:
-            for r in rd.roots:
-                if tuple(co(rd.coroot_of(r))) != rd.coroot_of(tuple(d(r))):
-                    problems.append(f"element {i} maps coroot of {r} inconsistently")
-                    break
-    if a.diagram[0] != LatticeMap.identity(rd.rank):
-        problems.append("identity element has a nontrivial diagram part")
-    for i in range(a.group.size):
-        for j in range(a.group.size):
-            if a.diagram[a.group.mult(i, j)] != a.diagram[i] @ a.diagram[j]:
-                problems.append(f"diagram is not a homomorphism at ({i},{j})")
+    problems = list(_diagram_problems(a.base, a.group.table, a.diagram))
     if not problems:
+        roots = a.base.datum.roots
         for i in range(a.group.size):
             for j in range(a.group.size):
                 k = a.group.mult(i, j)
                 moved = a.twist[j].apply(a.coaction(i))
                 combined = a.twist[i] + moved
-                for r in rd.roots:
+                for r in roots:
                     if a.twist[k].pairing(r) != combined.pairing(r):
                         problems.append(
                             f"twist cocycle fails at ({i},{j}) on root {r}")
                         break
-    return ValidationReport(not problems, tuple(problems))
+    return ValidationReport(not problems, problems)
+
+
+@lru_cache(maxsize=None)
+def _diagram_problems(base: BasedRootDatum, table, diagram) -> tuple[str, ...]:
+    """The half of ``validate_action`` that reads no twist, once per input.
+
+    Each diagram part permutes the roots and, through its coaction, the
+    coroots, carrying the coroot of each root to the coroot of its image; the
+    identity acts trivially; and i -> diagram[i] respects the multiplication
+    ``table``.  An action and its pinned projection share this verdict.
+    """
+    problems = []
+    rd = base.datum
+    root_set = set(rd.roots)
+    coroot_set = set(rd.coroots)
+    for i, d in enumerate(diagram):
+        if {d(r) for r in root_set} != root_set:
+            problems.append(f"diagram part {i} does not permute the roots")
+            continue
+        co = _coaction(d)
+        if {co(c) for c in coroot_set} != coroot_set:
+            problems.append(f"coaction of {i} does not permute the coroots")
+        else:
+            for r in rd.roots:
+                if co(rd.coroot_of(r)) != rd.coroot_of(d(r)):
+                    problems.append(f"element {i} maps coroot of {r} inconsistently")
+                    break
+    if diagram[0] != LatticeMap.identity(rd.rank):
+        problems.append("identity element has a nontrivial diagram part")
+    for i, row in enumerate(table):
+        for j, k in enumerate(row):
+            if diagram[k] != diagram[i] @ diagram[j]:
+                problems.append(f"diagram is not a homomorphism at ({i},{j})")
+    return tuple(problems)
 
 
 def pinned_projection(a: GammaAction) -> GammaAction:
@@ -268,8 +286,7 @@ def root_space_scalar(a: GammaAction, i, root) -> Fraction:
     return (pinned + a.twist[i].pairing(a.act_root(i, r))) % 1
 
 
-@dataclass(frozen=True)
-class ComponentStabilizerRecord:
+class ComponentStabilizerRecord(NamedTuple):
     component_index: int
     stabilizer: tuple
     image_order: int
@@ -278,8 +295,7 @@ class ComponentStabilizerRecord:
     trivial: bool
 
 
-@dataclass(frozen=True)
-class StabilizerReport:
+class StabilizerReport(NamedTuple):
     holds: bool
     components: tuple
     witness: int | None  # index of first component with non-cyclic image

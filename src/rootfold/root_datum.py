@@ -8,7 +8,7 @@ pairing.  Roots are stored as explicit vectors so that non-semisimple groups
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -161,13 +161,13 @@ class BasedRootDatum:
         return f"BasedRootDatum(rank={self.datum.rank}, {len(self.simple_indices)} simples)"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    problems: tuple[str, ...]
+class ValidationReport(namedtuple("ValidationReport", "ok problems")):
+    """Whether a check passed, and the problems it found as a tuple of strings."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "problems", tuple(self.problems))
+    __slots__ = ()
+
+    def __new__(cls, ok: bool, problems):
+        return super().__new__(cls, ok, tuple(problems))
 
     def __bool__(self):
         return self.ok
@@ -227,20 +227,40 @@ def validate(rd: RootDatum | BasedRootDatum) -> ValidationReport:
     return ValidationReport(not problems, tuple(problems))
 
 
-@dataclass(frozen=True)
 class WeylElement:
     """A Weyl group element: matrix on X plus its canonical reduced word.
 
     The word is the lexicographically least reduced expression in the simple
     reflections (indices into the base's simple list); the matrix equals the
-    left-to-right product of those reflections.
+    left-to-right product of those reflections.  Immutable; its length is the
+    length of the word.
     """
 
-    matrix: LatticeMap
-    word: tuple[int, ...]
+    __slots__ = ("matrix", "word")
+
+    def __init__(self, matrix: LatticeMap, word: tuple[int, ...]):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "word", word)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __len__(self):
         return len(self.word)
+
+    def __eq__(self, other):
+        if not isinstance(other, WeylElement):
+            return NotImplemented
+        return self.word == other.word and self.matrix == other.matrix
+
+    def __hash__(self):
+        return hash((self.matrix, self.word))
+
+    def __repr__(self):
+        return f"WeylElement(matrix={self.matrix!r}, word={self.word!r})"
 
 
 class _RowImages(dict):

@@ -178,3 +178,46 @@ def gl_class_count(n, q):
             for i in range(d, n + 1):
                 coeffs[i] += coeffs[i - d]
     return coeffs[n]
+
+
+def _det(rows):
+    """Determinant of a square integer matrix by Fraction elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def steinberg_count(simple_roots, tau, q):
+    """Steinberg's count |Z°^F| q^l of the Frobenius-stable semisimple classes.
+
+    The classes are Weyl orbits of torsion points of the torus with
+    cocharacter lattice X = Z^n, on which the Frobenius acts by q * tau (tau
+    given by its rows); l is the number of simple roots.  Z° is isogenous to
+    the torus with cocharacters X / (X ∩ QΦ), so |Z°^F| = |det(q tau - 1)| on
+    that quotient: the determinant on X divided by the one on QΦ.  With S the
+    simple roots as columns, tau S = S M and S^T tau S = (S^T S) M give the
+    latter as det(q S^T tau S - S^T S) / det(S^T S).
+    """
+    n = len(tau)
+    s = [list(r) for r in simple_roots]  # the columns of S, as rows
+    tau_s = [[sum(tau[i][k] * r[k] for k in range(n)) for i in range(n)] for r in s]
+    gram = [[sum(x * y for x, y in zip(a, b)) for b in s] for a in s]
+    twisted = [[sum(x * y for x, y in zip(a, b)) for b in tau_s] for a in s]
+    on_x = _det([[q * tau[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)])
+    on_roots = _det([[q * t - g for t, g in zip(rt, rg)] for rt, rg in zip(twisted, gram)])
+    centre = abs(on_x * _det(gram) / on_roots)
+    assert centre.denominator == 1, "the centre's point count must be an integer"
+    return int(centre) * q ** len(s)

@@ -9,7 +9,7 @@ import oracles
 from rootfold import catalog
 from rootfold.chevalley import build_structure_constants, propagate_scalars
 from rootfold.exact_lattice import LatticeMap, vadd, vneg
-from rootfold.root_datum import BasedRootDatum
+from rootfold.root_datum import BasedRootDatum, form_value, invariant_inner_product
 
 
 def flip_map(m):
@@ -231,6 +231,14 @@ def test_shared_table_equals_a_fresh_build_on_every_catalog_base():
         assert shared._table == fresh._table
         assert shared._extra == fresh._extra
         assert shared._sq == fresh._sq
+
+
+def test_squared_lengths_are_the_form_values_on_every_catalog_base():
+    for base in catalog_bases():
+        form = invariant_inner_product(base.datum)
+        sq = build_structure_constants(base)._sq
+        assert sq.keys() == set(base.datum.roots)
+        assert all(sq[r] == form_value(form, r, r) for r in base.datum.roots), base
 
 
 def test_root_inclusion_suite_builds_one_table_per_base():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import builders as B
-from oracles import gl_class_count
+from oracles import gl_class_count, steinberg_count
 from test_gamma_action import z2_flip_action
 
 from rootfold import catalog
@@ -231,3 +231,70 @@ def test_twist_of_infinite_order_is_rejected():
 def test_twists_of_finite_order_are_accepted(group, tau):
     frob = FrobeniusStructure.twisted(3, LatticeMap(tau))
     assert enumerate_stable_classes(catalog.group_datum(group), frob)
+
+
+ALL_Q = (2, 3, 4, 5)
+
+# Every catalog.group_datum family member, at each q whose enumeration takes
+# under about a second.  Left out for cost: f4, e6ad and e6sc at every q, and
+# so8 and spin8 (d4 is spin8) above q = 2, which alone take about 5 s each.
+STEINBERG_GROUPS = [
+    *[(name, ALL_Q) for name in ("gl1", "gl2", "gl3", "sl2", "sl3", "pgl2", "pgl3",
+                                 "sp2", "sp4", "so3", "so4", "so5", "spin5",
+                                 "torus0", "torus1", "torus2", "g2")],
+    *[(name, (2, 3)) for name in ("gl4", "sl4", "pgl4", "sp6", "so6", "so7",
+                                  "spin6", "spin7")],
+    ("so8", (2,)), ("spin8", (2,)),
+]
+
+
+@pytest.mark.parametrize("name, qs", STEINBERG_GROUPS, ids=[n for n, _ in STEINBERG_GROUPS])
+def test_untwisted_counts_match_steinberg(name, qs):
+    base = catalog.group_datum(name)
+    identity = LatticeMap.identity(base.datum.rank)
+    for q in qs:
+        got = len(enumerate_stable_classes(base, FrobeniusStructure.twisted(q, identity)))
+        assert got == steinberg_count(base.simple_roots, identity.rows, q), q
+
+
+# Each catalog diagram twist as tau: (action, element, qs).  Left out for cost:
+# the E6 involution, and the D4 triality, S3 transposition and so8 graph
+# involution, about 5 s each at q = 2.
+STEINBERG_TWISTS = {
+    "gl2 flip": (lambda: catalog.pinned_gl_action(2), 1, ALL_Q),
+    "gl3 flip": (lambda: catalog.pinned_gl_action(3), 1, ALL_Q),
+    "gl4 flip": (lambda: catalog.pinned_gl_action(4), 1, (2,)),
+    "sl3 flip": (lambda: catalog.pinned_sl_action(3), 1, ALL_Q),
+    "sl4 flip": (lambda: catalog.pinned_sl_action(4), 1, (2, 3)),
+    "pgl3 flip": (lambda: catalog.pinned_pgl_action(3), 1, ALL_Q),
+    "pgl4 flip": (lambda: catalog.pinned_pgl_action(4), 1, (2, 3)),
+    "so6 graph involution": (lambda: catalog.pinned_so_even_action(6), 1, (2, 3)),
+    "gl2gl2 order four": (catalog.z4_composite_action, 1, (2, 3, 4)),
+    "gl2gl2 order four, squared": (catalog.z4_composite_action, 2, (2, 3)),
+    "gl1^2 swap": (lambda: catalog.rotation_action(catalog.gl(1), 2), 1, ALL_Q),
+    "gl1^3 rotation": (lambda: catalog.rotation_action(catalog.gl(1), 3), 1, ALL_Q),
+    "gl2^2 swap": (lambda: catalog.rotation_action(catalog.gl(2), 2), 1, (2, 3, 4)),
+    "sl2 x gl1 flip": (lambda: catalog.sl_gl1_flip_action(2), 1, ALL_Q),
+    "sl3 x gl1 flip": (lambda: catalog.sl_gl1_flip_action(3), 1, ALL_Q),
+}
+
+
+@pytest.mark.parametrize("label", sorted(STEINBERG_TWISTS))
+def test_twisted_counts_match_steinberg(label):
+    build, element, qs = STEINBERG_TWISTS[label]
+    a = build()
+    tau = a.diagram[element]
+    for q in qs:
+        got = len(enumerate_stable_classes(a.base, FrobeniusStructure.twisted(q, tau)))
+        assert got == steinberg_count(a.base.simple_roots, tau.rows, q), q
+
+
+def test_steinberg_oracle_on_known_counts():
+    # GL(n): (q - 1) q^(n-1); its unitary twist: (q + 1) q^(n-1); a split torus: (q - 1)^n
+    gl3 = catalog.gl(3)
+    flip = catalog.pinned_gl_action(3).diagram[1]
+    assert steinberg_count(gl3.simple_roots, LatticeMap.identity(3).rows, 5) == 4 * 25
+    assert steinberg_count(gl3.simple_roots, flip.rows, 5) == 6 * 25
+    assert steinberg_count([], [[1, 0], [0, 1]], 4) == 9
+    assert steinberg_count([], [], 7) == 1
+

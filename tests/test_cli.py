@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -230,6 +231,18 @@ def test_malformed_explicit_action_exits_two(capsys, tmp_path, rank, spec):
     path = config_path(tmp_path, {"group": group, "action_spec": spec, "q": 3})
     assert main(["fold", "--config", path]) == 2
     assert_one_usage_line(capsys.readouterr(), "rootfold: bad explicit action spec: ")
+
+
+def test_group_order_is_compared_with_the_diagrams_before_any_table(capsys, tmp_path):
+    # a cyclic table of order N costs N^3 to check; the count mismatch needs none
+    group = {"rank": 1, "roots": [[2], [-2]], "coroots": [[1], [-1]], "simples": [0]}
+    spec = {"cyclic": 1000, "diagrams": [[[1]]]}
+    path = config_path(tmp_path, {"group": group, "action_spec": spec, "q": 3})
+    start = time.perf_counter()
+    assert main(["fold", "--config", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert_one_usage_line(capsys.readouterr(), "rootfold: bad explicit action spec: "
+                          "diagram has 1 parts for a group of order 1000")
 
 
 @pytest.mark.parametrize("argv", [["pinning", "--preset", "nonsense"],

@@ -61,12 +61,19 @@ UNKNOWN_PRESET = st.text(max_size=6).map(lambda t: {"preset": "no-such-" + t, "q
 
 NOT_AN_OBJECT = _not(dict)
 
+# a JSON number that is not an integer: a bool, or a float (2.0 included)
+NOT_INT = st.one_of(st.booleans(), st.floats(-3, 3, allow_nan=False))
+
 # an explicit group or action that cannot be built
 BAD_GROUP = st.one_of(
     _with("rank", st.integers(-4, -1), A1),
     _with("simples", st.lists(st.integers(2, 5), min_size=1, max_size=2), A1),
     _with("roots", _not(list), A1),
     st.sampled_from([{"roots": [[2], [-2]]}, {"rank": 1}]),
+    _with("rank", NOT_INT, A1),
+    NOT_INT.map(lambda x: {**A1, "roots": [[x], [-2]]}),
+    NOT_INT.map(lambda x: {**A1, "coroots": [[1], [x]]}),
+    NOT_INT.map(lambda x: {**A1, "simples": [x]}),
 ).map(lambda g: {"group": g, "q": 3})
 
 BAD_ACTION = st.one_of(
@@ -74,6 +81,11 @@ BAD_ACTION = st.one_of(
     st.just({"permutations": [], "diagrams": []}),
     _with("diagrams", _not(list), {"cyclic": 1}),
     st.just({"cyclic": 2, "diagrams": [[[1]], [[1, 0]]]}),
+    _with("cyclic", NOT_INT, {"diagrams": [[[1]]]}),
+    NOT_INT.map(lambda x: {"diagrams": [[[x]]]}),
+    NOT_INT.map(lambda x: {"permutations": [[x]], "diagrams": [[[1]]]}),
+    NOT_INT.map(lambda x: {"diagrams": [[[1]]], "twists": [{"num": [x], "den": 1}]}),
+    NOT_INT.map(lambda x: {"diagrams": [[[1]]], "twists": [{"num": [0], "den": x}]}),
 ).map(lambda spec: {"group": A1, "action_spec": spec, "q": 3})
 
 MALFORMED = st.one_of(WRONG_TYPES, BAD_Q, UNKNOWN_KEY, MISSING, UNKNOWN_PRESET,
@@ -123,3 +135,16 @@ def test_action_spec_that_is_not_an_object_exits_two():
     code, captured = run_config("fold", {"group": A1, "action_spec": [], "q": 3})
     assert code == 2
     assert_one_usage_line(captured, "rootfold: config key 'action_spec' must be an object")
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("classes", {"group": {"rank": 1.5, "roots": [[2.9], [-2.2]], "coroots": [[1.5], [-1]],
+                           "simples": [0.7]}, "q": 3}, "group spec: key 'rank'"),
+    ("classes", {"group": {**A1, "simples": [True]}, "q": 3}, "group spec: key 'simples'"),
+    ("fold", {"group": A1, "action_spec": {"diagrams": [[[1.7]]]}, "q": 3},
+     "action spec: key 'diagrams'"),
+])
+def test_non_integer_numbers_exit_two_naming_the_key(command, doc, key):
+    code, captured = run_config(command, doc)
+    assert code == 2
+    assert_one_usage_line(captured, f"rootfold: bad explicit {key} must be ")

@@ -10,6 +10,7 @@ from rootfold.exact_lattice import (
     TorsionVector,
     smith_normal_form,
     column_hermite_form,
+    dot,
     row_hermite_form,
     fixed_sublattice,
     solve_torsion_fixed,
@@ -187,6 +188,21 @@ def test_shape_mismatch_raises():
         with pytest.raises(ValueError):
             op(LatticeMap.identity(2), LatticeMap.zero(2, 3))
     assert LatticeMap.identity(2) - LatticeMap.identity(2) == LatticeMap.zero(2, 2)
+
+
+def test_length_mismatch_raises_value_error():
+    assert dot((1, 2, 3), [4, 5, 6]) == 32
+    assert dot((), ()) == 0
+    for u, v in [((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2)), ((), (1,))]:
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            dot(u, v)
+    m = LatticeMap([[1, 2], [3, 4], [5, 6]])
+    assert m((1, -1)) == (-1, -1, -1)
+    for v in [(1,), (1, 2, 3), ()]:
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            m(v)
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        LatticeMap.zero(0, 2)((1, 2, 3))
 
 
 def test_rank_zero_lattices():

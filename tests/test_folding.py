@@ -17,7 +17,7 @@ from rootfold.folding import (
     restricted_root_comparison,
     root_survives,
 )
-from rootfold.gamma_action import FiniteGroup, GammaAction
+from rootfold.gamma_action import FiniteGroup, GammaAction, _diagram_problems
 from rootfold.root_datum import cartan_type, length_classes, same_type, weyl_group
 
 
@@ -315,5 +315,15 @@ def test_restricted_root_comparison_builds_one_table():
     build_structure_constants.cache_clear()
     restricted_root_comparison(unused)
     info = build_structure_constants.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert info.hits >= 1
+
+
+@pytest.mark.parametrize("compare", [restricted_root_comparison, dual_length_comparison])
+def test_action_and_pinned_projection_share_one_diagram_check(compare):
+    a = catalog.preset("e6ad-twisted-c4").action
+    _diagram_problems.cache_clear()
+    compare(a)
+    info = _diagram_problems.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     assert info.hits >= 1

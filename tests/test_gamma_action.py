@@ -6,6 +6,7 @@ import builders as B
 from rootfold.exact_lattice import LatticeMap, TorsionVector
 from rootfold.gamma_action import (
     FiniteGroup,
+    _diagram_problems,
     GammaAction,
     pinned_projection,
     root_orbit,
@@ -134,6 +135,28 @@ def test_non_homomorphism_reported():
     rep = validate_action(a)
     assert not rep.ok
     assert any("homomorphism" in p for p in rep.problems)
+
+
+@pytest.mark.parametrize("first", ["valid", "invalid"])
+def test_diagram_verdict_is_kept_per_diagram(first):
+    # same base and group table, different diagram parts: neither verdict may
+    # stand in for the other, whichever is computed first
+    ident = LatticeMap.identity(4)
+    actions = {"valid": GammaAction(FiniteGroup.cyclic(3), B.gl(4), [ident] * 3),
+               "invalid": GammaAction(FiniteGroup.cyclic(3), B.gl(4),
+                                      [ident, flip_map(4), ident])}
+    _diagram_problems.cache_clear()
+    for name in (first, *(n for n in actions if n != first)):
+        assert validate_action(actions[name]).ok == (name == "valid")
+    assert _diagram_problems.cache_info().misses == 2
+
+
+def test_twist_half_runs_for_every_action():
+    _diagram_problems.cache_clear()
+    assert validate_action(z2_flip_action(4)).ok
+    rep = validate_action(z2_flip_action(4, {1: (Fraction(1, 3), 0, 0, 0)}))
+    assert any("cocycle" in p for p in rep.problems)
+    assert _diagram_problems.cache_info().hits == 1
 
 
 # --- orbits, stabilizers, scalars ---

@@ -1,0 +1,140 @@
+"""The package's records: their fields, equality, hashing and immutability."""
+
+import pytest
+
+from rootfold import catalog
+from rootfold.classes import FrobeniusStructure, StableClass
+from rootfold.cli import JobConfig
+from rootfold.exact_lattice import LatticeMap, TorsionVector
+from rootfold.folding import (
+    DualLengthComparison,
+    FoldedRootRecord,
+    RestrictionComparison,
+    dual_length_comparison,
+    fold,
+    restricted_root_comparison,
+)
+from rootfold.gamma_action import (
+    ComponentStabilizerRecord,
+    StabilizerReport,
+    stabilizer_hypothesis,
+)
+from rootfold.root_datum import ValidationReport, WeylElement, weyl_group
+
+
+def sample_records():
+    """One instance of each immutable record, built the way the package builds it."""
+    a = catalog.preset("gl4-pinned").action
+    hyp = stabilizer_hypothesis(a)
+    return {
+        "ValidationReport": ValidationReport(False, ["a", "b"]),
+        "WeylElement": weyl_group(catalog.gl(2))[1],
+        "FrobeniusStructure": FrobeniusStructure.untwisted(4, 2),
+        "StableClass": StableClass(TorsionVector((1, 2), 3), 3),
+        "Preset": catalog.preset("gl4-pinned"),
+        "FoldedRootRecord": next(iter(fold(a).provenance.values())),
+        "RestrictionComparison": restricted_root_comparison(a),
+        "DualLengthComparison": dual_length_comparison(a),
+        "ComponentStabilizerRecord": hyp.components[0],
+        "StabilizerReport": hyp,
+    }
+
+
+FIELDS = {
+    "ValidationReport": ("ok", "problems"),
+    "WeylElement": ("matrix", "word"),
+    "FrobeniusStructure": ("q", "p", "tau"),
+    "StableClass": ("rep", "q"),
+    "Preset": ("name", "description", "action", "expected_fold"),
+    "FoldedRootRecord": ("root", "coroot", "orbit", "source_rep", "multiplier"),
+    "RestrictionComparison": ("phi", "underline_phi", "phi_in_underline",
+                              "underline_short_in_phi", "missing_short", "hypothesis",
+                              "folded", "folded_pinned"),
+    "DualLengthComparison": ("phi_dual", "underline_dual", "long_dual_in_phi_dual",
+                             "phi_dual_in_underline_dual", "two_lengths"),
+    "ComponentStabilizerRecord": ("component_index", "stabilizer", "image_order", "cyclic",
+                                  "faithful", "trivial"),
+    "StabilizerReport": ("holds", "components", "witness"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_record_keeps_its_name_fields_and_immutability(name):
+    rec = sample_records()[name]
+    assert type(rec).__name__ == name
+    for field in FIELDS[name]:
+        value = getattr(rec, field)
+        with pytest.raises(AttributeError):
+            setattr(rec, field, value)
+    assert not hasattr(rec, "__dict__")
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_equal_records_hash_alike(name):
+    first, second = sample_records()[name], sample_records()[name]
+    if name == "RestrictionComparison":
+        # it holds folded data, which compare by identity
+        assert first == first and hash(first) == hash(first)
+        return
+    assert first == second
+    if name == "Preset":
+        # an action compares by value but has no hash, so neither has a preset
+        with pytest.raises(TypeError):
+            hash(first)
+        return
+    assert hash(first) == hash(second)
+
+
+def test_validation_report_keeps_a_tuple_and_its_truth():
+    rep = ValidationReport(False, ["x", "y"])
+    assert rep.problems == ("x", "y")
+    assert not rep
+    assert ValidationReport(True, [])
+    assert ValidationReport(True, []) == ValidationReport(True, ())
+
+
+def test_weyl_element_length_is_its_word_length():
+    els = weyl_group(catalog.gl(3))
+    assert [len(w) for w in els] == [len(w.word) for w in els] == [0, 1, 1, 2, 2, 3]
+    assert els[1] != els[2]
+    assert els[1] == WeylElement(els[1].matrix, els[1].word)
+    assert len({*els, *weyl_group(catalog.gl(3))}) == 6
+    with pytest.raises(AttributeError):
+        del els[1].word
+
+
+def test_stabilizer_report_truth_is_holds():
+    assert stabilizer_hypothesis(catalog.preset("gl4-pinned").action)
+    assert not stabilizer_hypothesis(catalog.preset("d4-full-s3").action)
+    assert not StabilizerReport(False, (), 0)
+
+
+def test_stable_class_orders_by_representative_then_q():
+    a = StableClass(TorsionVector((1,), 3), 3)
+    b = StableClass(TorsionVector((2,), 3), 3)
+    c = StableClass(TorsionVector((0,), 1), 5)
+    assert a < b and not b < a
+    assert sorted([b, a, c]) == [c, a, b]
+    assert StableClass(TorsionVector((1,), 3), 2) < a
+
+
+def test_frobenius_structure_checks_on_construction():
+    f = FrobeniusStructure.untwisted(9, 2)
+    assert f == FrobeniusStructure(9, 3, LatticeMap.identity(2))
+    with pytest.raises(ValueError, match="is not prime"):
+        FrobeniusStructure(9, 9, LatticeMap.identity(2))
+    with pytest.raises(ValueError, match="invertible"):
+        FrobeniusStructure(9, 3, LatticeMap([[2]]))
+
+
+def test_job_config_is_mutable_and_compares_by_value():
+    cfg = JobConfig(preset="gl2", q=3)
+    assert (cfg.fmt, cfg.budget, cfg.tau) == ("table", "full", None)
+    assert cfg == JobConfig(preset="gl2", q=3)
+    cfg.q = 5
+    assert cfg != JobConfig(preset="gl2", q=3)
+    assert cfg.to_dict() == {"preset": "gl2", "q": 5}
+    with pytest.raises(TypeError):
+        hash(cfg)
+    with pytest.raises(AttributeError):
+        cfg.unknown = 1

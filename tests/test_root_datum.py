@@ -118,6 +118,16 @@ def test_import_leaves_numpy_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    src = str(Path(rootfold.__file__).resolve().parents[1])
+    code = ("import rootfold.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_weyl_torus_is_trivial():
     els = weyl_group(RootDatum(2, [], []))
     assert len(els) == 1
