@@ -26,7 +26,7 @@ from .duality_conorm import ConormData, verify_isogeny_square
 from .exact_lattice import LatticeMap, TorsionVector
 from .folding import dual_length_comparison, fold, restricted_root_comparison
 from .gamma_action import FiniteGroup, GammaAction, validate_action
-from .root_datum import BasedRootDatum, RootDatum, cartan_type, validate
+from .root_datum import BasedRootDatum, RootDatum, WeylCapError, cartan_type, validate
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -273,6 +273,8 @@ def _stable_classes(base: BasedRootDatum, frob: FrobeniusStructure):
         return enumerate_stable_classes(base, frob)
     except ValueError as exc:
         raise UsageError(f"bad frobenius data: {exc}") from exc
+    except WeylCapError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _jsonable(x):

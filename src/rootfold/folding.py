@@ -31,6 +31,7 @@ from .gamma_action import (
 from .root_datum import (
     BasedRootDatum,
     RootDatum,
+    indecomposable_indices,
     length_classes,
     validate,
 )
@@ -126,27 +127,15 @@ def fold(a: GammaAction) -> FoldedDatum:
 
     roots = sorted(records)
     fixed = RootDatum(sub.rank, roots, [records[r].coroot for r in roots])
-    base = BasedRootDatum(fixed, _base_indices(a, fixed, records))
+    # the restrictions of positive source roots are the positive folded roots
+    pos_src = {rd.roots[i] for i in a.base.positive_roots()}
+    base = BasedRootDatum(fixed, indecomposable_indices(
+        fixed, (r for r, rec in records.items() if rec.source_rep in pos_src)))
     # one validation covers the datum axioms and then the base
     rep2 = validate(base)
     if not rep2.ok:
         raise AssertionError("folded datum invalid: " + "; ".join(rep2.problems))
     return FoldedDatum(a, fixed, base, proj, lift, sub.basis, records)
-
-
-def _base_indices(a, fixed, records):
-    """Indecomposable positive restrictions form the folded base."""
-    pos_src = {a.base.datum.roots[i] for i in a.base.positive_roots()}
-    pos = sorted(r for r, rec in records.items() if rec.source_rep in pos_src)
-    pos_set = set(pos)
-    simples = []
-    for b in pos:
-        decomposable = any(
-            tuple(x - y for x, y in zip(b, c)) in pos_set and c != b
-            for c in pos)
-        if not decomposable:
-            simples.append(fixed.root_index(b))
-    return tuple(sorted(simples))
 
 
 class RestrictionComparison(NamedTuple):

@@ -21,7 +21,7 @@ class FiniteGroup:
     __slots__ = ("size", "table", "names")
 
     def __init__(self, table, names=None):
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
+        self.table = tuple(tuple(map(int, row)) for row in table)
         self.size = len(self.table)
         self.names = tuple(names) if names else tuple(str(i) for i in range(self.size))
         n = self.size
@@ -30,14 +30,21 @@ class FiniteGroup:
         for i in range(n):
             if self.table[0][i] != i or self.table[i][0] != i:
                 raise ValueError("element 0 is not an identity")
-        for i in range(n):
-            if not any(self.table[i][j] == 0 for j in range(n)):
+        for i, row in enumerate(self.table):
+            if 0 not in row:
                 raise ValueError(f"element {i} has no inverse")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
-                        raise ValueError("multiplication is not associative")
+        # Light's test: the g with (x g) y = x (g y) for all x, y are closed
+        # under products, so checking a generating set checks every g
+        gens, reached = [], {0}
+        for g in range(n):
+            if g not in reached:
+                gens.append(g)
+                reached = set(self.subgroup_closure(gens))
+        for g in gens:
+            row_g = self.table[g]
+            for x, row_x in enumerate(self.table):
+                if self.table[row_x[g]] != tuple(map(row_x.__getitem__, row_g)):
+                    raise ValueError("multiplication is not associative")
 
     def mult(self, i, j):
         return self.table[i][j]
@@ -108,7 +115,8 @@ class FiniteGroup:
 
     @classmethod
     def cyclic(cls, n):
-        return cls(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)),
+        elems = tuple(range(n))
+        return cls(tuple(elems[i:] + elems[:i] for i in range(n)),
                    names=tuple(f"g{i}" if i else "e" for i in range(n)))
 
     @classmethod
@@ -229,10 +237,11 @@ def validate_action(a: GammaAction) -> ValidationReport:
 def _diagram_problems(base: BasedRootDatum, table, diagram) -> tuple[str, ...]:
     """The half of ``validate_action`` that reads no twist, once per input.
 
-    Each diagram part permutes the roots and, through its coaction, the
-    coroots, carrying the coroot of each root to the coroot of its image; the
-    identity acts trivially; and i -> diagram[i] respects the multiplication
-    ``table``.  An action and its pinned projection share this verdict.
+    Each diagram part permutes the roots, is invertible over the integers
+    and, through its coaction, permutes the coroots, carrying the coroot of
+    each root to the coroot of its image; the identity acts trivially; and
+    i -> diagram[i] respects the multiplication ``table``.  An action and
+    its pinned projection share this verdict.
     """
     problems = []
     rd = base.datum
@@ -241,6 +250,10 @@ def _diagram_problems(base: BasedRootDatum, table, diagram) -> tuple[str, ...]:
     for i, d in enumerate(diagram):
         if {d(r) for r in root_set} != root_set:
             problems.append(f"diagram part {i} does not permute the roots")
+            continue
+        det = d.det()
+        if abs(det) != 1:
+            problems.append(f"diagram part {i} has determinant {det}, not +-1")
             continue
         co = _coaction(d)
         if {co(c) for c in coroot_set} != coroot_set:

@@ -330,8 +330,14 @@ def _matrix_group_closure(base: BasedRootDatum, cap: int):
 
 
 def weyl_group(rd: RootDatum | BasedRootDatum, cap: int = 1_000_000) -> list[WeylElement]:
-    """All Weyl elements with canonical words, breadth-first from the identity."""
+    """All Weyl elements with canonical words, breadth-first from the identity.
+
+    Raises WeylCapError before building any element when |W| exceeds cap.
+    """
     base = rd if isinstance(rd, BasedRootDatum) else based_from_datum(rd)
+    order = weyl_group_order(base)
+    if order > cap:
+        raise WeylCapError(f"Weyl group of order {order} exceeds the cap {cap}")
     mats, words = _matrix_group_closure(base, cap)
     return [WeylElement(m, w) for m, w in zip(mats, words)]
 
@@ -348,18 +354,41 @@ def _positivity_functional(rank: int, vectors):
         t += 1
 
 
+def indecomposable_indices(rd: RootDatum, positives) -> tuple[int, ...]:
+    """Sorted indices of the roots in ``positives`` that are no sum of two of them.
+
+    For the positive roots of a base these are its simple roots.
+    """
+    pos = set(positives)
+    return tuple(sorted(rd.root_index(a) for a in pos
+                        if not any(vsub(a, b) in pos for b in pos)))
+
+
 @lru_cache(maxsize=None)
 def based_from_datum(rd: RootDatum) -> BasedRootDatum:
     """Choose a base: positives from a generic functional, simples indecomposable."""
     f = _positivity_functional(rd.rank, rd.roots)
-    pos = [r for r in rd.roots if dot(f, r) > 0]
-    pos_set = set(pos)
-    simples = []
-    for a in pos:
-        if not any(vsub(a, b) in pos_set for b in pos if b != a):
-            simples.append(rd.root_index(a))
-    simples.sort()
-    return BasedRootDatum(rd, tuple(simples))
+    return BasedRootDatum(rd, indecomposable_indices(rd, (r for r in rd.roots if dot(f, r) > 0)))
+
+
+def _component_grams(rd: RootDatum):
+    """For each irreducible component, its integer form and its roots' lengths.
+
+    The form is G = sum of c c^T over the component's coroots c, invariant
+    under the Weyl group; a root's length is the integer a^T G a.  Returns a
+    list of (G as rows, {root index: a^T G a}) in ``_components`` order.
+    """
+    n = rd.rank
+    out = []
+    for comp in _components(rd):
+        coroots = [rd.coroots[i] for i in comp]
+        gram = [[sum(c[r] * c[s] for c in coroots) for s in range(n)] for r in range(n)]
+        lengths = {}
+        for i in comp:
+            a = rd.roots[i]
+            lengths[i] = dot(a, [dot(row, a) for row in gram])
+        out.append((gram, lengths))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -371,23 +400,12 @@ def invariant_inner_product(rd: RootDatum):
     radical exactly the central directions.
     """
     n = rd.rank
-    comps = _components(rd)
     b = [[Fraction(0)] * n for _ in range(n)]
-    for comp in comps:
-        raw = [[0] * n for _ in range(n)]
-        for i in comp:
-            av = rd.coroots[i]
-            for r in range(n):
-                for c in range(n):
-                    raw[r][c] += av[r] * av[c]
-        lengths = []
-        for i in comp:
-            a = rd.roots[i]
-            lengths.append(sum(a[r] * raw[r][c] * a[c] for r in range(n) for c in range(n)))
-        scale = Fraction(2, max(lengths))
+    for gram, lengths in _component_grams(rd):
+        scale = Fraction(2, max(lengths.values()))
         for r in range(n):
             for c in range(n):
-                b[r][c] += scale * raw[r][c]
+                b[r][c] += scale * gram[r][c]
     return tuple(tuple(row) for row in b)
 
 
@@ -397,26 +415,22 @@ def form_value(form, u, v) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _components(rd: RootDatum):
-    """Irreducible components as tuples of root indices (non-orthogonality classes)."""
-    m = len(rd.roots)
-    parent = list(range(m))
+    """Irreducible components as tuples of root indices (non-orthogonality classes).
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if dot(rd.roots[i], rd.coroots[j]) != 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(g) for g in sorted(groups.values()))
+    Each component grows from its least root, and each root it takes in is
+    paired only with the roots not yet placed.
+    """
+    left = set(range(len(rd.roots)))
+    comps = []
+    while left:
+        comp = [min(left)]
+        left.remove(comp[0])
+        for i in comp:
+            linked = [j for j in left if dot(rd.roots[i], rd.coroots[j])]
+            left.difference_update(linked)
+            comp.extend(linked)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
 
 
 @lru_cache(maxsize=None)
@@ -425,14 +439,11 @@ def length_classes(rd: RootDatum):
 
     In simply-laced components every root is long by convention.
     """
-    form = invariant_inner_product(rd)
     out = {}
-    for comp in _components(rd):
-        lens = {i: form_value(form, rd.roots[i], rd.roots[i]) for i in comp}
-        lo = min(lens.values())
-        hi = max(lens.values())
-        for i in comp:
-            out[i] = "long" if (lo == hi or lens[i] == hi) else "short"
+    for _, lengths in _component_grams(rd):
+        longest = max(lengths.values())
+        for i, length in lengths.items():
+            out[i] = "long" if length == longest else "short"
     return out
 
 
@@ -443,95 +454,43 @@ def classify_length(rd: RootDatum, root) -> str:
     return length_classes(rd)[rd.root_index(root)]
 
 
-def _recognize_component(rd: RootDatum, comp) -> tuple[str, int]:
-    """Cartan type of one irreducible component, canonical low-rank labels.
+def _type_from_counts(n: int, roots: int, short: int) -> tuple[str, int]:
+    """(family, rank) of the irreducible root system of rank n with these counts.
 
-    The B2 = C2 coincidence is reported as C2; D3 comes out as A3 and D2 can
-    never appear (it is not irreducible).
+    Bourbaki, Lie Groups and Lie Algebras, ch. VI, Plates I-IX: the rank, the
+    number of roots and the number of short roots fix the type.  B2 comes out
+    as C2 and D3 as A3.
     """
-    sub = RootDatum(rd.rank, [rd.roots[i] for i in comp], [rd.coroots[i] for i in comp])
-    base = based_from_datum(sub)
-    simples = list(base.simple_indices)
-    n = len(simples)
-    pair = {}
-    for a in range(n):
-        for b in range(n):
-            pair[a, b] = dot(sub.roots[simples[b]], sub.coroots[simples[a]])
-    bonds = {}
-    adj = {a: [] for a in range(n)}
-    for a in range(n):
-        for b in range(a + 1, n):
-            k = pair[a, b] * pair[b, a]
-            if k:
-                bonds[a, b] = k
-                adj[a].append(b)
-                adj[b].append(a)
-    if n == 1:
-        return ("A", 1)
-    if len(bonds) != n - 1:
-        raise ValueError("component diagram is not a tree")
-    degs = sorted(len(v) for v in adj.values())
-    triple = [e for e, k in bonds.items() if k == 3]
-    double = [e for e, k in bonds.items() if k == 2]
-    if triple:
-        if n == 2 and not double:
-            return ("G", 2)
-        raise ValueError("unrecognized diagram with a triple bond")
-    if double:
-        if len(double) > 1 or degs[-1] > 2:
-            raise ValueError("unrecognized doubly-laced diagram")
-        a, b = double[0]
-        ends = [v for v in (a, b) if len(adj[v]) == 1]
-        if n == 2:
-            return ("C", 2)
-        if not ends:
-            if n == 4:
-                return ("F", 4)
-            raise ValueError("double bond strictly inside a chain: not finite type")
-        # walk from the non-end side; end node short vs long decides B vs C
-        end = ends[0] if len(ends) == 1 else None
-        if end is None:
-            raise ValueError("rank >= 3 chain cannot have both double-bond nodes terminal")
-        other = b if end == a else a
-        # <long, short coroot> = -2: if pair[end][other] = -2 the end is short
-        end_is_short = pair[end, other] == -2
-        return ("B", n) if end_is_short else ("C", n)
-    # simply laced
-    if degs[-1] > 3 or degs.count(3) > 1:
-        raise ValueError("unrecognized simply-laced diagram")
-    if degs[-1] <= 2:
-        return ("A", n)
-    center = next(v for v in adj if len(adj[v]) == 3)
-    arms = []
-    for start in adj[center]:
-        ln = 1
-        prev, cur = center, start
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            ln += 1
-        arms.append(ln)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return ("D", arms[2] + 3)
-    if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
-        return ("E", arms[2] + 4)
-    raise ValueError("unrecognized branched diagram")
+    if not short:
+        if roots == n * (n + 1):
+            return ("A", n)
+        if roots == 2 * n * (n - 1) and n >= 4:
+            return ("D", n)
+        if (n, roots) in ((6, 72), (7, 126), (8, 240)):
+            return ("E", n)
+    elif (n, roots) == (2, 12):
+        return ("G", 2)
+    elif (n, roots) == (4, 48):
+        return ("F", 4)
+    elif roots == 2 * n * n:
+        return ("B", n) if n >= 3 and short == 2 * n else ("C", n)
+    raise ValueError(f"no Cartan type has rank {n}, {roots} roots and {short} short roots")
 
 
 def cartan_type(rd: RootDatum | BasedRootDatum):
     """Multiset of irreducible types plus the central torus rank.
 
-    Returns (sorted tuple of (family, rank) pairs, central_rank).
+    Returns (sorted tuple of (family, rank) pairs, central_rank).  A
+    component's rank is its number of simple roots.
     """
     if isinstance(rd, BasedRootDatum):
         rd = rd.datum
-    comps = _components(rd)
-    types = sorted(_recognize_component(rd, c) for c in comps)
-    semis = sum(r for _, r in types)
-    return tuple(types), rd.rank - semis
+    simples = set(based_from_datum(rd).simple_indices)
+    lengths = length_classes(rd)
+    types = sorted(_type_from_counts(sum(i in simples for i in comp), len(comp),
+                                     sum(lengths[i] == "short" for i in comp))
+                   for comp in _components(rd))
+    return tuple(types), rd.rank - sum(n for _, n in types)
 
 
 _EXCEPTIONAL_WEYL_ORDERS = {("G", 2): 12, ("F", 4): 1152, ("E", 6): 51840,

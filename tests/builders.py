@@ -135,6 +135,14 @@ E6_CARTAN = [
 ]
 
 
+def e_cartan(n):
+    """Bourbaki E_n for n = 6, 7, 8: chain 1-3-4-...-n with node 2 on node 4."""
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in [(0, 2), (1, 3)] + [(k, k + 1) for k in range(2, n - 1)]:
+        c[i][j] = c[j][i] = -1
+    return c
+
+
 def an_cartan(n):
     return [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)]
             for i in range(n)]

@@ -4,7 +4,8 @@ The Jacobi checker rebuilds the Lie bracket from a constants table and
 verifies the Jacobi identity on basis triples; it never looks inside the
 construction being tested.  The matrix oracle realizes the pinned flip of the
 special linear algebra concretely and reads the root-space signs off actual
-matrix conjugation.
+matrix conjugation.  The diagram walker finds a Cartan type from the shape
+of the Dynkin diagram, where the library reads it off root counts.
 """
 
 from fractions import Fraction
@@ -221,3 +222,110 @@ def steinberg_count(simple_roots, tau, q):
     centre = abs(on_x * _det(gram) / on_roots)
     assert centre.denominator == 1, "the centre's point count must be an integer"
     return int(centre) * q ** len(s)
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _recognize_diagram(pair):
+    """Cartan type of one connected Dynkin diagram given by its Cartan matrix.
+
+    ``pair[a, b]`` is <simple root b, simple coroot a>.  B2 is reported as C2
+    and D3 as A3; a diagram of no finite type raises ValueError.
+    """
+    n = max(a for a, _ in pair) + 1
+    bonds = {}
+    adj = {a: [] for a in range(n)}
+    for a in range(n):
+        for b in range(a + 1, n):
+            k = pair[a, b] * pair[b, a]
+            if k:
+                bonds[a, b] = k
+                adj[a].append(b)
+                adj[b].append(a)
+    if n == 1:
+        return ("A", 1)
+    if len(bonds) != n - 1:
+        raise ValueError("component diagram is not a tree")
+    degs = sorted(len(v) for v in adj.values())
+    triple = [e for e, k in bonds.items() if k == 3]
+    double = [e for e, k in bonds.items() if k == 2]
+    if triple:
+        if n == 2 and not double:
+            return ("G", 2)
+        raise ValueError("unrecognized diagram with a triple bond")
+    if double:
+        if len(double) > 1 or degs[-1] > 2:
+            raise ValueError("unrecognized doubly-laced diagram")
+        a, b = double[0]
+        ends = [v for v in (a, b) if len(adj[v]) == 1]
+        if n == 2:
+            return ("C", 2)
+        if not ends:
+            if n == 4:
+                return ("F", 4)
+            raise ValueError("double bond strictly inside a chain: not finite type")
+        if len(ends) != 1:
+            raise ValueError("rank >= 3 chain cannot have both double-bond nodes terminal")
+        end = ends[0]
+        other = b if end == a else a
+        # <long, short coroot> = -2: the end node is short exactly in type B
+        return ("B", n) if pair[end, other] == -2 else ("C", n)
+    if degs[-1] > 3 or degs.count(3) > 1:
+        raise ValueError("unrecognized simply-laced diagram")
+    if degs[-1] <= 2:
+        return ("A", n)
+    center = next(v for v in adj if len(adj[v]) == 3)
+    arms = []
+    for start in adj[center]:
+        ln = 1
+        prev, cur = center, start
+        while True:
+            nxt = [w for w in adj[cur] if w != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+            ln += 1
+        arms.append(ln)
+    arms.sort()
+    if arms[0] == 1 and arms[1] == 1:
+        return ("D", arms[2] + 3)
+    if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
+        return ("E", arms[2] + 4)
+    raise ValueError("unrecognized branched diagram")
+
+
+def diagram_cartan_type(rank, roots, coroots):
+    """Cartan type by walking the Dynkin diagram of each irreducible component.
+
+    Components are the classes of the relation <a, b^vee> != 0.  Each gets
+    its own base: the roots positive under f = (1, m, m^2, ...), m one more
+    than the largest coordinate, which no nonzero root annihilates, less the
+    sums of two positive roots.  Returns (sorted (family, rank) pairs, rank
+    minus the semisimple rank), like ``rootfold.cartan_type``.
+    """
+    roots = [tuple(r) for r in roots]
+    coroots = [tuple(c) for c in coroots]
+    m = 1 + max((abs(x) for r in roots for x in r), default=0)
+    f = [m ** i for i in range(rank)]
+    left = set(range(len(roots)))
+    types = []
+    while left:
+        comp = {left.pop()}
+        frontier = list(comp)
+        while frontier:
+            i = frontier.pop()
+            linked = {j for j in left if _dot(roots[i], coroots[j]) or _dot(roots[j], coroots[i])}
+            left -= linked
+            comp |= linked
+            frontier.extend(linked)
+        pos = {roots[i] for i in comp if _dot(f, roots[i]) > 0}
+        simples = [a for a in sorted(pos)
+                   if not any(tuple(x - y for x, y in zip(a, b)) in pos for b in pos)]
+        cosimples = [coroots[roots.index(a)] for a in simples]
+        pair = {(a, b): _dot(simples[b], cosimples[a])
+                for a in range(len(simples)) for b in range(len(simples))}
+        types.append(_recognize_diagram(pair))
+    types.sort()
+    return tuple(types), rank - sum(n for _, n in types)

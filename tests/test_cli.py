@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import builders as B
 from rootfold import ConormData, catalog, enumerate_stable_classes, fold
 from rootfold.classes import FrobeniusStructure
 from rootfold import cli
@@ -243,6 +244,32 @@ def test_group_order_is_compared_with_the_diagrams_before_any_table(capsys, tmp_
     assert time.perf_counter() - start < 1.0
     assert_one_usage_line(capsys.readouterr(), "rootfold: bad explicit action spec: "
                           "diagram has 1 parts for a group of order 1000")
+
+
+def test_non_unimodular_diagram_exits_two(capsys, tmp_path):
+    # [[2]] permutes the empty root system but has no integer inverse
+    doc = {"group": {"rank": 1, "roots": [], "coroots": [], "simples": []},
+           "action_spec": {"cyclic": 2, "diagrams": [[[1]], [[2]]]}, "q": 3}
+    assert main(["fold", "--config", config_path(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert_one_usage_line(captured, "rootfold: explicit action invalid: ")
+    assert "diagram part 1 has determinant 2, not +-1" in captured.err
+
+
+@pytest.mark.parametrize("command", ["classes", "lift"])
+def test_weyl_group_over_the_cap_exits_two(capsys, tmp_path, command):
+    # |W(E7)| = 2903040 is over the cap of 10^6: refused before any element is built
+    e7 = B.from_cartan_sc(B.e_cartan(7))
+    group = {"rank": 7, "roots": [list(r) for r in e7.datum.roots],
+             "coroots": [list(c) for c in e7.datum.coroots],
+             "simples": list(e7.simple_indices)}
+    doc = {"group": group, "q": 2}
+    if command == "lift":
+        identity = [[int(i == j) for j in range(7)] for i in range(7)]
+        doc["action_spec"] = {"cyclic": 2, "diagrams": [identity, identity]}
+    assert main([command, "--config", config_path(tmp_path, doc)]) == 2
+    assert_one_usage_line(capsys.readouterr(), "rootfold: Weyl group of order 2903040 "
+                          "exceeds the cap 1000000")
 
 
 @pytest.mark.parametrize("argv", [["pinning", "--preset", "nonsense"],

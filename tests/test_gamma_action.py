@@ -1,4 +1,6 @@
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -57,6 +59,29 @@ def test_bad_tables_rejected():
         FiniteGroup([[1, 0], [0, 1]])  # 0 not an identity
     with pytest.raises(ValueError):
         FiniteGroup([[0, 1], [1, 1]])  # 1 has no inverse
+
+
+def test_large_cyclic_group_is_built_fast():
+    start = time.perf_counter()
+    g = FiniteGroup.cyclic(1000)
+    assert time.perf_counter() - start < 1.0
+    assert g.order_of(1) == 1000
+
+
+# a loop of order 5: 0 is an identity and every row and column is a permutation
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+def test_non_associative_loop_rejected():
+    assert all(sorted(col) == list(range(5)) for col in zip(*LOOP5))
+    assert any(LOOP5[LOOP5[x][y]][z] != LOOP5[x][LOOP5[y][z]]
+               for x, y, z in product(range(5), repeat=3))
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(LOOP5)
 
 
 def test_s3_from_permutations():

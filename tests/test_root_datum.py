@@ -137,7 +137,7 @@ def test_weyl_torus_is_trivial():
 
 def test_weyl_cap():
     from rootfold.root_datum import WeylCapError
-    with pytest.raises(WeylCapError):
+    with pytest.raises(WeylCapError, match="order 1152 exceeds the cap 100"):
         weyl_group(B.from_cartan_sc(B.F4_CARTAN), cap=100)
 
 
