@@ -3,6 +3,11 @@
 Everything here is integer or rational arithmetic: lattice maps are integer
 matrices, torus points are torsion vectors over Q/Z, and every check is an
 exact equality.  No floats anywhere.
+
+The names of ``__all__`` that the imports below do not bind belong to the
+class layer (``rootfold.classes``) or the verification layer
+(``rootfold.verify``); each of those is loaded on the first use of one of its
+names, so a job that folds or computes a conorm loads neither.
 """
 
 from .exact_lattice import (
@@ -37,28 +42,7 @@ from .gamma_action import (
     stabilizer_hypothesis,
 )
 from .folding import FoldedDatum, fold, restricted_root_comparison, dual_length_comparison
-from .duality_conorm import (
-    ConormData,
-    Isogeny,
-    dual_isogeny,
-    verify_isogeny_square,
-)
-from .classes import (
-    StableClass,
-    FrobeniusStructure,
-    canonicalize_class,
-    enumerate_stable_classes,
-    lift_stable_class,
-    levi_for_element,
-    subgroup_action,
-    induced_quotient_action,
-    verify_conorm_well_defined,
-    verify_product_conorm,
-    verify_trivial_lift,
-    verify_normal_subgroup_composition,
-    verify_pinning_factorization,
-    verify_levi_factorization,
-)
+from .duality_conorm import ConormData, Isogeny, dual_isogeny
 from .catalog import rotation_action
 from . import catalog
 
@@ -83,3 +67,17 @@ __all__ = [
     "verify_pinning_factorization", "verify_levi_factorization",
     "catalog",
 ]
+
+
+def __getattr__(name):
+    if name in __all__:
+        for layer in ("classes", "verify"):
+            # not importlib: the package namespace binds nothing but its exports
+            module = __import__(f"{__name__}.{layer}", fromlist=[name])
+            if hasattr(module, name):
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -14,11 +14,10 @@ breaks the short-root inclusion that cyclic stabilizers would guarantee.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from typing import NamedTuple
 
-from .duality_conorm import Isogeny, validate_isogeny
-from .exact_lattice import LatticeMap, TorsionVector, dot, solve_rational, vadd
+from .duality_conorm import Isogeny
+from .exact_lattice import LatticeMap, TorsionVector, vadd
 from .gamma_action import FiniteGroup, GammaAction
 from .root_datum import BasedRootDatum, RootDatum, generate_datum
 
@@ -380,38 +379,6 @@ def s3_twisted_d4_action() -> GammaAction:
                        [z, z, z, (0, 0, 0, _HALF), (0, 0, 0, _HALF), (_HALF, 0, 0, 0)])
 
 
-def based_isomorphism(source: BasedRootDatum, target: BasedRootDatum):
-    """Unimodular character-lattice map identifying two based data, or None.
-
-    Tries every assignment of target simple roots to source simple roots and
-    solves for the matrix sending one simple system to the other; a hit must
-    be integral, unimodular, and carry all roots and coroots across.  Used to
-    pin down which isogeny form a folded datum is.
-    """
-    n = target.datum.rank
-    if (source.datum.rank != n or len(target.simple_indices) != n
-            or len(source.simple_indices) != n):
-        return None
-    inv = solve_rational(LatticeMap.from_columns(target.simple_roots, n),
-                         LatticeMap.identity(n))
-    if inv is None:
-        return None
-    src = source.simple_roots
-    for perm in permutations(range(len(src))):
-        cols = [src[p] for p in perm]
-        rows = [[sum(Fraction(cols[k][i]) * inv[k][j] for k in range(n))
-                 for j in range(n)] for i in range(n)]
-        if any(x.denominator != 1 for row in rows for x in row):
-            continue
-        m = LatticeMap([[int(x) for x in row] for row in rows])
-        if abs(m.det()) != 1:
-            continue
-        phi = Isogeny(source, target, m)
-        if validate_isogeny(phi).ok:
-            return m
-    return None
-
-
 def isogeny_sl_to_pgl(n) -> Isogeny:
     """Characters of PGL(n) are the root lattice inside the weights of SL(n)."""
     c = _cartan_a(n - 1)
@@ -430,16 +397,6 @@ def isogeny_sl_gl1_to_gl(n) -> Isogeny:
             w[i - 1] -= 1
         cols.append(tuple(w) + (1,))
     return Isogeny(src, gl(n), LatticeMap.from_columns(cols, n))
-
-
-def isogeny_spin_to_so(n) -> Isogeny:
-    """Pair each coordinate character against the simple coroots of so(n)."""
-    target = so(n)
-    m_rank = n // 2
-    cols = []
-    for i in range(m_rank):
-        cols.append(tuple(dot(_e(m_rank, i), cv) for cv in target.simple_coroots))
-    return Isogeny(spin(n), target, LatticeMap.from_columns(cols, m_rank))
 
 
 def sl_gl1_flip_action(n) -> GammaAction:
@@ -492,9 +449,10 @@ _NAMED_GROUPS = {
     "f4": f4, "g2": g2, "d4": d4,
 }
 
+# builder and least number of each numbered family
 _GROUP_FAMILIES = {
-    "gl": gl, "sl": sl, "pgl": pgl, "sp": lambda n: sp(n // 2),
-    "so": so, "spin": spin, "torus": torus,
+    "gl": (gl, 0), "sl": (sl, 1), "pgl": (pgl, 1), "sp": (lambda n: sp(n // 2), 2),
+    "so": (so, 3), "spin": (spin, 5), "torus": (torus, 0),
 }
 
 
@@ -502,12 +460,14 @@ def group_datum(name: str) -> BasedRootDatum:
     """A based root datum by short name: gl4, sl3, sp6, so7, spin8, e6ad, ..."""
     if name in _NAMED_GROUPS:
         return _NAMED_GROUPS[name]()
-    for prefix, builder in sorted(_GROUP_FAMILIES.items(),
-                                  key=lambda kv: -len(kv[0])):
+    for prefix, (builder, least) in sorted(_GROUP_FAMILIES.items(),
+                                           key=lambda kv: -len(kv[0])):
         if name.startswith(prefix) and name[len(prefix):].isdigit():
             n = int(name[len(prefix):])
+            if n < least:
+                raise ValueError(f"group {name!r}: the catalog starts at {prefix}{least}")
             if prefix == "sp" and n % 2:
-                raise ValueError(f"sp{n}: symplectic groups have even matrix size")
+                raise ValueError(f"group {name!r}: symplectic groups have even matrix size")
             return builder(n)
     raise ValueError(f"unknown group {name!r}")
 

@@ -6,37 +6,23 @@ these are torsion vectors in the character lattice.  A Frobenius with twist
 tau acts on points by q * tau, and the classes stable under it are exactly the
 orbits meeting the fixed points of w o (q * tau) for some Weyl element w.
 
+A class is named by its canonical representative, the least point of its
+orbit, found by walking the orbit with the simple reflections; the order of a
+point's stabilizer is |W| over the size of that orbit.  Enumeration is the
+one place that runs through every Weyl element.
+
 Lifting a class through a fold applies the conorm matrix to a class
-representative and recanonicalizes in the bigger Weyl group.  The verify_*
-functions check that the lift is independent of every choice made along the
-way: representative, intermediate subgroup, isogeny, or Levi.
+representative and recanonicalizes in the bigger Weyl group.
 """
 
-import random
 from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .catalog import rotation_action
 from .duality_conorm import ConormData
-from .exact_lattice import (
-    LatticeMap,
-    Sublattice,
-    TorsionVector,
-    solve_torsion_fixed,
-)
-from .folding import fold
-from .gamma_action import FiniteGroup, GammaAction, pinned_projection
-from .root_datum import (
-    BasedRootDatum,
-    RootDatum,
-    ValidationReport,
-    based_from_datum,
-    is_closed_subsystem,
-    weyl_group,
-    weyl_group_order,
-)
+from .exact_lattice import LatticeMap, TorsionVector, solve_torsion_fixed
+from .root_datum import BasedRootDatum, RootDatum, weyl_group, weyl_group_order
 
 
 def _is_prime(p):
@@ -224,257 +210,3 @@ def lift_stable_class(conorm: ConormData, cls: StableClass) -> StableClass:
     """Canonical lift of a stable class through the conorm of the fold."""
     target = conorm.folded.source.base
     return StableClass(canonicalize_class(target, conorm.apply(cls.rep)), cls.q)
-
-
-def random_torsion_points(rank, count, den_bound, p, seed=0):
-    """Torsion points with denominator at most den_bound and coprime to p."""
-    rng = random.Random(seed)
-    dens = [d for d in range(1, den_bound + 1) if d % p != 0]
-    out = []
-    for _ in range(count):
-        den = rng.choice(dens)
-        out.append(TorsionVector(tuple(rng.randrange(den) for _ in range(rank)), den))
-    return out
-
-
-def verify_conorm_well_defined(a: GammaAction, count=100, den_bound=24, p=2,
-                               seed=0) -> ValidationReport:
-    """Weyl-equivalent folded points must lift to Weyl-equivalent source points."""
-    fd = fold(a)
-    conorm = ConormData(fd)
-    target = fd.source.base
-    w_fold = weyl_group(fd.fixed_base)
-    rng = random.Random(seed + 1)
-    problems = []
-    for x in random_torsion_points(fd.rank, count, den_bound, p, seed):
-        w = rng.choice(w_fold)
-        y = x.apply(w.matrix)
-        if not weyl_orbit_contains(target, conorm.apply(x), conorm.apply(y)):
-            problems.append(f"lift depends on representative at {x.fractions()}")
-            break
-    return ValidationReport(not problems, problems)
-
-
-def verify_product_conorm(base_half: BasedRootDatum, m: int, qs) -> ValidationReport:
-    """For the rotation of H^m the lift is the diagonal and the norm is x^m."""
-    problems = []
-    a = rotation_action(base_half, m)
-    fd = fold(a)
-    conorm = ConormData(fd)
-    n = base_half.datum.rank
-    stacked = LatticeMap([[1 if c == r % n else 0 for c in range(n)]
-                          for r in range(m * n)], n)
-    if conorm.matrix != stacked:
-        problems.append("conorm is not the diagonal embedding")
-    if fd.restriction @ conorm.matrix != LatticeMap.identity(n).scale(m):
-        problems.append("norm of the lift is not the m-th power map")
-    for q in qs:
-        frob = FrobeniusStructure.untwisted(q, fd.rank)
-        for cls in enumerate_stable_classes(fd.fixed_base, frob):
-            lift = lift_stable_class(conorm, cls)
-            # each factor of the lifted representative is the class itself
-            fr = lift.rep.fractions()
-            blocks = [tuple(fr[k * n:(k + 1) * n]) for k in range(m)]
-            base_orbit = _orbit_fractions(base_half, cls.rep)
-            if any(b not in base_orbit for b in blocks):
-                problems.append(f"lift of {cls.rep.fractions()} at q={q} "
-                                "is not diagonal up to the Weyl group")
-                break
-    return ValidationReport(not problems, problems)
-
-
-def _orbit_fractions(base, point):
-    seen, den = _orbit_walk(base, point)
-    return {TorsionVector(v, den).fractions() for v in seen}
-
-
-def verify_trivial_lift(base: BasedRootDatum, m: int, qs) -> ValidationReport:
-    """Trivial action of a group of order m lifts a class to its m-th power."""
-    problems = []
-    n = base.datum.rank
-    a = GammaAction(FiniteGroup.cyclic(m), base, [LatticeMap.identity(n)] * m)
-    fd = fold(a)
-    conorm = ConormData(fd)
-    if conorm.matrix != LatticeMap.identity(n).scale(m):
-        problems.append("conorm of the trivial action is not multiplication by m")
-    for q in qs:
-        frob = FrobeniusStructure.untwisted(q, n)
-        for cls in enumerate_stable_classes(base, frob):
-            lift = lift_stable_class(conorm, cls)
-            power = canonicalize_class(base, cls.rep.scale(m))
-            if lift.rep != power:
-                problems.append(f"lift of {cls.rep.fractions()} at q={q} "
-                                "is not the m-th power")
-                break
-    return ValidationReport(not problems, problems)
-
-
-def subgroup_action(a: GammaAction, indices) -> GammaAction:
-    """Restriction of an action to a subgroup given by element indices."""
-    indices = sorted(set(indices))
-    if indices[0] != 0:
-        raise ValueError("subgroup must contain the identity")
-    pos = {g: k for k, g in enumerate(indices)}
-    table = []
-    for g in indices:
-        row = []
-        for h in indices:
-            gh = a.group.mult(g, h)
-            if gh not in pos:
-                raise ValueError("indices are not closed under multiplication")
-            row.append(pos[gh])
-        table.append(row)
-    sub = FiniteGroup(table, [a.group.names[g] for g in indices])
-    return GammaAction(sub, a.base, [a.diagram[g] for g in indices],
-                       [a.twist[g] for g in indices])
-
-
-def induced_quotient_action(a: GammaAction, normal_indices):
-    """Action of the quotient group on the fold by the normal subgroup."""
-    a0 = subgroup_action(a, normal_indices)
-    fd0 = fold(a0)
-    q_group, coset_of, reps = a.group.quotient_by(normal_indices)
-    diagrams = [fd0.restriction @ a.diagram[g] @ fd0.section for g in reps]
-    twists = [a.twist[g].apply(fd0.section.transpose()) for g in reps]
-    a_bar = GammaAction(q_group, fd0.fixed_base, diagrams, twists)
-    return a_bar, fd0
-
-
-def verify_normal_subgroup_composition(a: GammaAction, normal_indices,
-                                       qs) -> ValidationReport:
-    """Folding in stages factors the conorm, as matrices and on classes."""
-    problems = []
-    fd_full = fold(a)
-    conorm_full = ConormData(fd_full)
-    a_bar, fd0 = induced_quotient_action(a, normal_indices)
-    conorm0 = ConormData(fd0)
-    fd_bar = fold(a_bar)
-    conorm_bar = ConormData(fd_bar)
-    transport = fd_bar.restriction @ fd0.restriction @ fd_full.section
-    if abs(transport.det()) != 1:
-        problems.append("stagewise and direct folds are not unimodularly identified")
-        return ValidationReport(False, problems)
-    if conorm_full.matrix != conorm0.matrix @ conorm_bar.matrix @ transport:
-        problems.append("conorm does not factor through the stages")
-    source = a.base
-    for q in qs:
-        frob = FrobeniusStructure.untwisted(q, fd_full.rank)
-        for cls in enumerate_stable_classes(fd_full.fixed_base, frob):
-            direct = lift_stable_class(conorm_full, cls)
-            mid = canonicalize_class(fd_bar.fixed_base, cls.rep.apply(transport))
-            staged_pt = conorm0.apply(
-                canonicalize_class(fd0.fixed_base, conorm_bar.apply(mid)))
-            staged = canonicalize_class(source, staged_pt)
-            if staged != direct.rep:
-                problems.append(f"class {cls.rep.fractions()} at q={q} lifts "
-                                "differently through the stages")
-                break
-    return ValidationReport(not problems, problems)
-
-
-def verify_pinning_factorization(a: GammaAction, qs) -> ValidationReport:
-    """Lifting through the pinned fold agrees with the direct lift.
-
-    The twisted and pinned folds share the torus; the twisted dual roots form
-    a closed subsystem of the pinned dual roots, the conorm matrices agree,
-    and each stable class lifts to the same class whether or not it is first
-    coarsened to a pinned-fold class.
-    """
-    problems = []
-    fd = fold(a)
-    fp = fold(pinned_projection(a))
-    conorm = ConormData(fd)
-    conorm_p = ConormData(fp)
-    if conorm.matrix != conorm_p.matrix:
-        problems.append("conorm differs from its pinned projection")
-    dual_p = RootDatum(fp.rank, fp.fixed.coroots, fp.fixed.roots)
-    if not set(fd.fixed.coroots) <= set(fp.fixed.coroots):
-        problems.append("twisted dual roots do not sit inside the pinned dual roots")
-    elif not is_closed_subsystem(dual_p, fd.fixed.coroots):
-        problems.append("twisted dual roots are not closed in the pinned dual system")
-    source = a.base
-    for q in qs:
-        frob = FrobeniusStructure.untwisted(q, fd.rank)
-        for cls in enumerate_stable_classes(fd.fixed_base, frob):
-            direct = lift_stable_class(conorm, cls)
-            coarse = StableClass(canonicalize_class(fp.fixed_base, cls.rep), q)
-            via_pinned = lift_stable_class(conorm_p, coarse)
-            if via_pinned != direct:
-                problems.append(f"class {cls.rep.fractions()} at q={q} lifts "
-                                "differently through the pinned fold")
-                break
-    return ValidationReport(not problems, problems)
-
-
-def vanishing_subsystem(rd: RootDatum, point: TorsionVector):
-    """Roots whose coroots pair to zero with a dual-torus point."""
-    return tuple(r for r in rd.roots if point.pairing(rd.coroot_of(r)) == 0)
-
-
-def levi_for_element(rd: RootDatum, point: TorsionVector):
-    """Vanishing subsystem and its Levi hull (roots in its saturated span)."""
-    psi = vanishing_subsystem(rd, point)
-    if not psi:
-        return psi, ()
-    span = Sublattice(rd.rank, LatticeMap.from_columns(list(psi), rd.rank)).saturation()
-    levi = tuple(r for r in rd.roots if span.contains(r))
-    return psi, levi
-
-
-def verify_levi_factorization(a: GammaAction, q=3, points_needed=3) -> ValidationReport:
-    """For an inner twist, lifting factors through the Levi fixed by the twist.
-
-    The fold of an inner action is the centralizer of the twist element; the
-    check confirms that, that lifted subregular classes have their Weyl
-    stabilizer inside the Levi hull of their vanishing subsystem, and that
-    canonicalizing inside the Levi first does not change the lift.
-    """
-    problems = []
-    if any(d != LatticeMap.identity(a.base.datum.rank) for d in a.diagram):
-        return ValidationReport(False, ["action is not inner (nontrivial diagrams)"])
-    rd = a.base.datum
-    fd = fold(a)
-    conorm = ConormData(fd)
-    # the fold is the centralizer of the twist: same ambient lattice
-    expected = set()
-    for r in rd.roots:
-        if all(a.twist[i].pairing(r) == 0 for i in a.group.elements()):
-            expected.add(r)
-    if set(fd.fixed.roots) != expected:
-        problems.append("fold is not the centralizer of the twist element")
-        return ValidationReport(False, problems)
-    frob = FrobeniusStructure.untwisted(q, fd.rank)
-    source = a.base
-    w_source = weyl_group(source)
-    found = 0
-    for cls in enumerate_stable_classes(fd.fixed_base, frob):
-        lift_pt = conorm.apply(cls.rep)
-        psi, levi = levi_for_element(rd, lift_pt)
-        if not psi or len(psi) == len(rd.roots):
-            continue
-        found += 1
-        if not is_closed_subsystem(rd, psi):
-            problems.append(f"vanishing subsystem of {lift_pt.fractions()} not closed")
-        levi_base = _based_subsystem(rd, levi)
-        stab = [w for w in w_source if lift_pt.apply(w.matrix) == lift_pt]
-        psi_base = _based_subsystem(rd, psi)
-        if len(stab) != weyl_group_order(psi_base):
-            problems.append(f"stabilizer of {lift_pt.fractions()} is not the "
-                            "vanishing-subsystem Weyl group")
-        in_levi = canonicalize_class(levi_base, lift_pt)
-        direct = canonicalize_class(source, lift_pt)
-        if canonicalize_class(source, in_levi) != direct:
-            problems.append(f"Levi canonicalization changes the class of "
-                            f"{lift_pt.fractions()}")
-        if found >= points_needed:
-            break
-    if found < points_needed:
-        problems.append(f"only {found} subregular points found, "
-                        f"needed {points_needed}")
-    return ValidationReport(not problems, problems)
-
-
-def _based_subsystem(rd: RootDatum, roots) -> BasedRootDatum:
-    """A based datum on the ambient lattice for a closed subsystem."""
-    sub = RootDatum(rd.rank, sorted(roots), [rd.coroot_of(r) for r in sorted(roots)])
-    return based_from_datum(sub)

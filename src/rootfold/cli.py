@@ -12,19 +12,9 @@ import sys
 from fractions import Fraction
 
 from . import catalog
-from .classes import (
-    FrobeniusStructure,
-    enumerate_stable_classes,
-    lift_stable_class,
-    verify_levi_factorization,
-    verify_normal_subgroup_composition,
-    verify_pinning_factorization,
-    verify_product_conorm,
-    verify_trivial_lift,
-)
-from .duality_conorm import ConormData, verify_isogeny_square
+from .duality_conorm import ConormData
 from .exact_lattice import LatticeMap, TorsionVector
-from .folding import dual_length_comparison, fold, restricted_root_comparison
+from .folding import fold
 from .gamma_action import FiniteGroup, GammaAction, validate_action
 from .root_datum import BasedRootDatum, RootDatum, WeylCapError, cartan_type, validate
 
@@ -32,14 +22,9 @@ EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 BUDGET_QS = {"small": (2, 3), "full": (2, 3, 5)}
 
+# the keys of verify.SUITES, named here so that the parser does not load verify
 VERIFY_KINDS = ("product", "trivial", "normal-subgroup", "isogeny", "pinning",
                 "levi", "root-inclusion", "long-roots")
-
-# action presets exercised by the two lemma suites
-SUITE_PRESETS = ("gl4-pinned", "gl6-pinned", "gl4-so-twist", "gl6-so-twist",
-                 "sl3-pinned", "sl5-pinned", "e6ad-pinned", "e6ad-twisted-c4",
-                 "d4-triality", "d4-full-s3", "d4-twisted-a2", "d4-s3-twisted",
-                 "gl2-trivial-z3", "gl2-product-swap")
 
 
 class UsageError(Exception):
@@ -162,10 +147,6 @@ def parse_config_file(path: str) -> JobConfig:
     return JobConfig.from_dict(doc)
 
 
-def serialize_config(cfg: JobConfig) -> str:
-    return json.dumps(cfg.to_dict(), sort_keys=True, indent=2)
-
-
 # nesting depth of the integers under each key of an explicit spec
 _GROUP_INTS = {"rank": 0, "roots": 2, "coroots": 2, "simples": 1}
 _ACTION_INTS = {"cyclic": 0, "permutations": 2, "diagrams": 3}
@@ -248,29 +229,29 @@ def resolve_group(cfg: JobConfig) -> BasedRootDatum:
         return resolve_action(cfg).base
     try:
         return catalog.group_datum(cfg.preset)
-    except ValueError:
-        pass
+    except ValueError as exc:
+        group_error = exc
     try:
         return catalog.preset(cfg.preset).action.base
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"{exc} ({group_error})") from exc
 
 
-def _frobenius(cfg: JobConfig, rank: int) -> FrobeniusStructure:
+def _stable_classes(cfg: JobConfig, base: BasedRootDatum):
+    """The job's q and the stable classes of its Frobenius on ``base``."""
+    from .classes import FrobeniusStructure, enumerate_stable_classes
     if cfg.q is None:
         raise UsageError("this command needs --q")
     try:
         if cfg.tau is None:
-            return FrobeniusStructure.untwisted(cfg.q, rank)
-        tau = LatticeMap([list(map(int, row)) for row in cfg.tau], rank)
-        return FrobeniusStructure.twisted(cfg.q, tau)
+            frob = FrobeniusStructure.untwisted(cfg.q, base.datum.rank)
+        else:
+            tau = LatticeMap([list(map(int, row)) for row in cfg.tau], base.datum.rank)
+            frob = FrobeniusStructure.twisted(cfg.q, tau)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad frobenius data: {exc}") from exc
-
-
-def _stable_classes(base: BasedRootDatum, frob: FrobeniusStructure):
     try:
-        return enumerate_stable_classes(base, frob)
+        return frob.q, enumerate_stable_classes(base, frob)
     except ValueError as exc:
         raise UsageError(f"bad frobenius data: {exc}") from exc
     except WeylCapError as exc:
@@ -345,13 +326,12 @@ def cmd_conorm(cfg: JobConfig):
 
 def cmd_classes(cfg: JobConfig):
     base = resolve_group(cfg)
-    frob = _frobenius(cfg, base.datum.rank)
-    classes = _stable_classes(base, frob)
+    q, classes = _stable_classes(cfg, base)
     rows = [{"rep": _jsonable(c.rep), "order": c.rep.den} for c in classes]
     payload = {
         "command": "classes",
         "group_type": type_string(base),
-        "q": frob.q,
+        "q": q,
         "count": len(rows),
         "classes": rows,
     }
@@ -359,11 +339,11 @@ def cmd_classes(cfg: JobConfig):
 
 
 def cmd_lift(cfg: JobConfig):
+    from .classes import lift_stable_class
     action = resolve_action(cfg)
     fd = fold(action)
     conorm = ConormData(fd)
-    frob = _frobenius(cfg, fd.rank)
-    classes = _stable_classes(fd.fixed_base, frob)
+    q, classes = _stable_classes(cfg, fd.fixed_base)
     rows = []
     for c in classes:
         lifted = lift_stable_class(conorm, c)
@@ -371,136 +351,22 @@ def cmd_lift(cfg: JobConfig):
     payload = {
         "command": "lift",
         "folded_type": type_string(fd.fixed),
-        "q": frob.q,
+        "q": q,
         "count": len(rows),
         "lifts": rows,
     }
     return payload, True
 
 
-def _report_entry(name, rep):
-    return {"case": name, "ok": rep.ok, "problems": list(rep.problems)}
-
-
-def verify_product(qs):
-    out = [_report_entry(f"{half}^{m}", verify_product_conorm(g, m, qs))
-           for half, m, g in [("gl1", 3, catalog.gl(1)), ("gl2", 2, catalog.gl(2))]]
-    return out
-
-
-def verify_trivial(qs):
-    return [_report_entry(f"gl2 order {m}", verify_trivial_lift(catalog.gl(2), m, qs))
-            for m in (2, 5)]
-
-
-def verify_normal_subgroup(qs):
-    rep = verify_normal_subgroup_composition(catalog.z4_composite_action(), [0, 2], qs)
-    return [_report_entry("gl2gl2-z4 via its order-two subgroup", rep)]
-
-
-def verify_isogeny_suite(qs):
-    del qs
-    out = []
-    phi = catalog.isogeny_sl_to_pgl(2)
-    rep = verify_isogeny_square(phi, catalog.trivial_action(catalog.sl(2)),
-                                catalog.trivial_action(catalog.pgl(2)))
-    out.append(_report_entry("sl2 -> pgl2", rep))
-    for n in (2, 3):
-        phi = catalog.isogeny_sl_gl1_to_gl(n)
-        rep = verify_isogeny_square(phi, catalog.sl_gl1_flip_action(n),
-                                    catalog.pinned_gl_action(n))
-        out.append(_report_entry(f"sl{n} x gl1 -> gl{n}", rep))
-    return out
-
-
-def _action_or_default(cfg: JobConfig, default: str) -> GammaAction:
-    """The job's action, or the ``default`` preset's when the job names none."""
-    if cfg.preset is None and cfg.action is None and cfg.action_spec is None:
-        return catalog.preset(default).action
-    return resolve_action(cfg)
-
-
-def verify_pinning(cfg: JobConfig, qs):
-    action = _action_or_default(cfg, "gl4-so-twist")
-    return [_report_entry("pinning factorization",
-                          verify_pinning_factorization(action, qs))]
-
-
-def verify_levi(cfg: JobConfig):
-    action = _action_or_default(cfg, "gl4-inner-block")
-    q = cfg.q if cfg.q is not None else 3
-    return [_report_entry(f"levi factorization q={q}",
-                          verify_levi_factorization(action, q=q))]
-
-
-def verify_root_inclusion(qs):
-    """Both root inclusions on every suite action whose hypothesis holds.
-
-    Presets with a non-cyclic component stabilizer are reported but cannot
-    fail the command; the searched graph-symmetry twist is expected to drop
-    a short root there, and the report carries it as a witness.
-    """
-    del qs
-    out = []
-    for name in SUITE_PRESETS:
-        a = catalog.preset(name).action
-        comp = restricted_root_comparison(a)
-        if comp.hypothesis.holds:
-            ok = comp.phi_in_underline and comp.underline_short_in_phi
-            problems = [] if ok else ["inclusion fails despite the hypothesis"]
-            out.append({"case": name, "ok": ok, "problems": problems,
-                        "hypothesis": True})
-        else:
-            out.append({"case": name, "ok": True, "problems": [],
-                        "hypothesis": False,
-                        "phi_in_underline": comp.phi_in_underline,
-                        "short_in_phi": comp.underline_short_in_phi,
-                        "missing_short": _jsonable(comp.missing_short)})
-    return out
-
-
-def verify_long_roots(qs):
-    """Dual sandwich on every suite action where the comparison applies."""
-    del qs
-    out = []
-    for name in SUITE_PRESETS:
-        a = catalog.preset(name).action
-        try:
-            comp = dual_length_comparison(a)
-        except ValueError:
-            out.append({"case": name, "ok": True, "problems": [],
-                        "applicable": False})
-            continue
-        ok = comp.long_dual_in_phi_dual and comp.phi_dual_in_underline_dual
-        problems = [] if ok else ["dual sandwich fails"]
-        out.append({"case": name, "ok": ok, "problems": problems,
-                    "applicable": True, "two_lengths": comp.two_lengths})
-    return out
-
-
 def cmd_verify(cfg: JobConfig):
-    which = cfg.which
-    if which not in VERIFY_KINDS:
-        raise UsageError(f"unknown verify target {which!r}")
-    qs = BUDGET_QS[cfg.budget]
-    if which == "product":
-        cases = verify_product(qs)
-    elif which == "trivial":
-        cases = verify_trivial(qs)
-    elif which == "normal-subgroup":
-        cases = verify_normal_subgroup(qs)
-    elif which == "isogeny":
-        cases = verify_isogeny_suite(qs)
-    elif which == "pinning":
-        cases = verify_pinning(cfg, qs)
-    elif which == "levi":
-        cases = verify_levi(cfg)
-    elif which == "root-inclusion":
-        cases = verify_root_inclusion(qs)
-    else:
-        cases = verify_long_roots(qs)
+    from .verify import SUITES
+    if cfg.which not in VERIFY_KINDS:
+        raise UsageError(f"unknown verify target {cfg.which!r}")
+    named = cfg.preset is not None or cfg.action is not None or cfg.action_spec is not None
+    action = resolve_action(cfg) if named else None
+    cases = _jsonable(SUITES[cfg.which](action, BUDGET_QS[cfg.budget], cfg.q))
     ok = all(c["ok"] for c in cases)
-    payload = {"command": "verify", "which": which, "ok": ok, "cases": cases}
+    payload = {"command": "verify", "which": cfg.which, "ok": ok, "cases": cases}
     return payload, ok
 
 

@@ -15,7 +15,7 @@ Every map here is an exact integer matrix; nothing is floating point.
 """
 
 from .exact_lattice import LatticeMap, TorsionVector, smith_normal_form
-from .folding import FoldedDatum, fold
+from .folding import FoldedDatum
 from .gamma_action import GammaAction
 from .root_datum import BasedRootDatum, ValidationReport, dual_based
 
@@ -121,27 +121,3 @@ def fold_isogeny(phi: Isogeny, f_src: FoldedDatum, f_tgt: FoldedDatum) -> Isogen
     if m_bar @ f_tgt.restriction != f_src.restriction @ m:
         raise AssertionError("isogeny does not descend to the folds")
     return Isogeny(f_src.fixed_base, f_tgt.fixed_base, m_bar)
-
-
-def verify_isogeny_square(phi: Isogeny, a_src: GammaAction,
-                          a_tgt: GammaAction) -> ValidationReport:
-    """Check that conorm and isogeny pullback commute after folding.
-
-    The square compares ``conorm_src @ folded_pullback`` with
-    ``char_pullback @ conorm_tgt`` as maps from folded target characters to
-    source characters.
-    """
-    problems = []
-    rep = validate_isogeny(phi)
-    if not rep.ok:
-        return ValidationReport(False, ("invalid isogeny", *rep.problems))
-    if not equivariant_for(phi, a_src, a_tgt):
-        return ValidationReport(False, ["isogeny is not equivariant for the actions"])
-    f_src, f_tgt = fold(a_src), fold(a_tgt)
-    bar = fold_isogeny(phi, f_src, f_tgt)
-    c_src, c_tgt = ConormData(f_src), ConormData(f_tgt)
-    left = c_src.matrix @ bar.char_pullback
-    right = phi.char_pullback @ c_tgt.matrix
-    if left != right:
-        problems.append("conorm square does not commute")
-    return ValidationReport(not problems, problems)

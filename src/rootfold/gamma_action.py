@@ -218,7 +218,8 @@ def _coaction(diagram: LatticeMap) -> LatticeMap:
 
 def validate_action(a: GammaAction) -> ValidationReport:
     problems = list(_diagram_problems(a.base, a.group.table, a.diagram))
-    if not problems:
+    # zero twists satisfy the cocycle condition trivially
+    if not problems and not all(t.is_zero() for t in a.twist):
         roots = a.base.datum.roots
         for i in range(a.group.size):
             for j in range(a.group.size):

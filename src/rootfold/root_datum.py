@@ -409,10 +409,6 @@ def invariant_inner_product(rd: RootDatum):
     return tuple(tuple(row) for row in b)
 
 
-def form_value(form, u, v) -> Fraction:
-    return sum(Fraction(u[r]) * form[r][c] * v[c] for r in range(len(u)) for c in range(len(v)))
-
-
 @lru_cache(maxsize=None)
 def _components(rd: RootDatum):
     """Irreducible components as tuples of root indices (non-orthogonality classes).
@@ -510,25 +506,6 @@ def weyl_group_order(rd: RootDatum | BasedRootDatum) -> int:
         else:
             order *= _EXCEPTIONAL_WEYL_ORDERS[family, n]
     return order
-
-
-_TYPE_ALIASES = {
-    ("B", 1): ("A", 1), ("C", 1): ("A", 1),
-    ("B", 2): ("C", 2),
-    ("D", 2): None,  # splits into A1 + A1 and never appears as one component
-    ("D", 3): ("A", 3),
-}
-
-
-def normalize_type(t: tuple[str, int]) -> tuple[str, int]:
-    return _TYPE_ALIASES.get(t, t) or t
-
-
-def same_type(a, b) -> bool:
-    """Compare type lists up to the classical low-rank coincidences."""
-    na = sorted(normalize_type(t) for t in a)
-    nb = sorted(normalize_type(t) for t in b)
-    return na == nb
 
 
 def is_closed_subsystem(rd: RootDatum, subset) -> bool:

@@ -1,0 +1,400 @@
+"""Checks that the conorm is an explicit map on points, one suite per situation.
+
+Each situation the paper describes has a check here and a suite in ``SUITES``,
+run by ``rootfold verify <name>``:
+
+- product: rotating the factors of H^m lifts a class diagonally, with norm x^m
+- trivial: a trivial action of order m lifts a class to its m-th power
+- normal-subgroup: folding in stages factors the conorm
+- isogeny: the conorm commutes with an equivariant isogeny after folding
+- pinning: lifting through the pinned fold of a twisted action changes nothing
+- levi: an inner twist lifts through the Levi hull of the vanishing roots
+- root-inclusion, long-roots: fixed-group roots against restricted roots, and
+  their duals, on every action in ``SUITE_PRESETS``
+
+No check lists a Weyl group: orbits are walked from the simple reflections,
+and a stabilizer's order is |W| over the size of its orbit.
+"""
+
+import random
+
+from . import catalog
+from .classes import (FrobeniusStructure, StableClass, canonicalize_class, class_stabilizer_size,
+                      enumerate_stable_classes, lift_stable_class, weyl_orbit_contains)
+from .duality_conorm import ConormData, Isogeny, equivariant_for, fold_isogeny, validate_isogeny
+from .exact_lattice import LatticeMap, Sublattice, TorsionVector
+from .folding import dual_length_comparison, fold, restricted_root_comparison
+from .gamma_action import FiniteGroup, GammaAction, pinned_projection
+from .root_datum import (BasedRootDatum, RootDatum, ValidationReport, based_from_datum,
+                         dual_root_datum, is_closed_subsystem, weyl_group_order)
+
+# action presets exercised by the two root-comparison suites
+SUITE_PRESETS = ("gl4-pinned", "gl6-pinned", "gl4-so-twist", "gl6-so-twist",
+                 "sl3-pinned", "sl5-pinned", "e6ad-pinned", "e6ad-twisted-c4",
+                 "d4-triality", "d4-full-s3", "d4-twisted-a2", "d4-s3-twisted",
+                 "gl2-trivial-z3", "gl2-product-swap")
+
+
+def random_torsion_points(rank, count, den_bound, p, seed=0):
+    """Torsion points with denominator at most den_bound and coprime to p."""
+    rng = random.Random(seed)
+    dens = [d for d in range(1, den_bound + 1) if d % p != 0]
+    out = []
+    for _ in range(count):
+        den = rng.choice(dens)
+        out.append(TorsionVector(tuple(rng.randrange(den) for _ in range(rank)), den))
+    return out
+
+
+def verify_conorm_well_defined(a: GammaAction, count=100, den_bound=24, p=2,
+                               seed=0) -> ValidationReport:
+    """Weyl-equivalent folded points must lift to Weyl-equivalent source points.
+
+    A point's partner is its image under a random word in the folded simple
+    reflections, no longer than the number of folded roots.
+    """
+    fd = fold(a)
+    conorm = ConormData(fd)
+    target = fd.source.base
+    simples = [fd.fixed.reflection(i) for i in fd.fixed_base.simple_indices]
+    rng = random.Random(seed + 1)
+    problems = []
+    for x in random_torsion_points(fd.rank, count, den_bound, p, seed):
+        y = x
+        for _ in range(rng.randrange(len(fd.fixed.roots) + 1)):
+            y = y.apply(rng.choice(simples))
+        if not weyl_orbit_contains(target, conorm.apply(x), conorm.apply(y)):
+            problems.append(f"lift depends on representative at {x.fractions()}")
+            break
+    return ValidationReport(not problems, problems)
+
+
+def verify_product_conorm(base_half: BasedRootDatum, m: int, qs) -> ValidationReport:
+    """For the rotation of H^m the lift is the diagonal and the norm is x^m."""
+    problems = []
+    a = catalog.rotation_action(base_half, m)
+    fd = fold(a)
+    conorm = ConormData(fd)
+    n = base_half.datum.rank
+    stacked = LatticeMap([[1 if c == r % n else 0 for c in range(n)]
+                          for r in range(m * n)], n)
+    if conorm.matrix != stacked:
+        problems.append("conorm is not the diagonal embedding")
+    if fd.restriction @ conorm.matrix != LatticeMap.identity(n).scale(m):
+        problems.append("norm of the lift is not the m-th power map")
+    for q in qs:
+        frob = FrobeniusStructure.untwisted(q, fd.rank)
+        for cls in enumerate_stable_classes(fd.fixed_base, frob):
+            lift = lift_stable_class(conorm, cls)
+            # each factor of the lifted representative is the class itself
+            nums, den = lift.rep.nums, lift.rep.den
+            blocks = [TorsionVector(nums[k * n:(k + 1) * n], den) for k in range(m)]
+            if not all(weyl_orbit_contains(base_half, cls.rep, b) for b in blocks):
+                problems.append(f"lift of {cls.rep.fractions()} at q={q} "
+                                "is not diagonal up to the Weyl group")
+                break
+    return ValidationReport(not problems, problems)
+
+
+def verify_trivial_lift(base: BasedRootDatum, m: int, qs) -> ValidationReport:
+    """Trivial action of a group of order m lifts a class to its m-th power."""
+    problems = []
+    n = base.datum.rank
+    fd = fold(catalog.trivial_action(base, m))
+    conorm = ConormData(fd)
+    if conorm.matrix != LatticeMap.identity(n).scale(m):
+        problems.append("conorm of the trivial action is not multiplication by m")
+    for q in qs:
+        frob = FrobeniusStructure.untwisted(q, n)
+        for cls in enumerate_stable_classes(base, frob):
+            lift = lift_stable_class(conorm, cls)
+            power = canonicalize_class(base, cls.rep.scale(m))
+            if lift.rep != power:
+                problems.append(f"lift of {cls.rep.fractions()} at q={q} "
+                                "is not the m-th power")
+                break
+    return ValidationReport(not problems, problems)
+
+
+def subgroup_action(a: GammaAction, indices) -> GammaAction:
+    """Restriction of an action to a subgroup given by element indices."""
+    indices = sorted(set(indices))
+    if indices[0] != 0:
+        raise ValueError("subgroup must contain the identity")
+    pos = {g: k for k, g in enumerate(indices)}
+    table = []
+    for g in indices:
+        row = []
+        for h in indices:
+            gh = a.group.mult(g, h)
+            if gh not in pos:
+                raise ValueError("indices are not closed under multiplication")
+            row.append(pos[gh])
+        table.append(row)
+    sub = FiniteGroup(table, [a.group.names[g] for g in indices])
+    return GammaAction(sub, a.base, [a.diagram[g] for g in indices],
+                       [a.twist[g] for g in indices])
+
+
+def induced_quotient_action(a: GammaAction, normal_indices):
+    """Action of the quotient group on the fold by the normal subgroup."""
+    a0 = subgroup_action(a, normal_indices)
+    fd0 = fold(a0)
+    q_group, coset_of, reps = a.group.quotient_by(normal_indices)
+    diagrams = [fd0.restriction @ a.diagram[g] @ fd0.section for g in reps]
+    twists = [a.twist[g].apply(fd0.section.transpose()) for g in reps]
+    a_bar = GammaAction(q_group, fd0.fixed_base, diagrams, twists)
+    return a_bar, fd0
+
+
+def verify_normal_subgroup_composition(a: GammaAction, normal_indices,
+                                       qs) -> ValidationReport:
+    """Folding in stages factors the conorm, as matrices and on classes."""
+    problems = []
+    fd_full = fold(a)
+    conorm_full = ConormData(fd_full)
+    a_bar, fd0 = induced_quotient_action(a, normal_indices)
+    conorm0 = ConormData(fd0)
+    fd_bar = fold(a_bar)
+    conorm_bar = ConormData(fd_bar)
+    transport = fd_bar.restriction @ fd0.restriction @ fd_full.section
+    if abs(transport.det()) != 1:
+        problems.append("stagewise and direct folds are not unimodularly identified")
+        return ValidationReport(False, problems)
+    if conorm_full.matrix != conorm0.matrix @ conorm_bar.matrix @ transport:
+        problems.append("conorm does not factor through the stages")
+    source = a.base
+    for q in qs:
+        frob = FrobeniusStructure.untwisted(q, fd_full.rank)
+        for cls in enumerate_stable_classes(fd_full.fixed_base, frob):
+            direct = lift_stable_class(conorm_full, cls)
+            mid = canonicalize_class(fd_bar.fixed_base, cls.rep.apply(transport))
+            staged_pt = conorm0.apply(
+                canonicalize_class(fd0.fixed_base, conorm_bar.apply(mid)))
+            staged = canonicalize_class(source, staged_pt)
+            if staged != direct.rep:
+                problems.append(f"class {cls.rep.fractions()} at q={q} lifts "
+                                "differently through the stages")
+                break
+    return ValidationReport(not problems, problems)
+
+
+def verify_isogeny_square(phi: Isogeny, a_src: GammaAction,
+                          a_tgt: GammaAction) -> ValidationReport:
+    """Check that conorm and isogeny pullback commute after folding.
+
+    The square compares ``conorm_src @ folded_pullback`` with
+    ``char_pullback @ conorm_tgt`` as maps from folded target characters to
+    source characters.
+    """
+    problems = []
+    rep = validate_isogeny(phi)
+    if not rep.ok:
+        return ValidationReport(False, ("invalid isogeny", *rep.problems))
+    if not equivariant_for(phi, a_src, a_tgt):
+        return ValidationReport(False, ["isogeny is not equivariant for the actions"])
+    f_src, f_tgt = fold(a_src), fold(a_tgt)
+    bar = fold_isogeny(phi, f_src, f_tgt)
+    c_src, c_tgt = ConormData(f_src), ConormData(f_tgt)
+    left = c_src.matrix @ bar.char_pullback
+    right = phi.char_pullback @ c_tgt.matrix
+    if left != right:
+        problems.append("conorm square does not commute")
+    return ValidationReport(not problems, problems)
+
+
+def verify_pinning_factorization(a: GammaAction, qs) -> ValidationReport:
+    """Lifting through the pinned fold agrees with the direct lift.
+
+    The twisted and pinned folds share the torus; the twisted dual roots form
+    a closed subsystem of the pinned dual roots, the conorm matrices agree,
+    and each stable class lifts to the same class whether or not it is first
+    coarsened to a pinned-fold class.
+    """
+    problems = []
+    fd = fold(a)
+    fp = fold(pinned_projection(a))
+    conorm = ConormData(fd)
+    conorm_p = ConormData(fp)
+    if conorm.matrix != conorm_p.matrix:
+        problems.append("conorm differs from its pinned projection")
+    if not set(fd.fixed.coroots) <= set(fp.fixed.coroots):
+        problems.append("twisted dual roots do not sit inside the pinned dual roots")
+    elif not is_closed_subsystem(dual_root_datum(fp.fixed), fd.fixed.coroots):
+        problems.append("twisted dual roots are not closed in the pinned dual system")
+    for q in qs:
+        frob = FrobeniusStructure.untwisted(q, fd.rank)
+        for cls in enumerate_stable_classes(fd.fixed_base, frob):
+            direct = lift_stable_class(conorm, cls)
+            coarse = StableClass(canonicalize_class(fp.fixed_base, cls.rep), q)
+            via_pinned = lift_stable_class(conorm_p, coarse)
+            if via_pinned != direct:
+                problems.append(f"class {cls.rep.fractions()} at q={q} lifts "
+                                "differently through the pinned fold")
+                break
+    return ValidationReport(not problems, problems)
+
+
+def vanishing_subsystem(rd: RootDatum, point: TorsionVector):
+    """Roots whose coroots pair to zero with a dual-torus point."""
+    return tuple(r for r in rd.roots if point.pairing(rd.coroot_of(r)) == 0)
+
+
+def levi_for_element(rd: RootDatum, point: TorsionVector):
+    """Vanishing subsystem and its Levi hull (roots in its saturated span)."""
+    psi = vanishing_subsystem(rd, point)
+    if not psi:
+        return psi, ()
+    span = Sublattice(rd.rank, LatticeMap.from_columns(list(psi), rd.rank)).saturation()
+    levi = tuple(r for r in rd.roots if span.contains(r))
+    return psi, levi
+
+
+def verify_levi_factorization(a: GammaAction, q=3, points_needed=3) -> ValidationReport:
+    """For an inner twist, lifting factors through the Levi fixed by the twist.
+
+    The fold of an inner action is the centralizer of the twist element; the
+    check confirms that, that lifted subregular classes have their Weyl
+    stabilizer inside the Levi hull of their vanishing subsystem, and that
+    canonicalizing inside the Levi first does not change the lift.
+    """
+    problems = []
+    if any(d != LatticeMap.identity(a.base.datum.rank) for d in a.diagram):
+        return ValidationReport(False, ["action is not inner (nontrivial diagrams)"])
+    rd = a.base.datum
+    fd = fold(a)
+    conorm = ConormData(fd)
+    # the fold is the centralizer of the twist: same ambient lattice
+    if set(fd.fixed.roots) != {r for r in rd.roots if all(t.pairing(r) == 0 for t in a.twist)}:
+        problems.append("fold is not the centralizer of the twist element")
+        return ValidationReport(False, problems)
+    frob = FrobeniusStructure.untwisted(q, fd.rank)
+    source = a.base
+    found = 0
+    for cls in enumerate_stable_classes(fd.fixed_base, frob):
+        lift_pt = conorm.apply(cls.rep)
+        psi, levi = levi_for_element(rd, lift_pt)
+        if not psi or len(psi) == len(rd.roots):
+            continue
+        found += 1
+        if not is_closed_subsystem(rd, psi):
+            problems.append(f"vanishing subsystem of {lift_pt.fractions()} not closed")
+        levi_base = _based_subsystem(rd, levi)
+        psi_base = _based_subsystem(rd, psi)
+        if class_stabilizer_size(source, lift_pt) != weyl_group_order(psi_base):
+            problems.append(f"stabilizer of {lift_pt.fractions()} is not the "
+                            "vanishing-subsystem Weyl group")
+        in_levi = canonicalize_class(levi_base, lift_pt)
+        direct = canonicalize_class(source, lift_pt)
+        if canonicalize_class(source, in_levi) != direct:
+            problems.append(f"Levi canonicalization changes the class of "
+                            f"{lift_pt.fractions()}")
+        if found >= points_needed:
+            break
+    if found < points_needed:
+        problems.append(f"only {found} subregular points found, "
+                        f"needed {points_needed}")
+    return ValidationReport(not problems, problems)
+
+
+def _based_subsystem(rd: RootDatum, roots) -> BasedRootDatum:
+    """A based datum on the ambient lattice for a closed subsystem."""
+    sub = RootDatum(rd.rank, sorted(roots), [rd.coroot_of(r) for r in sorted(roots)])
+    return based_from_datum(sub)
+
+
+def _case(name, rep: ValidationReport):
+    return {"case": name, "ok": rep.ok, "problems": list(rep.problems)}
+
+
+def _product(action, qs, q):
+    return [_case(f"gl{n}^{m}", verify_product_conorm(catalog.gl(n), m, qs))
+            for n, m in ((1, 3), (2, 2))]
+
+
+def _trivial(action, qs, q):
+    return [_case(f"gl2 order {m}", verify_trivial_lift(catalog.gl(2), m, qs))
+            for m in (2, 5)]
+
+
+def _normal_subgroup(action, qs, q):
+    rep = verify_normal_subgroup_composition(catalog.z4_composite_action(), [0, 2], qs)
+    return [_case("gl2gl2-z4 via its order-two subgroup", rep)]
+
+
+def _isogeny(action, qs, q):
+    rep = verify_isogeny_square(catalog.isogeny_sl_to_pgl(2),
+                                catalog.trivial_action(catalog.sl(2)),
+                                catalog.trivial_action(catalog.pgl(2)))
+    out = [_case("sl2 -> pgl2", rep)]
+    for n in (2, 3):
+        rep = verify_isogeny_square(catalog.isogeny_sl_gl1_to_gl(n),
+                                    catalog.sl_gl1_flip_action(n),
+                                    catalog.pinned_gl_action(n))
+        out.append(_case(f"sl{n} x gl1 -> gl{n}", rep))
+    return out
+
+
+def _pinning(action, qs, q):
+    action = action or catalog.preset("gl4-so-twist").action
+    return [_case("pinning factorization", verify_pinning_factorization(action, qs))]
+
+
+def _levi(action, qs, q):
+    action = action or catalog.preset("gl4-inner-block").action
+    q = q or 3
+    return [_case(f"levi factorization q={q}", verify_levi_factorization(action, q=q))]
+
+
+def _root_inclusion(action, qs, q):
+    """Both root inclusions on every suite action whose hypothesis holds.
+
+    Presets with a non-cyclic component stabilizer are reported but cannot
+    fail the command; the twist there is expected to drop a short root, and
+    the report carries it as a witness.
+    """
+    out = []
+    for name in SUITE_PRESETS:
+        comp = restricted_root_comparison(catalog.preset(name).action)
+        if comp.hypothesis.holds:
+            ok = comp.phi_in_underline and comp.underline_short_in_phi
+            problems = [] if ok else ["inclusion fails despite the hypothesis"]
+            out.append({"case": name, "ok": ok, "problems": problems,
+                        "hypothesis": True})
+        else:
+            out.append({"case": name, "ok": True, "problems": [],
+                        "hypothesis": False,
+                        "phi_in_underline": comp.phi_in_underline,
+                        "short_in_phi": comp.underline_short_in_phi,
+                        "missing_short": comp.missing_short})
+    return out
+
+
+def _long_roots(action, qs, q):
+    """Dual sandwich on every suite action where the comparison applies."""
+    out = []
+    for name in SUITE_PRESETS:
+        try:
+            comp = dual_length_comparison(catalog.preset(name).action)
+        except ValueError:
+            out.append({"case": name, "ok": True, "problems": [],
+                        "applicable": False})
+            continue
+        ok = comp.long_dual_in_phi_dual and comp.phi_dual_in_underline_dual
+        problems = [] if ok else ["dual sandwich fails"]
+        out.append({"case": name, "ok": ok, "problems": problems,
+                    "applicable": True, "two_lengths": comp.two_lengths})
+    return out
+
+
+# verify target -> suite(action or None, budget field sizes, job q) -> case records
+SUITES = {
+    "product": _product,
+    "trivial": _trivial,
+    "normal-subgroup": _normal_subgroup,
+    "isogeny": _isogeny,
+    "pinning": _pinning,
+    "levi": _levi,
+    "root-inclusion": _root_inclusion,
+    "long-roots": _long_roots,
+}

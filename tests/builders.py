@@ -4,8 +4,19 @@ Classical types use coordinate realizations; exceptional types are generated
 from Cartan matrices by reflection closure.  Keeping these separate from the
 library's own constructions is deliberate: goldens should not test the catalog
 against itself.
+
+The helpers at the end are tools only tests use: a search for a unimodular
+identification of two based data, the spin-to-so isogeny of the catalog's
+groups, and the canonical JSON text of a CLI job config.
 """
 
+import json
+from fractions import Fraction
+from itertools import permutations
+
+from rootfold import catalog
+from rootfold.duality_conorm import Isogeny, validate_isogeny
+from rootfold.exact_lattice import LatticeMap, dot, solve_rational
 from rootfold.root_datum import BasedRootDatum, RootDatum, generate_datum
 
 
@@ -164,3 +175,51 @@ def direct_sum(b1, b2):
     simples = ([rd.root_index(tuple(d1.roots[i]) + (0,) * n2) for i in b1.simple_indices]
                + [rd.root_index((0,) * n1 + tuple(d2.roots[i])) for i in b2.simple_indices])
     return BasedRootDatum(rd, tuple(simples))
+
+
+def based_isomorphism(source: BasedRootDatum, target: BasedRootDatum):
+    """Unimodular character-lattice map identifying two based data, or None.
+
+    Tries every assignment of target simple roots to source simple roots and
+    solves for the matrix sending one simple system to the other; a hit must
+    be integral, unimodular, and carry all roots and coroots across.  Used to
+    pin down which isogeny form a folded datum is.
+    """
+    n = target.datum.rank
+    if (source.datum.rank != n or len(target.simple_indices) != n
+            or len(source.simple_indices) != n):
+        return None
+    inv = solve_rational(LatticeMap.from_columns(target.simple_roots, n),
+                         LatticeMap.identity(n))
+    if inv is None:
+        return None
+    src = source.simple_roots
+    for perm in permutations(range(len(src))):
+        cols = [src[p] for p in perm]
+        rows = [[sum(Fraction(cols[k][i]) * inv[k][j] for k in range(n))
+                 for j in range(n)] for i in range(n)]
+        if any(x.denominator != 1 for row in rows for x in row):
+            continue
+        m = LatticeMap([[int(x) for x in row] for row in rows])
+        if abs(m.det()) != 1:
+            continue
+        if validate_isogeny(Isogeny(source, target, m)).ok:
+            return m
+    return None
+
+
+def isogeny_spin_to_so(n) -> Isogeny:
+    """The isogeny catalog.spin(n) -> catalog.so(n).
+
+    Each coordinate character is paired against the simple coroots of so(n).
+    """
+    target = catalog.so(n)
+    m_rank = n // 2
+    cols = [tuple(dot(_e(m_rank, i), cv) for cv in target.simple_coroots)
+            for i in range(m_rank)]
+    return Isogeny(catalog.spin(n), target, LatticeMap.from_columns(cols, m_rank))
+
+
+def serialize_config(cfg) -> str:
+    """Canonical JSON text of a ``rootfold.cli.JobConfig``."""
+    return json.dumps(cfg.to_dict(), sort_keys=True, indent=2)

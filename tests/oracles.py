@@ -6,6 +6,9 @@ construction being tested.  The matrix oracle realizes the pinned flip of the
 special linear algebra concretely and reads the root-space signs off actual
 matrix conjugation.  The diagram walker finds a Cartan type from the shape
 of the Dynkin diagram, where the library reads it off root counts.
+
+The last three functions compare Cartan types up to the low-rank
+coincidences and evaluate a bilinear form; only tests need them.
 """
 
 from fractions import Fraction
@@ -329,3 +332,24 @@ def diagram_cartan_type(rank, roots, coroots):
         types.append(_recognize_diagram(pair))
     types.sort()
     return tuple(types), rank - sum(n for _, n in types)
+
+
+_TYPE_ALIASES = {
+    ("B", 1): ("A", 1), ("C", 1): ("A", 1),
+    ("B", 2): ("C", 2),
+    ("D", 2): None,  # splits into A1 + A1 and never appears as one component
+    ("D", 3): ("A", 3),
+}
+
+
+def normalize_type(t):
+    return _TYPE_ALIASES.get(t, t) or t
+
+
+def same_type(a, b) -> bool:
+    """Compare type lists up to the classical low-rank coincidences."""
+    return sorted(map(normalize_type, a)) == sorted(map(normalize_type, b))
+
+
+def form_value(form, u, v) -> Fraction:
+    return sum(Fraction(u[r]) * form[r][c] * v[c] for r in range(len(u)) for c in range(len(v)))

@@ -9,21 +9,11 @@ import time
 from fractions import Fraction
 
 import oracles
+from oracles import same_type
 
 from rootfold import catalog as C
 from rootfold.chevalley import build_structure_constants, propagate_scalars
-from rootfold.classes import (
-    FrobeniusStructure,
-    enumerate_stable_classes,
-    verify_conorm_well_defined,
-    verify_levi_factorization,
-    verify_normal_subgroup_composition,
-    verify_pinning_factorization,
-    verify_product_conorm,
-    verify_trivial_lift,
-)
-from rootfold.duality_conorm import verify_isogeny_square
-from rootfold.cli import SUITE_PRESETS
+from rootfold.classes import FrobeniusStructure, enumerate_stable_classes
 from rootfold.exact_lattice import vadd
 from rootfold.folding import (
     dual_length_comparison,
@@ -32,7 +22,17 @@ from rootfold.folding import (
     root_survives,
 )
 from rootfold.gamma_action import root_orbit, root_space_scalar, stabilizer_hypothesis
-from rootfold.root_datum import cartan_type, classify_length, same_type
+from rootfold.root_datum import cartan_type, classify_length
+from rootfold.verify import (
+    SUITE_PRESETS,
+    verify_conorm_well_defined,
+    verify_isogeny_square,
+    verify_levi_factorization,
+    verify_normal_subgroup_composition,
+    verify_pinning_factorization,
+    verify_product_conorm,
+    verify_trivial_lift,
+)
 
 
 def report(num, name, ok, elapsed=None, budget=None, detail=""):

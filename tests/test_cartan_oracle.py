@@ -10,7 +10,7 @@ which long roots have squared length 2.
 import pytest
 
 import builders as B
-from oracles import diagram_cartan_type
+from oracles import diagram_cartan_type, form_value
 from rootfold import catalog
 from rootfold.folding import fold
 from rootfold.gamma_action import pinned_projection
@@ -18,7 +18,6 @@ from rootfold.root_datum import (
     RootDatum,
     cartan_type,
     dual_root_datum,
-    form_value,
     invariant_inner_product,
     length_classes,
 )

@@ -2,11 +2,13 @@
 
 import pytest
 
+from builders import based_isomorphism, isogeny_spin_to_so
+from oracles import same_type
 from rootfold import catalog as C
 from rootfold.duality_conorm import validate_isogeny
 from rootfold.folding import fold, restricted_root_comparison
 from rootfold.gamma_action import validate_action
-from rootfold.root_datum import cartan_type, same_type, validate
+from rootfold.root_datum import cartan_type, validate
 
 
 CLASSICAL = [
@@ -42,8 +44,8 @@ def test_groups_validate_with_expected_types():
 
 def test_sl_and_pgl_are_different_lattforms():
     # same Cartan type, different character lattices: no unimodular match
-    assert C.based_isomorphism(C.sl(3), C.pgl(3)) is None
-    assert C.based_isomorphism(C.sl(3), C.sl(3)) is not None
+    assert based_isomorphism(C.sl(3), C.pgl(3)) is None
+    assert based_isomorphism(C.sl(3), C.sl(3)) is not None
 
 
 def test_high_exceptional_types_are_absent():
@@ -91,15 +93,15 @@ def test_preset_expected_fold_matches_golden():
 
 def test_twisted_e6_fold_is_adjoint_c4():
     fd = fold(C.twisted_e6_c4_action())
-    assert C.based_isomorphism(fd.fixed_base, C.adjoint("C", 4)) is not None
-    assert C.based_isomorphism(fd.fixed_base, C.sp(4)) is None
-    assert C.based_isomorphism(fd.fixed_base, C.simply_connected("C", 4)) is None
+    assert based_isomorphism(fd.fixed_base, C.adjoint("C", 4)) is not None
+    assert based_isomorphism(fd.fixed_base, C.sp(4)) is None
+    assert based_isomorphism(fd.fixed_base, C.simply_connected("C", 4)) is None
 
 
 def test_twisted_triality_fold_is_pgl3():
     fd = fold(C.twisted_triality_a2_action())
-    assert C.based_isomorphism(fd.fixed_base, C.pgl(3)) is not None
-    assert C.based_isomorphism(fd.fixed_base, C.sl(3)) is None
+    assert based_isomorphism(fd.fixed_base, C.pgl(3)) is not None
+    assert based_isomorphism(fd.fixed_base, C.sl(3)) is None
 
 
 def test_s3_twist_drops_a_short_restricted_root():
@@ -124,7 +126,7 @@ def test_catalog_isogenies_validate():
         assert validate_isogeny(phi).ok
         assert phi.degree() == n
     for n in (5, 6, 7, 8, 9, 10):
-        phi = C.isogeny_spin_to_so(n)
+        phi = isogeny_spin_to_so(n)
         assert validate_isogeny(phi).ok
         assert phi.degree() == 2
 

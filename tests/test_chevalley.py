@@ -6,10 +6,11 @@ import pytest
 
 import builders as B
 import oracles
+from oracles import form_value
 from rootfold import catalog
 from rootfold.chevalley import build_structure_constants, propagate_scalars
 from rootfold.exact_lattice import LatticeMap, vadd, vneg
-from rootfold.root_datum import BasedRootDatum, form_value, invariant_inner_product
+from rootfold.root_datum import BasedRootDatum, invariant_inner_product
 
 
 def flip_map(m):

@@ -13,9 +13,15 @@ from rootfold.classes import (
     canonicalize_class,
     class_stabilizer_size,
     enumerate_stable_classes,
-    levi_for_element,
     lift_stable_class,
     max_finite_order,
+)
+from rootfold.duality_conorm import ConormData
+from rootfold.exact_lattice import LatticeMap, TorsionVector
+from rootfold.folding import fold
+from rootfold.gamma_action import FiniteGroup, GammaAction
+from rootfold.verify import (
+    levi_for_element,
     subgroup_action,
     vanishing_subsystem,
     verify_conorm_well_defined,
@@ -25,10 +31,6 @@ from rootfold.classes import (
     verify_product_conorm,
     verify_trivial_lift,
 )
-from rootfold.duality_conorm import ConormData
-from rootfold.exact_lattice import LatticeMap, TorsionVector
-from rootfold.folding import fold
-from rootfold.gamma_action import FiniteGroup, GammaAction
 
 
 def inner_block_action():

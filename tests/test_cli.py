@@ -1,17 +1,23 @@
 """Command line behavior: output shapes, exit codes, config handling."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import builders as B
+from builders import serialize_config
+import rootfold
 from rootfold import ConormData, catalog, enumerate_stable_classes, fold
 from rootfold.classes import FrobeniusStructure
-from rootfold import cli
-from rootfold.cli import JobConfig, main, serialize_config
+from rootfold import cli, verify
+from rootfold.cli import JobConfig, main
+from rootfold.exact_lattice import TorsionVector
+from rootfold.gamma_action import validate_action
 
 
 def run(capsys, argv):
@@ -82,8 +88,27 @@ def test_verify_targets_pass(capsys, which):
     assert all(c["ok"] for c in payload["cases"])
 
 
+def test_verify_kinds_are_the_suite_table_keys():
+    assert cli.VERIFY_KINDS == tuple(verify.SUITES)
+
+
+@pytest.mark.parametrize("command", ["fold", "conorm"])
+def test_fold_and_conorm_jobs_load_neither_classes_nor_verify(command):
+    src = str(Path(rootfold.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, sys\n"
+        "from rootfold import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main([{command!r}, '--preset', 'd4-triality'])\n"
+        "print(code, sorted({'rootfold.classes', 'rootfold.verify'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+
+
 def test_verify_failure_gives_exit_one(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "verify_product", lambda qs: [
+    monkeypatch.setitem(verify.SUITES, "product", lambda action, qs, q: [
         {"case": "forced", "ok": False, "problems": ["forced failure"]}])
     rc, payload = run_json(capsys, ["verify", "product"])
     assert rc == 1
@@ -246,6 +271,22 @@ def test_group_order_is_compared_with_the_diagrams_before_any_table(capsys, tmp_
                           "diagram has 1 parts for a group of order 1000")
 
 
+def test_untwisted_explicit_action_takes_no_twist_pairing(monkeypatch):
+    # zero twists satisfy the cocycle condition; checking it would pair each of
+    # the 200^2 twist sums with every root, in the CLI's validation and in fold's
+    doc = {"group": {"rank": 1, "roots": [[2], [-2]], "coroots": [[1], [-1]],
+                     "simples": [0]},
+           "action_spec": {"cyclic": 200, "diagrams": [[[1]]] * 200}, "q": 3}
+    calls = []
+    pairing = TorsionVector.pairing
+    monkeypatch.setattr(TorsionVector, "pairing",
+                        lambda self, covector: calls.append(covector) or pairing(self, covector))
+    action = cli.resolve_action(JobConfig.from_dict(doc))
+    assert action.group.size == 200
+    assert validate_action(action).ok
+    assert calls == []
+
+
 def test_non_unimodular_diagram_exits_two(capsys, tmp_path):
     # [[2]] permutes the empty root system but has no integer inverse
     doc = {"group": {"rank": 1, "roots": [], "coroots": [], "simples": []},
@@ -334,5 +375,8 @@ def test_group_datum_names():
     assert catalog.group_datum("spin8") is catalog.d4()
     with pytest.raises(ValueError):
         catalog.group_datum("sp5")
+    for name in ("so0", "so1", "so2", "sp0"):
+        with pytest.raises(ValueError, match=f"^group '{name}': "):
+            catalog.group_datum(name)
     with pytest.raises(ValueError):
         catalog.group_datum("mystery")

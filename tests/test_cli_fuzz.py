@@ -92,6 +92,12 @@ MALFORMED = st.one_of(WRONG_TYPES, BAD_Q, UNKNOWN_KEY, MISSING, UNKNOWN_PRESET,
                       NOT_AN_OBJECT, BAD_GROUP)
 
 
+# every family of numbered catalog groups, at its smallest sizes
+SMALL_GROUPS = st.builds("{}{}".format,
+                         st.sampled_from(["gl", "sl", "pgl", "sp", "so", "spin", "torus"]),
+                         st.integers(0, 3))
+
+
 def run_config(command, doc):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -117,6 +123,16 @@ def test_malformed_explicit_action_exits_two_with_one_line(command, doc):
     code, captured = run_config(command, doc)
     assert code == 2, (doc, captured)
     assert_one_usage_line(captured, "rootfold: ")
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(SMALL_GROUPS)
+def test_small_catalog_names_exit_zero_or_two(name):
+    code, captured = run_config("classes", {"preset": name, "q": 3})
+    assert code in (0, 2), (name, captured)
+    if code == 2:
+        assert_one_usage_line(captured, "rootfold: ")
+        assert f"group '{name}'" in captured.err
 
 
 def test_valid_job_passes():

@@ -12,11 +12,11 @@ from rootfold.duality_conorm import (
     equivariant_for,
     fold_isogeny,
     validate_isogeny,
-    verify_isogeny_square,
 )
 from rootfold.exact_lattice import LatticeMap, TorsionVector
 from rootfold.folding import fold
 from rootfold.gamma_action import FiniteGroup, GammaAction
+from rootfold.verify import verify_isogeny_square
 
 
 def trivial_action(base, k=1):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import builders as B
+from oracles import same_type
 from test_chevalley import flip_map, perm_map
 from test_gamma_action import S3_PERMS, d4_action, z2_flip_action
 
@@ -18,7 +19,7 @@ from rootfold.folding import (
     root_survives,
 )
 from rootfold.gamma_action import FiniteGroup, GammaAction, _diagram_problems
-from rootfold.root_datum import cartan_type, length_classes, same_type, weyl_group
+from rootfold.root_datum import cartan_type, length_classes, weyl_group
 
 
 def trivial_action(base, group=None):

@@ -8,7 +8,7 @@ import ast
 from pathlib import Path
 
 LAYERS = ("exact_lattice", "root_datum", "chevalley", "gamma_action", "folding",
-          "duality_conorm", "catalog", "classes", "cli")
+          "duality_conorm", "catalog", "classes", "verify", "cli")
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rootfold"
 

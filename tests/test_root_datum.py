@@ -9,6 +9,7 @@ import pytest
 
 import builders as B
 import rootfold
+from oracles import form_value, same_type
 from rootfold import catalog
 from rootfold.exact_lattice import LatticeMap, smith_normal_form
 from rootfold.root_datum import (
@@ -19,12 +20,10 @@ from rootfold.root_datum import (
     classify_length,
     dual_based,
     dual_root_datum,
-    form_value,
     generate_datum,
     invariant_inner_product,
     is_closed_subsystem,
     length_classes,
-    same_type,
     validate,
     weyl_group,
     weyl_group_order,
