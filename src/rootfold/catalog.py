@@ -174,10 +174,10 @@ def so(n) -> BasedRootDatum:
 
 def spin(n) -> BasedRootDatum:
     """Simply connected cover of so(n), small ranks only."""
-    m = n // 2
     if not 5 <= n <= 12:
-        raise ValueError("spin groups are catalogued only in small rank")
-    return simply_connected("B" if n % 2 else "D", m)
+        bound = "starts at spin5" if n < 5 else "ends at spin12"
+        raise ValueError(f"group 'spin{n}': the catalog {bound}")
+    return simply_connected("B" if n % 2 else "D", n // 2)
 
 
 def e6_adjoint() -> BasedRootDatum:
@@ -472,47 +472,49 @@ def group_datum(name: str) -> BasedRootDatum:
     raise ValueError(f"unknown group {name!r}")
 
 
+# (family, kind) of a numbered preset -> (action of the numbers, description,
+# folded type of the first number or None)
+_NUMBERED_PRESETS = {
+    ("gl", "pinned"): (pinned_gl_action, "transpose-inverse flip of GL({0})",
+                       lambda n: None if n % 2 else (("C", n // 2),)),
+    ("gl", "so-twist"): (so_twist_gl_action, "orthogonal twist of the GL({0}) flip",
+                         lambda n: (("A", 1), ("A", 1)) if n == 4 else (("D", n // 2),)),
+    ("sl", "pinned"): (pinned_sl_action, "diagram involution of SL({0})",
+                       lambda n: (("B", (n - 1) // 2),) if n % 2 else (("C", n // 2),)),
+    ("pgl", "pinned"): (pinned_pgl_action, "diagram involution of PGL({0})", None),
+    ("so", "pinned"): (pinned_so_even_action, "graph involution of SO({0})",
+                       lambda n: (("B", n // 2 - 1),)),
+    ("gl", "trivial-z"): (lambda n, m: trivial_action(gl(n), m),
+                          "trivial order-{1} action on GL({0})", None),
+    ("gl", "product-swap"): (lambda n: rotation_action(gl(n), 2),
+                             "swap of two GL({0}) factors", None),
+}
+
+
 def preset(name: str) -> Preset:
+    """A named action: a fixed one, or <family><n>-<kind> as in ``preset_names``.
+
+    The numbers are digits only, as in ``group_datum``.
+    """
     if name in _FIXED_PRESETS:
         builder, desc, expected = _FIXED_PRESETS[name]
         return Preset(name, desc, builder(), expected)
-    parts = name.split("-")
-    head = parts[0]
+    head, _, kind = name.partition("-")
+    family = "pgl" if head.startswith("pgl") else head[:2]
+    numbers = [head[len(family):]]
+    if kind.startswith("trivial-z"):
+        kind, numbers = "trivial-z", numbers + [kind[len("trivial-z"):]]
+    if (family, kind) not in _NUMBERED_PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
+    build, desc, expected = _NUMBERED_PRESETS[family, kind]
     try:
-        if head.startswith("gl") and parts[1:] == ["pinned"]:
-            n = int(head[2:])
-            return Preset(name, f"transpose-inverse flip of GL({n})",
-                          pinned_gl_action(n), (("C", n // 2),) if n % 2 == 0 else None)
-        if head.startswith("gl") and parts[1:] == ["so", "twist"]:
-            n = int(head[2:])
-            exp = ((("A", 1), ("A", 1)) if n == 4 else (("D", n // 2),))
-            return Preset(name, f"orthogonal twist of the GL({n}) flip",
-                          so_twist_gl_action(n), exp)
-        if head.startswith("sl") and parts[1:] == ["pinned"]:
-            n = int(head[2:])
-            exp = (("B", (n - 1) // 2),) if n % 2 == 1 else (("C", n // 2),)
-            return Preset(name, f"diagram involution of SL({n})",
-                          pinned_sl_action(n), exp)
-        if head.startswith("pgl") and parts[1:] == ["pinned"]:
-            n = int(head[3:])
-            return Preset(name, f"diagram involution of PGL({n})",
-                          pinned_pgl_action(n), None)
-        if head.startswith("so") and parts[1:] == ["pinned"]:
-            n = int(head[2:])
-            return Preset(name, f"graph involution of SO({n})",
-                          pinned_so_even_action(n), (("B", n // 2 - 1),))
-        if head.startswith("gl") and len(parts) == 3 and parts[1] == "trivial":
-            n = int(head[2:])
-            m = int(parts[2].lstrip("z"))
-            return Preset(name, f"trivial order-{m} action on GL({n})",
-                          trivial_action(gl(n), m), None)
-        if head.startswith("gl") and parts[1:] == ["product", "swap"]:
-            n = int(head[2:])
-            return Preset(name, f"swap of two GL({n}) factors",
-                          rotation_action(gl(n), 2), None)
+        if not all(map(str.isdigit, numbers)):
+            raise ValueError("preset numbers are digits only")
+        numbers = list(map(int, numbers))
+        action = build(*numbers)
     except (ValueError, IndexError) as exc:
         raise ValueError(f"malformed preset name {name!r}") from exc
-    raise ValueError(f"unknown preset {name!r}")
+    return Preset(name, desc.format(*numbers), action, expected and expected(numbers[0]))
 
 
 GOLDEN_FOLDS = {

@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 from .duality_conorm import ConormData
 from .exact_lattice import LatticeMap, TorsionVector, solve_torsion_fixed
-from .root_datum import BasedRootDatum, RootDatum, weyl_group, weyl_group_order
+from .root_datum import (BasedRootDatum, RootDatum, morphism_problem, weyl_group,
+                         weyl_group_order)
 
 
 def _is_prime(p):
@@ -171,21 +172,15 @@ def max_finite_order(n: int) -> int:
 def _check_twist(rd: RootDatum, tau: LatticeMap):
     """Raise unless tau is an automorphism of the root datum of finite order.
 
-    tau must permute the roots, and its inverse transpose must carry the
-    coroot of each root to the coroot of the image root, that is, tau
-    transposed must carry the coroot of the image back.  The base need not be
-    fixed.  Some power tau^k with k <= max_finite_order(rank) must be the
-    identity.
+    tau must be a morphism of the datum to itself (``morphism_problem``);
+    the base need not be fixed.  Some power tau^k with
+    k <= max_finite_order(rank) must be the identity.
     """
     if tau.domain_rank != rd.rank:
         raise ValueError(f"tau has rank {tau.domain_rank} but the datum has rank {rd.rank}")
-    tau_t = tau.transpose()
-    for r in rd.roots:
-        image = tau(r)
-        if not rd.is_root(image):
-            raise ValueError(f"tau does not permute the roots: {r} goes to {image}")
-        if tau_t(rd.coroot_of(image)) != rd.coroot_of(r):
-            raise ValueError(f"tau does not carry the coroot of {r} to that of {image}")
+    problem = morphism_problem(tau, rd, rd)
+    if problem:
+        raise ValueError(f"tau {problem}")
     bound = max_finite_order(rd.rank)
     identity = LatticeMap.identity(rd.rank)
     power = tau

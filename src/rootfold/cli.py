@@ -98,7 +98,7 @@ class JobConfig:
                  "group", "action_spec"}
         unknown = sorted(set(d) - known)
         if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+            raise UsageError(f"unknown config keys: {', '.join(map(repr, unknown))}")
         _check_config_types(d)
         cfg = cls(
             preset=d.get("preset"),
@@ -188,7 +188,7 @@ def _explicit_action(cfg: JobConfig) -> GammaAction:
         _check_ints(t, _TWIST_INTS, "action")
     try:
         diagrams = spec["diagrams"]
-        # the group table costs |Gamma|^3 to check: compare the order first
+        # the group table has |Gamma|^2 entries to build and check: compare the order first
         order = len(spec["permutations"]) if "permutations" in spec else spec.get("cyclic", 1)
         if order > 0 and order != len(diagrams):
             raise ValueError(f"diagram has {len(diagrams)} parts for a group of order {order}")

@@ -17,7 +17,7 @@ Every map here is an exact integer matrix; nothing is floating point.
 from .exact_lattice import LatticeMap, TorsionVector, smith_normal_form
 from .folding import FoldedDatum
 from .gamma_action import GammaAction
-from .root_datum import BasedRootDatum, ValidationReport, dual_based
+from .root_datum import BasedRootDatum, ValidationReport, dual_based, morphism_problem
 
 
 class ConormData:
@@ -32,11 +32,10 @@ class ConormData:
     def __init__(self, folded: FoldedDatum):
         a = folded.source
         n = a.base.datum.rank
-        sum_diag = LatticeMap.zero(n, n)
-        for d in a.diagram:
-            sum_diag = sum_diag + d
-        for d in a.diagram:
-            if sum_diag @ d != sum_diag:
+        sum_diag = sum(a.diagram, LatticeMap.zero(n, n))
+        # S D(g) = S for the generators g gives it for their products
+        for g in a.group.generators:
+            if sum_diag @ a.diagram[g] != sum_diag:
                 raise AssertionError("norm does not kill the relation lattice")
         self.folded = folded
         self.matrix = sum_diag @ folded.section
@@ -87,15 +86,9 @@ def validate_isogeny(phi: Isogeny) -> ValidationReport:
         problems.append("isogenous groups must have equal rank")
     elif m.det() == 0:
         problems.append("char_pullback is not injective")
-    image = [tuple(m(b)) for b in tgt.roots]
-    if sorted(image) != sorted(src.roots):
-        problems.append("char_pullback does not carry roots bijectively to roots")
-    else:
-        mt = m.transpose()
-        for b in tgt.roots:
-            if tuple(mt(src.coroot_of(tuple(m(b))))) != tgt.coroot_of(b):
-                problems.append(f"coroot of {b} not respected")
-                break
+    problem = morphism_problem(m, tgt, src)
+    if problem:
+        problems.append(f"char_pullback {problem}")
     return ValidationReport(not problems, problems)
 
 

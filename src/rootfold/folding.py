@@ -5,9 +5,9 @@ cocharacters; characters are the coinvariants of the source characters.  Only
 the cocharacter side is computed: the fixed sublattice is saturated, so
 pairing with its Hermite basis maps the source characters onto the folded
 ones with the saturated relation lattice as kernel.  The restriction is that
-basis transposed and the corestriction is the basis itself, so the two sides
-pair by the standard dot product by construction, which keeps every later
-norm/conorm identity a literal matrix identity.
+basis transposed, so the two sides pair by the standard dot product by
+construction, which keeps every later norm/conorm identity a literal matrix
+identity.
 
 A restricted root survives (beta = i^* alpha lies in the folded system) iff
 every stabilizer element acts with scalar one on the alpha root space; the
@@ -48,22 +48,19 @@ class FoldedRootRecord(NamedTuple):
 class FoldedDatum:
     """The fold of ``source``.
 
-    ``restriction`` is the coinvariant projection of the source characters,
-    ``corestriction`` its transpose (the fixed cocharacter basis), and
-    ``section`` an integer right inverse of ``restriction``.
+    ``restriction`` is the coinvariant projection of the source characters;
+    its transpose is the fixed cocharacter basis.  ``section`` is an integer
+    right inverse of ``restriction``.
     """
 
-    __slots__ = ("source", "fixed", "fixed_base", "restriction", "section",
-                 "corestriction", "provenance")
+    __slots__ = ("source", "fixed", "fixed_base", "restriction", "section", "provenance")
 
-    def __init__(self, source, fixed, fixed_base, restriction, section, corestriction,
-                 provenance):
+    def __init__(self, source, fixed, fixed_base, restriction, section, provenance):
         self.source = source
         self.fixed = fixed
         self.fixed_base = fixed_base
         self.restriction = restriction
         self.section = section
-        self.corestriction = corestriction
         self.provenance = provenance
 
     @property
@@ -119,7 +116,7 @@ def fold(a: GammaAction) -> FoldedDatum:
             raise AssertionError(f"coroot multiplier out of range at {alpha}")
         mult = 2 // pair
         scaled = tuple(mult * x for x in sigma)
-        # coordinates of the orbit sum in the corestriction basis
+        # coordinates of the orbit sum in the fixed cocharacter basis
         beta_vee = sub.coordinates(scaled)
         assert beta_vee is not None
         assert dot(beta, beta_vee) == 2
@@ -135,7 +132,7 @@ def fold(a: GammaAction) -> FoldedDatum:
     rep2 = validate(base)
     if not rep2.ok:
         raise AssertionError("folded datum invalid: " + "; ".join(rep2.problems))
-    return FoldedDatum(a, fixed, base, proj, lift, sub.basis, records)
+    return FoldedDatum(a, fixed, base, proj, lift, records)
 
 
 class RestrictionComparison(NamedTuple):

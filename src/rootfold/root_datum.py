@@ -227,6 +227,28 @@ def validate(rd: RootDatum | BasedRootDatum) -> ValidationReport:
     return ValidationReport(not problems, tuple(problems))
 
 
+def morphism_problem(m: LatticeMap, dom: RootDatum, cod: RootDatum) -> str | None:
+    """Why m: X(dom) -> X(cod) is no morphism of root data, or None if it is one.
+
+    A morphism maps the roots of dom one to one onto those of cod, and its
+    transpose carries the coroot of each image back to the coroot of the root.
+    The message names the first bad root; callers prefix their subject.
+    """
+    mt = m.transpose()
+    images = set()
+    for r, rv in zip(dom.roots, dom.coroots):
+        image = m(r)
+        j = cod._index.get(image)
+        if j is None or image in images:
+            return f"does not permute the roots: {r} goes to {image}"
+        if mt(cod.coroots[j]) != rv:
+            return f"does not carry the coroot of {r} to that of {image}"
+        images.add(image)
+    if len(images) != len(cod.roots):
+        return f"does not permute the roots: it reaches {len(images)} of {len(cod.roots)}"
+    return None
+
+
 class WeylElement:
     """A Weyl group element: matrix on X plus its canonical reduced word.
 

@@ -5,7 +5,9 @@ verifies the Jacobi identity on basis triples; it never looks inside the
 construction being tested.  The matrix oracle realizes the pinned flip of the
 special linear algebra concretely and reads the root-space signs off actual
 matrix conjugation.  The diagram walker finds a Cartan type from the shape
-of the Dynkin diagram, where the library reads it off root counts.
+of the Dynkin diagram, where the library reads it off root counts.  The
+action oracle checks the homomorphism and twist-cocycle laws of a group
+action on every pair of elements, where the library checks generators only.
 
 The last three functions compare Cartan types up to the low-rank
 coincidences and evaluate a bilinear form; only tests need them.
@@ -229,6 +231,49 @@ def steinberg_count(simple_roots, tau, q):
 
 def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
+
+
+def _apply(rows, v):
+    return tuple(_dot(row, v) for row in rows)
+
+
+def action_is_valid(table, diagrams, twists, roots, coroots) -> bool:
+    """Brute-force verdict on an action of a finite group on a root datum.
+
+    ``table`` is the multiplication table (element 0 the identity),
+    ``diagrams[i]`` the integer rows of element i on the characters and
+    ``twists[i]`` its cocharacter as Fractions; ``roots[k]`` pairs with
+    ``coroots[k]``.  Each diagram part must have determinant +-1, permute the
+    roots and, transposed, carry the coroot of each image back to the coroot
+    of its root; element 0 must act trivially; and for every pair (i, j),
+    D(ij) = D(i) D(j) and t(ij) - t(i) - i.t(j) must pair integrally with
+    every root.  Pairing with D(i) r instead of r gives the last condition
+    as <t(ij) - t(i), D(i) r> - <t(j), r>, which needs no inverse.
+    """
+    roots = [tuple(r) for r in roots]
+    coroot = dict(zip(roots, map(tuple, coroots)))
+    n = len(diagrams[0])
+    for d in diagrams:
+        if abs(_det(d)) != 1 or sorted(_apply(d, r) for r in roots) != sorted(roots):
+            return False
+        d_t = [[d[k][c] for k in range(n)] for c in range(n)]
+        if any(_apply(d_t, coroot[_apply(d, r)]) != coroot[r] for r in roots):
+            return False
+    if [list(row) for row in diagrams[0]] != [[int(r == c) for c in range(n)]
+                                              for r in range(n)]:
+        return False
+    for i, row in enumerate(table):
+        for j, k in enumerate(row):
+            product = [[_dot(a, [b[c] for b in diagrams[j]]) for c in range(n)]
+                       for a in diagrams[i]]
+            if [list(r) for r in diagrams[k]] != product:
+                return False
+            for r in roots:
+                moved = _apply(diagrams[i], r)
+                defect = _dot(twists[k], moved) - _dot(twists[i], moved) - _dot(twists[j], r)
+                if Fraction(defect).denominator != 1:
+                    return False
+    return True
 
 
 def _recognize_diagram(pair):

@@ -16,8 +16,8 @@ from rootfold import ConormData, catalog, enumerate_stable_classes, fold
 from rootfold.classes import FrobeniusStructure
 from rootfold import cli, verify
 from rootfold.cli import JobConfig, main
-from rootfold.exact_lattice import TorsionVector
-from rootfold.gamma_action import validate_action
+from rootfold.exact_lattice import LatticeMap, TorsionVector
+from rootfold.gamma_action import _diagram_problems, validate_action
 
 
 def run(capsys, argv):
@@ -287,6 +287,58 @@ def test_untwisted_explicit_action_takes_no_twist_pairing(monkeypatch):
     assert calls == []
 
 
+def twisted_cyclic_200(perturbed=None):
+    # t_k = k/400 on A1 is a twist cocycle of the cyclic group of order 200;
+    # ``perturbed`` names an element whose twist is moved off it
+    twists = [{"num": [k + (k == perturbed)], "den": 400} for k in range(200)]
+    return {"group": {"rank": 1, "roots": [[2], [-2]], "coroots": [[1], [-1]],
+                      "simples": [0]},
+            "action_spec": {"cyclic": 200, "diagrams": [[[1]]] * 200, "twists": twists},
+            "q": 3}
+
+
+def test_twisted_explicit_action_checks_its_laws_on_generators(monkeypatch):
+    # the CLI's validation and fold's each check x * g for the generators g
+    # only; on all 200^2 pairs the diagram half alone takes 40 000 products
+    calls, pairings = [], []
+    matmul, pairing = LatticeMap.__matmul__, TorsionVector.pairing
+    monkeypatch.setattr(LatticeMap, "__matmul__",
+                        lambda self, other: calls.append(1) or matmul(self, other))
+    monkeypatch.setattr(TorsionVector, "pairing",
+                        lambda self, covector: pairings.append(1) or pairing(self, covector))
+    _diagram_problems.cache_clear()
+    action = cli.resolve_action(JobConfig.from_dict(twisted_cyclic_200()))
+    assert validate_action(action).ok
+    # the cyclic group has one generator g, so 200 products x * g
+    assert len(calls) <= 200
+    # two validations, each pairing two twists with two roots per checked pair
+    assert len(pairings) <= 2 * 2 * 2 * (1 + 200)
+    assert action.group.generators == (1,)
+
+
+def test_twisted_action_off_the_cocycle_at_a_non_generator_exits_two(capsys, tmp_path):
+    doc = twisted_cyclic_200(perturbed=7)
+    assert main(["fold", "--config", config_path(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert_one_usage_line(captured, "rootfold: explicit action invalid: ")
+    assert "twist cocycle fails" in captured.err
+
+
+def test_unknown_config_key_with_a_newline_gives_one_line(capsys, tmp_path):
+    doc = {"preset": "gl2-product-swap", "q": 3, "\n": 1}
+    assert main(["classes", "--config", config_path(tmp_path, doc)]) == 2
+    assert_one_usage_line(capsys.readouterr(), "rootfold: unknown config keys: '\\n'")
+
+
+@pytest.mark.parametrize("name", ["gl2-trivial-3", "gl2-trivial-zz3", "gl+4-pinned",
+                                  "gl 4-pinned"])
+def test_preset_numbers_are_digits_only(capsys, name):
+    assert main(["lift", "--preset", name, "--q", "2"]) == 2
+    captured = capsys.readouterr()
+    assert_one_usage_line(captured, "rootfold: ")
+    assert f"preset {name!r}" in captured.err or f"preset name {name!r}" in captured.err
+
+
 def test_non_unimodular_diagram_exits_two(capsys, tmp_path):
     # [[2]] permutes the empty root system but has no integer inverse
     doc = {"group": {"rank": 1, "roots": [], "coroots": [], "simples": []},
@@ -375,7 +427,7 @@ def test_group_datum_names():
     assert catalog.group_datum("spin8") is catalog.d4()
     with pytest.raises(ValueError):
         catalog.group_datum("sp5")
-    for name in ("so0", "so1", "so2", "sp0"):
+    for name in ("so0", "so1", "so2", "sp0", "spin13"):
         with pytest.raises(ValueError, match=f"^group '{name}': "):
             catalog.group_datum(name)
     with pytest.raises(ValueError):

@@ -47,7 +47,7 @@ def test_trivial_fold_is_copy():
     assert set(fd.fixed.roots) == set(base.datum.roots)
     assert all(fd.fixed.coroot_of(r) == base.datum.coroot_of(r) for r in fd.fixed.roots)
     assert fd.restriction == LatticeMap.identity(2)
-    assert fd.corestriction == LatticeMap.identity(2)
+    assert fd.restriction.transpose() == LatticeMap.identity(2)
     assert all(rec.multiplier == 1 for rec in fd.provenance.values())
 
 
@@ -56,7 +56,7 @@ def test_trivial_action_of_larger_group_folds_to_copy():
     fd = fold(trivial_action(base, FiniteGroup.cyclic(3)))
     assert set(fd.fixed.roots) == set(base.datum.roots)
     assert all(fd.fixed.coroot_of(r) == base.datum.coroot_of(r) for r in fd.fixed.roots)
-    assert fd.corestriction == LatticeMap.identity(3)
+    assert fd.restriction.transpose() == LatticeMap.identity(3)
     assert all(rec.multiplier == 1 for rec in fd.provenance.values())
 
 
@@ -160,7 +160,7 @@ def test_d4_full_s3_folds_to_same_g2():
     fd3 = fold(d4_action(S3_PERMS[:3]))
     fd6 = fold(d4_action(S3_PERMS))
     assert fd6.fixed == fd3.fixed
-    assert fd6.corestriction == fd3.corestriction
+    assert fd6.restriction.transpose() == fd3.restriction.transpose()
     types, _ = cartan_type(fd6.fixed)
     assert same_type(types, (("G", 2),))
 
@@ -177,7 +177,7 @@ def test_pinned_folded_simples_come_from_source_simples():
 
 def _induced_cochar_matrix(fd, m):
     lift = right_inverse(fd.restriction)
-    return lift.transpose() @ m.inverse_transpose() @ fd.corestriction
+    return lift.transpose() @ m.inverse_transpose() @ fd.restriction.transpose()
 
 
 def test_folded_weyl_embeds_in_fixed_source_weyl():
@@ -263,7 +263,7 @@ def _torus_involution(m):
 def test_torus_fold_projections():
     swap = fold(_torus_involution(LatticeMap([[0, 1], [1, 0]])))
     assert swap.restriction == LatticeMap([[1, 1]])
-    assert swap.corestriction == LatticeMap([[1], [1]])
+    assert swap.restriction.transpose() == LatticeMap([[1], [1]])
     # d(x) - x spans only 2(1, -1); the restriction still kills (1, -1) and
     # is onto Z, so the relations were saturated
     index_two = fold(_torus_involution(LatticeMap([[1, 2], [0, -1]])))
@@ -294,7 +294,6 @@ def test_fold_projections_on_catalog_presets(name):
         assert fd.restriction @ (d - ident) == LatticeMap.zero(fd.rank, n)
         relations.extend((d - ident).columns())
     assert fd.restriction @ fd.section == LatticeMap.identity(fd.rank)
-    assert fd.corestriction == fd.restriction.transpose()
     assert fd.rank + _matrix_rank(LatticeMap.from_columns(relations, n)) == n
     conorm = ConormData(fd).matrix
     assert fd.restriction @ conorm == LatticeMap.identity(fd.rank).scale(a.group.size)
