@@ -17,7 +17,7 @@ representative and recanonicalizes in the bigger Weyl group.
 
 from collections import namedtuple
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from .duality_conorm import ConormData
@@ -26,21 +26,10 @@ from .root_datum import (BasedRootDatum, RootDatum, morphism_problem, weyl_group
                          weyl_group_order)
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _least_prime_factor(q):
     if q < 2:
         raise ValueError(f"q = {q} is not a prime power")
-    return next(d for d in range(2, q + 1) if q % d == 0)
+    return next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
 
 
 class FrobeniusStructure(namedtuple("FrobeniusStructure", "q p tau")):
@@ -53,7 +42,7 @@ class FrobeniusStructure(namedtuple("FrobeniusStructure", "q p tau")):
     __slots__ = ()
 
     def __new__(cls, q: int, p: int, tau: LatticeMap):
-        if not _is_prime(p):
+        if p < 2 or _least_prime_factor(p) != p:
             raise ValueError(f"{p} is not prime")
         rest = q
         while rest % p == 0:

@@ -1,15 +1,19 @@
 """Exact integer lattice maps, normal forms, and torsion points of tori.
 
 All matrices are tuples of tuples of Python ints, so every operation is
-arbitrary-precision and deterministic.  Torsion vectors model points of a
-torus with cocharacter lattice Z^n: an element of (Q/Z)^n kept in reduced
-canonical form.
+arbitrary-precision and deterministic.  One integer elimination, ``_echelon``
+(row Hermite form carried across augmented rows), underlies every normal
+form, determinant, inverse, kernel, section and solve here; Smith forms
+alternate its passes on a matrix and on the transpose.  Torsion vectors model
+points of a torus with cocharacter lattice Z^n: an element of (Q/Z)^n kept in
+reduced canonical form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
+from math import gcd, lcm
 from operator import mul
 
 
@@ -17,19 +21,66 @@ Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a,b) >= 0 and a*x + b*y = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+def _eye(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _echelon(rows, width: int) -> tuple[list[list[int]], int]:
+    """Row Hermite form of the first ``width`` columns, carried across whole rows.
+
+    Unimodular row operations put the first ``width`` columns of ``rows`` in
+    row Hermite form and act on the rest of each row as well, so [A | I]
+    comes back as [H | W] with W @ A = H.  Returns the rows and det W (+-1).
+    Pivot columns strictly increase, pivots are positive, entries above a
+    pivot lie in [0, pivot), and rows that vanish on the first ``width``
+    columns come last.
+    """
+    rows = [list(r) for r in rows]
+    nr = len(rows)
+    sign = 1
+    r = 0
+    for c in range(width):
+        if r == nr:
+            break
+        for piv in range(r, nr):
+            if rows[piv][c]:
+                break
+        else:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        # Euclid down column c, keeping the smaller entry in row r
+        for i in range(r + 1, nr):
+            while rows[i][c]:
+                a, b = rows[r][c], rows[i][c]
+                if abs(a) > abs(b):
+                    rows[r], rows[i] = rows[i], rows[r]
+                    sign = -sign
+                    continue
+                q = b // a
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+        top = rows[r]
+        if top[c] < 0:
+            rows[r] = top = [-x for x in top]
+            sign = -sign
+        p = top[c]
+        for i in range(r):
+            q = rows[i][c] // p
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], top)]
+        r += 1
+    return rows, sign
+
+
+def _transpose(rows, ncols: int) -> list[list[int]]:
+    return [[r[j] for r in rows] for j in range(ncols)]
+
+
+def _transpose_echelon(m: LatticeMap) -> list[list[int]]:
+    """``_echelon`` of [m^T | I]: rows [h | w] with w @ m^T = h."""
+    rows = zip(_transpose(m.rows, m.domain_rank), _eye(m.domain_rank))
+    return _echelon([t + e for t, e in rows], m.codomain_rank)[0]
 
 
 def dot(u, v) -> int:
@@ -78,7 +129,7 @@ class LatticeMap:
 
     @classmethod
     def identity(cls, n: int) -> "LatticeMap":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
+        return cls(_eye(n), n)
 
     @classmethod
     def zero(cls, codomain: int, domain: int) -> "LatticeMap":
@@ -128,41 +179,25 @@ class LatticeMap:
         return LatticeMap.from_columns(self.rows, self.domain_rank)
 
     def det(self) -> int:
-        if self.domain_rank != self.codomain_rank:
-            raise ValueError("determinant of a non-square map")
-        # fraction-free Gaussian elimination (Bareiss)
         n = self.domain_rank
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        if n != self.codomain_rank:
+            raise ValueError("determinant of a non-square map")
+        # W @ m = H with det W = +-1 and H triangular: det m = det W * (product of pivots)
+        h, det = _echelon(self.rows, n)
+        for i in range(n):
+            det *= h[i][i]
+        return det
 
     def inverse_unimodular(self) -> "LatticeMap":
         """Inverse of a square integer matrix with determinant +-1."""
         n = self.domain_rank
         if n != self.codomain_rank:
             raise ValueError("inverse of a non-square map")
-        # an integral inverse forces det = +-1, so no determinant is needed
-        inv = solve_rational(self, LatticeMap.identity(n))
-        if inv is None or any(x.denominator != 1 for row in inv for x in row):
+        # [m | I] -> [H | W]; H is the identity exactly when m is unimodular
+        rows, _ = _echelon([[*r, *e] for r, e in zip(self.rows, _eye(n))], n)
+        if any(rows[i][i] != 1 for i in range(n)):
             raise ValueError("matrix is not unimodular")
-        return LatticeMap(inv, n)
+        return LatticeMap([r[n:] for r in rows], n)
 
     def inverse_transpose(self) -> "LatticeMap":
         return self.inverse_unimodular().transpose()
@@ -178,132 +213,68 @@ class LatticeMap:
         return f"LatticeMap({list(map(list, self.rows))}, domain_rank={self.domain_rank})"
 
 
-def solve_rational(a, b):
-    """The unique rational X with a @ X = b, or None if there is none.
+def solve_integer(a: LatticeMap, b: LatticeMap):
+    """Integer solutions x of a @ x = b, one per column of b.
 
-    a is n x k and b is n x m, each a LatticeMap or a sequence of integer
-    rows; X comes back as k rows of Fractions.  Gauss-Jordan elimination on
-    the augmented matrix [a | b].  None means the columns of a are linearly
-    dependent or some column of b lies outside their span.  A sequence of
-    rows has no room for the column count of an empty matrix, so no rows is
-    read as 0 x 0; a LatticeMap keeps its shape.
+    One tuple of ints or None per column of b: None where that column is not
+    an integer combination of the columns of a, and for every column when the
+    columns of a are dependent, so that no solution is unique.  [a | b] is
+    put in row Hermite form on a's columns and solved by integer
+    back-substitution.
     """
-    rows = getattr(a, "rows", a)
-    k = getattr(a, "domain_rank", len(rows[0]) if rows else 0)
-    a, b = rows, getattr(b, "rows", b)
-    if len(a) != len(b):
+    n, k = a.codomain_rank, a.domain_rank
+    if b.codomain_rank != n:
         raise ValueError("a and b must have the same number of rows")
-    n = len(a)
-    aug = [[Fraction(x) for x in ra] + [Fraction(x) for x in rb] for ra, rb in zip(a, b)]
-    for col in range(k):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            return None  # column col is a combination of the earlier ones
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        pivot_row = aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            f = aug[i][col]
-            if i != col and f != 0:
-                aug[i] = [x - f * y for x, y in zip(aug[i], pivot_row)]
-    if any(x != 0 for row in aug[k:] for x in row[k:]):
-        return None
-    return tuple(tuple(row[k:]) for row in aug[:k])
+    rows, _ = _echelon([[*ra, *rb] for ra, rb in zip(a.rows, b.rows)], k)
+    if k > n or any(rows[i][i] == 0 for i in range(k)):
+        return (None,) * b.domain_rank
+
+    def back_substitute(j):
+        if any(r[j] for r in rows[k:]):
+            return None
+        x = [0] * k
+        for i in range(k - 1, -1, -1):
+            q, rest = divmod(rows[i][j] - sum(map(mul, rows[i][i + 1:k], x[i + 1:])),
+                             rows[i][i])
+            if rest:
+                return None
+            x[i] = q
+        return tuple(x)
+
+    return tuple(back_substitute(j) for j in range(k, k + b.domain_rank))
 
 
 def smith_normal_form(m: LatticeMap) -> tuple[LatticeMap, LatticeMap, LatticeMap]:
     """Return (U, D, V) with U @ m @ V = D, U and V unimodular, D diagonal
     with nonnegative entries d_1 | d_2 | ... .
+
+    Row Hermite passes on D and on its transpose alternate until D is
+    diagonal (Kannan-Bachem); where d_i does not divide d_(i+1), row i+1 is
+    added to row i and the passes go on.
     """
-    rows = [list(r) for r in m.rows]
     nr, nc = m.codomain_rank, m.domain_rank
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def row_op(i, k, a, b, c, d):
-        # (row i, row k) <- (a*ri + b*rk, c*ri + d*rk); same on u
-        for mat in (rows, u):
-            ri, rk = mat[i], mat[k]
-            mat[i] = [a * x + b * y for x, y in zip(ri, rk)]
-            mat[k] = [c * x + d * y for x, y in zip(ri, rk)]
-
-    def col_op(j, k, a, b, c, d):
-        for mat in (rows, v):
-            for r in mat:
-                x, y = r[j], r[k]
-                r[j] = a * x + b * y
-                r[k] = c * x + d * y
-
-    t = 0
-    while t < min(nr, nc):
-        # find a pivot: smallest nonzero absolute value in the submatrix
-        piv = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = rows[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != t:
-            rows[t], rows[pi] = rows[pi], rows[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for mat in (rows, v):
-                for r in mat:
-                    r[t], r[pj] = r[pj], r[t]
-        while True:
-            # clear column t
-            for i in range(nr):
-                if i != t and rows[i][t] != 0:
-                    a = rows[t][t]
-                    b = rows[i][t]
-                    if b % a == 0:
-                        q = b // a
-                        for mat in (rows, u):
-                            mat[i] = [x - q * y for x, y in zip(mat[i], mat[t])]
-                    else:
-                        g, x, y = _xgcd(a, b)
-                        row_op(t, i, x, y, -(b // g), a // g)
-            # clear row t
-            dirty = False
-            for j in range(nc):
-                if j != t and rows[t][j] != 0:
-                    a = rows[t][t]
-                    b = rows[t][j]
-                    if b % a == 0:
-                        q = b // a
-                        for mat in (rows, v):
-                            for r in mat:
-                                r[j] -= q * r[t]
-                    else:
-                        g, x, y = _xgcd(a, b)
-                        col_op(t, j, x, y, -(b // g), a // g)
-                        dirty = True
-            if not dirty and all(rows[i][t] == 0 for i in range(nr) if i != t):
+    # rows are [d | u] with d = u @ m @ other^T, or the transpose once flipped
+    rows, width, other = [[*r, *e] for r, e in zip(m.rows, _eye(nr))], nc, _eye(nc)
+    flipped = False
+    while True:
+        rows, _ = _echelon(rows, width)
+        # echelon rows vanish left of the diagonal
+        if not any(any(r[i + 1:width]) for i, r in enumerate(rows)):
+            diag = [rows[i][i] for i in range(min(len(rows), width))]
+            # zeros come last, and everything divides 0
+            i = next((i for i in range(len(diag) - 1) if diag[i] and diag[i + 1] % diag[i]),
+                     None)
+            if i is None:
                 break
-        # divisibility: rows[t][t] must divide everything below-right
-        a = rows[t][t]
-        fix = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if rows[i][j] % a != 0:
-                    fix = i
-                    break
-            if fix is not None:
-                break
-        if fix is not None:
-            for mat in (rows, u):
-                mat[t] = [x + y for x, y in zip(mat[t], mat[fix])]
-            continue  # redo this pivot position
-        if rows[t][t] < 0:
-            for mat in (rows, u):
-                mat[t] = [-x for x in mat[t]]
-        t += 1
-    return LatticeMap(u, nr), LatticeMap(rows, nc), LatticeMap(v, nc)
+            rows[i] = [x + y for x, y in zip(rows[i], rows[i + 1])]
+        # flip: the columns of d, each beside its row of other, and u becomes other
+        rows, other, width = ([[*c, *e] for c, e in zip(zip(*rows), other)],
+                              [r[width:] for r in rows], len(rows))
+        flipped = not flipped
+    d, u = [r[:width] for r in rows], [r[width:] for r in rows]
+    if flipped:
+        d, u, other = _transpose(d, width), other, u
+    return LatticeMap(u, nr), LatticeMap(d, nc), LatticeMap(_transpose(other, nc), nc)
 
 
 def row_hermite_form(m: LatticeMap) -> LatticeMap:
@@ -312,35 +283,7 @@ def row_hermite_form(m: LatticeMap) -> LatticeMap:
     Pivot columns strictly increase, pivots are positive, and entries above a
     pivot are reduced into [0, pivot).  Zero rows are collected at the bottom.
     """
-    rows = [list(r) for r in m.rows]
-    nr = len(rows)
-    nc = m.domain_rank
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, nr):
-            while rows[i][c] != 0:
-                a, b = rows[r][c], rows[i][c]
-                if abs(a) > abs(b):
-                    rows[r], rows[i] = rows[i], rows[r]
-                    continue
-                q = b // a
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-        for i in range(r):
-            q = rows[i][c] // rows[r][c]
-            if q != 0:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return LatticeMap(rows, nc)
+    return LatticeMap(_echelon(m.rows, m.domain_rank)[0], m.domain_rank)
 
 
 def column_hermite_form(m: LatticeMap) -> LatticeMap:
@@ -355,22 +298,20 @@ def column_hermite_form(m: LatticeMap) -> LatticeMap:
 
 def kernel_basis(m: LatticeMap) -> LatticeMap:
     """Basis (columns) of the integer kernel of m; always a saturated sublattice."""
-    u, d, v = smith_normal_form(m)
-    rank = sum(1 for i in range(min(d.codomain_rank, d.domain_rank)) if d.rows[i][i] != 0)
-    return column_hermite_form(LatticeMap.from_columns(v.columns()[rank:], m.domain_rank))
+    nr, nc = m.codomain_rank, m.domain_rank
+    # w @ m^T = 0 on the rows [0 | w] of the reduced [m^T | I]
+    ker = [r[nr:] for r in _transpose_echelon(m) if not any(r[:nr])]
+    return LatticeMap.from_columns(_echelon(ker, nc)[0], nc)
 
 
 def right_inverse(p: LatticeMap) -> LatticeMap:
     """Integer right inverse of a surjective map p (p @ r = identity)."""
-    u, d, v = smith_normal_form(p)
     r = p.codomain_rank
-    for i in range(r):
-        if i >= min(d.codomain_rank, d.domain_rank) or d.rows[i][i] != 1:
-            raise ValueError("map is not surjective")
-    # p = u^-1 d v^-1 with d = [I | 0]; a right inverse is v [I; 0] u
-    sel = LatticeMap(tuple(tuple(1 if i == j else 0 for j in range(r))
-                           for i in range(p.domain_rank)), r)
-    return v @ sel @ u
+    # [p^T | I] -> [H | W] with H = [I; 0] exactly when p is onto; then p @ W^T = [I | 0]
+    rows = _transpose_echelon(p)
+    if r > p.domain_rank or any(rows[i][i] != 1 for i in range(r)):
+        raise ValueError("map is not surjective")
+    return LatticeMap.from_columns([row[r:] for row in rows[:r]], p.domain_rank)
 
 
 class Sublattice:
@@ -393,28 +334,13 @@ class Sublattice:
 
     def coordinates(self, v):
         """Integer coordinates of v in the basis, or None if v is outside."""
-        cols = self.basis.columns()
-        v = list(v)
-        coords = []
-        pivots = []
-        for c in cols:
-            pivots.append(next(i for i, x in enumerate(c) if x != 0))
-        for c, p in zip(cols, pivots):
-            if v[p] % c[p] != 0:
-                return None
-            q = v[p] // c[p]
-            coords.append(q)
-            v = [x - q * y for x, y in zip(v, c)]
-        if any(v):
-            return None
-        return tuple(coords)
+        return solve_integer(self.basis, LatticeMap.from_columns([v], self.ambient_rank))[0]
 
     def saturation(self) -> "Sublattice":
         """Smallest sublattice containing this one with torsion-free quotient."""
-        # U @ basis @ V = D, so the first rank columns of U^-1 span the saturation
-        u, d, v = smith_normal_form(self.basis)
-        cols = u.inverse_unimodular().columns()[:self.rank]
-        return Sublattice(self.ambient_rank, LatticeMap.from_columns(cols, self.ambient_rank))
+        # the vectors killed by everything that kills this sublattice
+        annihilator = kernel_basis(self.basis.transpose())
+        return Sublattice(self.ambient_rank, kernel_basis(annihilator.transpose()))
 
     def __eq__(self, other):
         return (isinstance(other, Sublattice)
@@ -458,11 +384,7 @@ class TorsionVector:
         if den <= 0:
             raise ValueError("denominator must be positive")
         nums = [int(x) % den for x in nums]
-        g = den
-        for x in nums:
-            g = _xgcd(g, x)[0]
-            if g == 1:
-                break
+        g = gcd(den, *nums)
         if g > 1:
             den //= g
             nums = [x // g for x in nums]
@@ -476,9 +398,7 @@ class TorsionVector:
     @classmethod
     def from_fractions(cls, fracs) -> "TorsionVector":
         fracs = [Fraction(f) for f in fracs]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // _xgcd(den, f.denominator)[0]
+        den = lcm(*(f.denominator for f in fracs))
         return cls([int(f * den) for f in fracs], den)
 
     @property
@@ -492,8 +412,7 @@ class TorsionVector:
         return TorsionVector(m(self.nums), self.den)
 
     def __add__(self, other: "TorsionVector") -> "TorsionVector":
-        g = _xgcd(self.den, other.den)[0]
-        den = self.den * other.den // g
+        den = lcm(self.den, other.den)
         a = den // self.den
         b = den // other.den
         return TorsionVector([a * x + b * y for x, y in zip(self.nums, other.nums, strict=True)], den)

@@ -90,7 +90,9 @@ def fold(a: GammaAction) -> FoldedDatum:
         raise ValueError("invalid action: " + "; ".join(rep.problems))
     rd = a.base.datum
     n = rd.rank
-    sub = fixed_sublattice([a.coaction(i) for i in a.group.elements()])
+    # the generators fix what the whole group fixes; the identity keeps the
+    # list nonempty for the trivial group, which has no generators
+    sub = fixed_sublattice([a.coaction(i) for i in (0, *a.group.generators)])
     proj = sub.basis.transpose()
     lift = right_inverse(proj)
 

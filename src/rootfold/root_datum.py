@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exact_lattice import LatticeMap, dot, solve_rational, vadd, vneg, vsub
+from .exact_lattice import LatticeMap, dot, solve_integer, vadd, vneg, vsub
 
 
 class WeylCapError(RuntimeError):
@@ -101,32 +101,17 @@ class BasedRootDatum:
     def _solve(self, vectors):
         """Integer simple-root coefficients of each vector, by one elimination.
 
-        None for a vector whose coefficients are not integers.  None for the
-        whole list when some vector is outside the span of the simples, or
-        when the simples are dependent.
+        None for a vector that is not an integer combination of the simples,
+        and for every vector when the simples are dependent.
         """
         rank = self.datum.rank
-        x = solve_rational(LatticeMap.from_columns(self.simple_roots, rank),
-                           LatticeMap.from_columns(vectors, rank))
-        if x is None:
-            return None
-        cols = (tuple(row[j] for row in x) for j in range(len(vectors)))
-        return tuple(tuple(map(int, c)) if all(f.denominator == 1 for f in c) else None
-                     for c in cols)
-
-    def _solve_one(self, v):
-        x = self._solve([v])
-        return None if x is None else x[0]
+        return solve_integer(LatticeMap.from_columns(self.simple_roots, rank),
+                             LatticeMap.from_columns(vectors, rank))
 
     def root_coefficients(self):
         """Simple-root coefficients of every root, in root order; None where there are none."""
         if self._root_coefficients is None:
-            roots = self.datum.roots
-            coeffs = self._solve(roots)
-            if coeffs is None:
-                # some root is outside the span of the simples: solve root by root
-                coeffs = tuple(map(self._solve_one, roots))
-            self._root_coefficients = coeffs
+            self._root_coefficients = self._solve(self.datum.roots)
         return self._root_coefficients
 
     def simple_coefficients(self, v):
@@ -137,7 +122,7 @@ class BasedRootDatum:
         i = self.datum._index.get(tuple(v))
         if i is not None:
             return self.root_coefficients()[i]
-        return self._solve_one(v)
+        return self._solve([v])[0]
 
     def positive_roots(self):
         """Roots whose simple-root coefficients are all nonnegative."""

@@ -14,9 +14,11 @@ import json
 from fractions import Fraction
 from itertools import permutations
 
+from oracles import solve_rational
+
 from rootfold import catalog
 from rootfold.duality_conorm import Isogeny, validate_isogeny
-from rootfold.exact_lattice import LatticeMap, dot, solve_rational
+from rootfold.exact_lattice import LatticeMap, dot
 from rootfold.root_datum import BasedRootDatum, RootDatum, generate_datum
 
 

@@ -8,6 +8,8 @@ matrix conjugation.  The diagram walker finds a Cartan type from the shape
 of the Dynkin diagram, where the library reads it off root counts.  The
 action oracle checks the homomorphism and twist-cocycle laws of a group
 action on every pair of elements, where the library checks generators only.
+The Fraction eliminations ``_det``, ``_rank`` and ``solve_rational`` are the
+reference for the library's one integer elimination.
 
 The last three functions compare Cartan types up to the low-rank
 coincidences and evaluate a bilinear form; only tests need them.
@@ -204,6 +206,56 @@ def _det(rows):
             if f:
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
     return det
+
+
+def _rank(rows, ncols):
+    """Rank of an integer matrix by Fraction elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(ncols):
+        piv = next((r for r in range(rank, len(a)) if a[r][c] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for r in range(rank + 1, len(a)):
+            f = a[r][c] / a[rank][c]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+def solve_rational(a, b):
+    """The unique rational X with a @ X = b, or None if there is none.
+
+    a is n x k and b is n x m, each a LatticeMap or a sequence of integer
+    rows; X comes back as k rows of Fractions.  Gauss-Jordan elimination on
+    the augmented matrix [a | b].  None means the columns of a are linearly
+    dependent or some column of b lies outside their span.  A sequence of
+    rows has no room for the column count of an empty matrix, so no rows is
+    read as 0 x 0; a LatticeMap keeps its shape.
+    """
+    rows = getattr(a, "rows", a)
+    k = getattr(a, "domain_rank", len(rows[0]) if rows else 0)
+    a, b = rows, getattr(b, "rows", b)
+    if len(a) != len(b):
+        raise ValueError("a and b must have the same number of rows")
+    n = len(a)
+    aug = [[Fraction(x) for x in ra] + [Fraction(x) for x in rb] for ra, rb in zip(a, b)]
+    for col in range(k):
+        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if piv is None:
+            return None  # column col is a combination of the earlier ones
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        pivot_row = aug[col] = [x * inv for x in aug[col]]
+        for i in range(n):
+            f = aug[i][col]
+            if i != col and f != 0:
+                aug[i] = [x - f * y for x, y in zip(aug[i], pivot_row)]
+    if any(x != 0 for row in aug[k:] for x in row[k:]):
+        return None
+    return tuple(tuple(row[k:]) for row in aug[:k])
 
 
 def steinberg_count(simple_roots, tau, q):

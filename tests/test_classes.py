@@ -60,6 +60,12 @@ def test_frobenius_validation():
         FrobeniusStructure(8, 3, LatticeMap.identity(1))
 
 
+@pytest.mark.parametrize("q, p", [(2**31, 2), (3**19, 3), (1000000007, 1000000007),
+                                  (1000003**2, 1000003)])
+def test_frobenius_finds_the_characteristic_of_large_q(q, p):
+    assert FrobeniusStructure.untwisted(q, 0).p == p
+
+
 @pytest.mark.parametrize("q", [1, 0, -3])
 def test_frobenius_rejects_q_below_two(q):
     with pytest.raises(ValueError, match=f"q = {q} is not a prime power"):

@@ -271,6 +271,14 @@ def test_group_order_is_compared_with_the_diagrams_before_any_table(capsys, tmp_
                           "diagram has 1 parts for a group of order 1000")
 
 
+def test_classes_at_a_large_prime_q_answers_at_once(capsys):
+    # the characteristic comes from trial division up to sqrt(q), not up to q
+    start = time.process_time()
+    rc, doc = run_json(capsys, ["classes", "--preset", "torus0", "--q", "1000000007"])
+    assert time.process_time() - start < 1.0
+    assert rc == 0 and doc["count"] == 1
+
+
 def test_untwisted_explicit_action_takes_no_twist_pairing(monkeypatch):
     # zero twists satisfy the cocycle condition; checking it would pair each of
     # the 200^2 twist sums with every root, in the CLI's validation and in fold's

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import solve_rational
+
 from rootfold.exact_lattice import (
     LatticeMap,
     Sublattice,
@@ -16,7 +18,6 @@ from rootfold.exact_lattice import (
     solve_torsion_fixed,
     kernel_basis,
     right_inverse,
-    solve_rational,
 )
 
 

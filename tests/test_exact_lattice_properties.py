@@ -4,13 +4,19 @@ from math import gcd
 
 import pytest
 
+import oracles
+from oracles import solve_rational
+
 from rootfold import catalog
 from rootfold.exact_lattice import (
     LatticeMap,
+    Sublattice,
     TorsionVector,
+    kernel_basis,
+    right_inverse,
     row_hermite_form,
     smith_normal_form,
-    solve_rational,
+    solve_integer,
 )
 from rootfold.root_datum import BasedRootDatum, RootDatum
 
@@ -63,6 +69,75 @@ def test_row_hermite_form_is_unique(data):
     h = row_hermite_form(m)
     assert row_hermite_form(w @ m) == h
     assert row_hermite_form(h) == h
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_det_matches_a_fraction_elimination(data):
+    m = data.draw(matrices())
+    n = min(m.codomain_rank, m.domain_rank)
+    square = LatticeMap([r[:n] for r in m.rows[:n]], n)
+    w = data.draw(unimodular(n))
+    for a in (square, w, w @ square):
+        assert a.det() == oracles._det(a.rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inverse_unimodular_inverts_and_refuses_det_two(data):
+    n = data.draw(st.integers(1, 4))
+    w = data.draw(unimodular(n))
+    inv = w.inverse_unimodular()
+    assert inv @ w == LatticeMap.identity(n) == w @ inv
+    double = LatticeMap([[2 * x for x in w.rows[0]], *w.rows[1:]], n)
+    with pytest.raises(ValueError, match="not unimodular"):
+        double.inverse_unimodular()
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_kernel_basis_is_the_whole_saturated_kernel(m):
+    k = kernel_basis(m)
+    nc = m.domain_rank
+    assert m @ k == LatticeMap.zero(m.codomain_rank, k.domain_rank)
+    assert k.domain_rank == nc - oracles._rank(m.rows, nc)
+    assert Sublattice(nc, k).saturation().basis == k
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_right_inverse_of_rows_of_a_unimodular_matrix(data):
+    n = data.draw(st.integers(1, 4))
+    w = data.draw(unimodular(n))
+    s = data.draw(st.integers(0, n))
+    p = LatticeMap(w.rows[:s], n)
+    assert p @ right_inverse(p) == LatticeMap.identity(s)
+    if s:
+        with pytest.raises(ValueError, match="not surjective"):
+            right_inverse(LatticeMap([[2 * x for x in w.rows[0]], *w.rows[1:s]], n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_solve_integer_matches_a_rational_solve_per_column(data):
+    a = data.draw(matrices())
+    n, k = a.codomain_rank, a.domain_rank
+    cols = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        x = data.draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+        # an image of a, or a vector now and then off its lattice or its span
+        col = a(x)
+        if data.draw(st.booleans()):
+            col = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+        cols.append(col)
+    got = solve_integer(a, LatticeMap.from_columns(cols, n))
+    assert len(got) == len(cols)
+    for col, x in zip(cols, got):
+        want = solve_rational(a, [[c] for c in col])
+        if want is None or any(f.denominator != 1 for f, in want):
+            assert x is None
+        else:
+            assert x == tuple(int(f) for f, in want)
 
 
 def torsion_vectors(rank):

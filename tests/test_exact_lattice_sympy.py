@@ -1,11 +1,11 @@
-"""The Smith and Hermite forms against sympy's, on random integer matrices.
+"""The Smith and Hermite forms and the kernel against sympy's, on random integer matrices.
 
-sympy is optional: the module is skipped where it is not installed.
+sympy is in the ``test`` extra; the module is skipped where it is not installed.
 """
 
 import pytest
 
-from rootfold.exact_lattice import row_hermite_form, smith_normal_form
+from rootfold.exact_lattice import kernel_basis, row_hermite_form, smith_normal_form
 from test_exact_lattice_properties import given, matrices, settings
 
 sympy = pytest.importorskip("sympy")
@@ -41,3 +41,15 @@ def test_row_hermite_form_spans_the_row_lattice_of_sympys_form(m):
     assert len(ours) == len(theirs)
     assert all(in_row_lattice(row, theirs) for row in ours)
     assert all(in_row_lattice(row, ours) for row in theirs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_kernel_basis_has_the_rank_of_sympys_nullspace(m):
+    k = kernel_basis(m)
+    theirs = sympy.Matrix(m.rows).nullspace()
+    assert k.domain_rank == len(theirs)
+    # both span the same rational kernel
+    if theirs:
+        ours = sympy.Matrix(k.rows)
+        assert sympy.Matrix.hstack(ours, *theirs).rank() == len(theirs)

@@ -10,7 +10,8 @@ from test_gamma_action import S3_PERMS, d4_action, z2_flip_action
 from rootfold import catalog, folding
 from rootfold.chevalley import build_structure_constants
 from rootfold.duality_conorm import ConormData
-from rootfold.exact_lattice import LatticeMap, dot, right_inverse, smith_normal_form
+from rootfold.exact_lattice import (LatticeMap, TorsionVector, dot, fixed_sublattice,
+                                    right_inverse, smith_normal_form)
 from rootfold.folding import (
     dual_length_comparison,
     fold,
@@ -19,7 +20,8 @@ from rootfold.folding import (
     root_survives,
 )
 from rootfold.gamma_action import FiniteGroup, GammaAction, _diagram_problems
-from rootfold.root_datum import cartan_type, length_classes, weyl_group
+from rootfold.root_datum import (BasedRootDatum, RootDatum, cartan_type, length_classes,
+                                 weyl_group)
 
 
 def trivial_action(base, group=None):
@@ -327,3 +329,29 @@ def test_action_and_pinned_projection_share_one_diagram_check(compare):
     info = _diagram_problems.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     assert info.hits >= 1
+
+
+def _twisted_cyclic_200():
+    # t_k = k/400 on A1: a twisted action of the cyclic group of order 200
+    a1 = BasedRootDatum(RootDatum(1, [(2,), (-2,)], [(1,), (-1,)]), (0,))
+    return GammaAction(FiniteGroup.cyclic(200), a1, [LatticeMap.identity(1)] * 200,
+                       [TorsionVector((k,), 400) for k in range(200)])
+
+
+def _klein_four_on_torus2():
+    # two generators, the swap and -1: the swap alone fixes a line, both fix 0
+    klein = FiniteGroup.from_permutations([(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1),
+                                           (3, 2, 1, 0)])
+    swap, minus = LatticeMap([[0, 1], [1, 0]]), LatticeMap.identity(2).scale(-1)
+    return GammaAction(klein, B.torus(2), [LatticeMap.identity(2), swap, minus, swap @ minus])
+
+
+EXTRA_ACTIONS = {"cyclic-200": _twisted_cyclic_200, "klein-four": _klein_four_on_torus2}
+
+
+@pytest.mark.parametrize("name", CATALOG_ACTIONS + list(EXTRA_ACTIONS))
+def test_fold_fixes_what_every_group_element_fixes(name):
+    # fold takes the fixed sublattice of the identity's and the generators' coactions only
+    a = EXTRA_ACTIONS[name]() if name in EXTRA_ACTIONS else catalog.preset(name).action
+    every = fixed_sublattice([a.coaction(i) for i in a.group.elements()])
+    assert fold(a).restriction == every.basis.transpose()
