@@ -94,13 +94,25 @@ def _compiled_reflections(base: BasedRootDatum):
 
 
 def _orbit_walk(base, point, needle=None):
+    """The orbit of ``point`` as numerator tuples, or None if it meets ``needle``.
+
+    Both points must have the rank of the datum; a needle with another
+    denominator is not in the orbit, which is then returned unwalked.
+    """
+    rank = base.datum.rank
+    for p in (point, needle):
+        if p is not None and p.rank != rank:
+            raise ValueError(f"point of rank {p.rank} for a datum of rank {rank}")
     den = point.den
-    mats = _compiled_reflections(base)
-    n = len(point.nums)
-    rng_n = range(n)
     start = tuple(x % den for x in point.nums)
-    if needle == start:
-        return None, den
+    if needle is not None:
+        if needle.den != den:
+            return {start}
+        needle = needle.nums
+        if needle == start:
+            return None
+    mats = _compiled_reflections(base)
+    rng_n = range(rank)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -113,31 +125,26 @@ def _orbit_walk(base, point, needle=None):
                 w = tuple(w)
                 if w not in seen:
                     if w == needle:
-                        return None, den
+                        return None
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
-    return seen, den
+    return seen
 
 
 def weyl_orbit_contains(base: BasedRootDatum, a: TorsionVector,
                         b: TorsionVector) -> bool:
     """Whether two torsion points are Weyl translates of each other."""
-    if a.den != b.den:
-        return False
-    needle = tuple(x % b.den for x in b.nums)
-    seen, _ = _orbit_walk(base, a, needle)
-    return seen is None
+    return _orbit_walk(base, a, b) is None
 
 
 def canonicalize_class(base: BasedRootDatum, point: TorsionVector) -> TorsionVector:
     """Least Weyl translate; equal points of equal classes get equal output."""
-    seen, den = _orbit_walk(base, point)
-    return TorsionVector(min(seen), den)
+    return TorsionVector(min(_orbit_walk(base, point)), point.den)
 
 
 def class_stabilizer_size(base: BasedRootDatum, point: TorsionVector) -> int:
-    seen, _ = _orbit_walk(base, point)
+    seen = _orbit_walk(base, point)
     order = weyl_group_order(base)
     assert order % len(seen) == 0
     return order // len(seen)

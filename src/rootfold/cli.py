@@ -31,13 +31,26 @@ class UsageError(Exception):
     """Configuration or flag problem; maps to exit code 2."""
 
 
-# JSON type of each config key other than q (checked with its range), and its name
-_CONFIG_TYPES = {
-    "preset": (str, "a string"), "action": (str, "a string"), "which": (str, "a string"),
-    "format": (str, "a string"), "budget": (str, "a string"),
-    "group": (dict, "an object"), "action_spec": (dict, "an object"),
-    "tau": (list, "a list of lists of integers"),
+# nesting depth of the integers under a key -> its description
+_INT_SHAPES = ("an integer", "a list of integers", "a list of lists of integers",
+               "a list of integer matrices")
+_TYPE_NAMES = {str: "a string", dict: "an object"}
+
+# config key -> (JobConfig field, default, JSON shape); a shape is a type, the
+# nesting depth of an integer tree, or a tuple of the allowed strings
+_KEYS = {
+    "preset": ("preset", None, str),
+    "action": ("action", None, str),
+    "q": ("q", None, 0),
+    "tau": ("tau", None, 2),
+    "format": ("fmt", "table", ("table", "json")),
+    "budget": ("budget", "full", tuple(BUDGET_QS)),
+    "which": ("which", None, str),
+    "group": ("group", None, dict),
+    "action_spec": ("action_spec", None, dict),
 }
+# the keys that a --flag sets, in the order of the help text
+_FLAGS = ("preset", "action", "q", "format", "budget")
 
 
 def _is_int_tree(x, depth: int) -> bool:
@@ -47,34 +60,33 @@ def _is_int_tree(x, depth: int) -> bool:
     return isinstance(x, list) and all(_is_int_tree(y, depth - 1) for y in x)
 
 
-def _check_config_types(d: dict):
-    for key, (kind, name) in _CONFIG_TYPES.items():
-        val = d.get(key)
-        if val is None:
-            continue
-        if not isinstance(val, kind) or key == "tau" and not _is_int_tree(val, 2):
-            raise UsageError(f"config key {key!r} must be {name}")
+def _checked(key: str, val):
+    """``val`` if it has the JSON shape of config key ``key``; else ``UsageError``."""
+    _, default, shape = _KEYS[key]
+    if val is None and default is None:  # JSON null leaves the key unset
+        return val
+    kind = str if isinstance(shape, tuple) else shape
+    if key == "q" and not (_is_int_tree(val, 0) and val >= 2):
+        raise UsageError("q must be an integer at least 2")
+    if isinstance(kind, int) and not _is_int_tree(val, kind):
+        raise UsageError(f"config key {key!r} must be {_INT_SHAPES[kind]}")
+    if isinstance(kind, type) and not isinstance(val, kind):
+        raise UsageError(f"config key {key!r} must be {_TYPE_NAMES[kind]}")
+    if isinstance(shape, tuple) and val not in shape:
+        raise UsageError(f"unknown {key} {val!r}")
+    return val
 
 
 class JobConfig:
-    """One job's settings: the config document's keys, then the flags over them."""
+    """One job's settings, by keyword: the config document's keys, then the flags."""
 
-    __slots__ = ("preset", "action", "q", "tau", "fmt", "budget", "which", "group",
-                 "action_spec")
+    __slots__ = tuple(field for field, _, _ in _KEYS.values())
 
-    def __init__(self, preset: str | None = None, action: str | None = None,
-                 q: int | None = None, tau: list | None = None, fmt: str = "table",
-                 budget: str = "full", which: str | None = None,
-                 group: dict | None = None, action_spec: dict | None = None):
-        self.preset = preset
-        self.action = action
-        self.q = q
-        self.tau = tau
-        self.fmt = fmt
-        self.budget = budget
-        self.which = which
-        self.group = group
-        self.action_spec = action_spec
+    def __init__(self, **fields):
+        for field, default, _ in _KEYS.values():
+            setattr(self, field, fields.pop(field, default))
+        if fields:
+            raise TypeError(f"unknown JobConfig fields: {', '.join(fields)}")
 
     def _fields(self):
         return tuple(getattr(self, key) for key in self.__slots__)
@@ -94,43 +106,15 @@ class JobConfig:
     def from_dict(cls, d: dict) -> "JobConfig":
         if not isinstance(d, dict):
             raise UsageError("config document must be a JSON object")
-        known = {"preset", "action", "q", "tau", "format", "budget", "which",
-                 "group", "action_spec"}
-        unknown = sorted(set(d) - known)
+        unknown = sorted(set(d) - set(_KEYS))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(map(repr, unknown))}")
-        _check_config_types(d)
-        cfg = cls(
-            preset=d.get("preset"),
-            action=d.get("action"),
-            q=d.get("q"),
-            tau=d.get("tau"),
-            fmt=d.get("format", "table"),
-            budget=d.get("budget", "full"),
-            which=d.get("which"),
-            group=d.get("group"),
-            action_spec=d.get("action_spec"),
-        )
-        if cfg.fmt not in ("table", "json"):
-            raise UsageError(f"unknown format {cfg.fmt!r}")
-        if cfg.budget not in BUDGET_QS:
-            raise UsageError(f"unknown budget {cfg.budget!r}")
-        if cfg.q is not None and (not isinstance(cfg.q, int) or cfg.q < 2):
-            raise UsageError("q must be an integer at least 2")
-        return cfg
+        return cls(**{_KEYS[key][0]: _checked(key, val) for key, val in d.items()})
 
     def to_dict(self) -> dict:
-        d = {}
-        for key, val in [("preset", self.preset), ("action", self.action),
-                         ("q", self.q), ("tau", self.tau), ("which", self.which),
-                         ("group", self.group), ("action_spec", self.action_spec)]:
-            if val is not None:
-                d[key] = val
-        if self.fmt != "table":
-            d["format"] = self.fmt
-        if self.budget != "full":
-            d["budget"] = self.budget
-        return d
+        """The keys whose value is not the default."""
+        return {key: getattr(self, field) for key, (field, default, _) in _KEYS.items()
+                if getattr(self, field) != default}
 
 
 def parse_config_file(path: str) -> JobConfig:
@@ -151,8 +135,6 @@ def parse_config_file(path: str) -> JobConfig:
 _GROUP_INTS = {"rank": 0, "roots": 2, "coroots": 2, "simples": 1}
 _ACTION_INTS = {"cyclic": 0, "permutations": 2, "diagrams": 3}
 _TWIST_INTS = {"num": 1, "den": 0}
-_INT_SHAPES = ("an integer", "a list of integers", "a list of lists of integers",
-               "a list of integer matrices")
 
 
 def _check_ints(spec: dict, depths: dict, what: str):
@@ -371,12 +353,11 @@ def cmd_verify(cfg: JobConfig):
 
 
 def _print_table(payload, out):
-    skip = {"cases", "classes", "lifts", "provenance"}
+    row_keys = ("classes", "lifts", "provenance", "cases")
     for key, val in payload.items():
-        if key in skip:
-            continue
-        print(f"{key}: {val}", file=out)
-    for key in ("classes", "lifts", "provenance", "cases"):
+        if key not in row_keys:
+            print(f"{key}: {val}", file=out)
+    for key in row_keys:
         rows = payload.get(key)
         if not rows:
             continue
@@ -394,55 +375,38 @@ def emit(payload, cfg: JobConfig, out=None):
         _print_table(payload, out)
 
 
+COMMANDS = {
+    "fold": (cmd_fold, "compute the fixed-group root datum of an action"),
+    "conorm": (cmd_conorm, "compute the norm and conorm lattice maps"),
+    "classes": (cmd_classes, "enumerate stable semisimple classes over F_q"),
+    "lift": (cmd_lift, "enumerate folded classes with their lifts"),
+    "verify": (cmd_verify, "run one of the verification suites"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rootfold",
         description="fold root data, transfer conjugacy classes, verify the identities")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("fold", "compute the fixed-group root datum of an action"),
-        ("conorm", "compute the norm and conorm lattice maps"),
-        ("classes", "enumerate stable semisimple classes over F_q"),
-        ("lift", "enumerate folded classes with their lifts"),
-        ("verify", "run one of the verification suites"),
-    ]:
+    for name, (_, helptext) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         if name == "verify":
             p.add_argument("which", choices=VERIFY_KINDS)
         p.add_argument("--config", metavar="PATH")
-        p.add_argument("--preset")
-        p.add_argument("--action")
-        p.add_argument("--q", type=int)
-        p.add_argument("--format", choices=("table", "json"), dest="fmt")
-        p.add_argument("--budget", choices=tuple(BUDGET_QS))
+        for key in _FLAGS:
+            shape = _KEYS[key][2]
+            choices = shape if isinstance(shape, tuple) else None
+            p.add_argument(f"--{key}", choices=choices, type=int if shape == 0 else None)
     return parser
 
 
 def merge_flags(cfg: JobConfig, ns: argparse.Namespace) -> JobConfig:
-    if ns.preset is not None:
-        cfg.preset = ns.preset
-    if ns.action is not None:
-        cfg.action = ns.action
-    if ns.q is not None:
-        if ns.q < 2:
-            raise UsageError("q must be at least 2")
-        cfg.q = ns.q
-    if ns.fmt is not None:
-        cfg.fmt = ns.fmt
-    if ns.budget is not None:
-        cfg.budget = ns.budget
-    if getattr(ns, "which", None) is not None:
-        cfg.which = ns.which
+    for key in (*_FLAGS, "which"):
+        val = getattr(ns, key, None)
+        if val is not None:
+            setattr(cfg, _KEYS[key][0], _checked(key, val))
     return cfg
-
-
-COMMANDS = {
-    "fold": cmd_fold,
-    "conorm": cmd_conorm,
-    "classes": cmd_classes,
-    "lift": cmd_lift,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
@@ -454,7 +418,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config_file(ns.config) if ns.config else JobConfig()
         cfg = merge_flags(cfg, ns)
-        payload, ok = COMMANDS[ns.command](cfg)
+        payload, ok = COMMANDS[ns.command][0](cfg)
     except UsageError as exc:
         print(f"rootfold: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -149,7 +149,7 @@ class GammaAction:
     not fit the group and the rank raise ``ValueError``.
     """
 
-    __slots__ = ("group", "base", "diagram", "twist", "_pinned_cache")
+    __slots__ = ("group", "base", "diagram", "twist")
 
     def __init__(self, group: FiniteGroup, base: BasedRootDatum, diagram, twist=None):
         self.group = group
@@ -176,7 +176,6 @@ class GammaAction:
         for i, t in enumerate(self.twist):
             if t.rank != rank:
                 raise ValueError(f"twist {i} has rank {t.rank}, not {rank}")
-        self._pinned_cache = {}
 
     def coaction(self, i) -> LatticeMap:
         """Action of element i on the cocharacter lattice."""
@@ -186,10 +185,7 @@ class GammaAction:
         return tuple(self.diagram[i](root))
 
     def pinned_scalars(self, i):
-        if i not in self._pinned_cache:
-            sc = build_structure_constants(self.base)
-            self._pinned_cache[i] = propagate_scalars(sc, self.diagram[i])
-        return self._pinned_cache[i]
+        return _pinned_scalars(self.base, self.diagram[i])
 
     def __eq__(self, other):
         """Same diagrams and same twist pairings against every root."""
@@ -213,6 +209,16 @@ class GammaAction:
 def _coaction(diagram: LatticeMap) -> LatticeMap:
     """Inverse transpose of a diagram part, once per matrix."""
     return diagram.inverse_transpose()
+
+
+@lru_cache(maxsize=None)
+def _pinned_scalars(base: BasedRootDatum, diagram: LatticeMap) -> dict:
+    """``propagate_scalars`` of a diagram part, once per (base, matrix).
+
+    An action and its pinned projection have the same diagram parts, so they
+    share these; callers must not mutate the returned dict.
+    """
+    return propagate_scalars(build_structure_constants(base), diagram)
 
 
 def validate_action(a: GammaAction) -> ValidationReport:

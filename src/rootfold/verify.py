@@ -19,7 +19,7 @@ and a stabilizer's order is |W| over the size of its orbit.
 import random
 
 from . import catalog
-from .classes import (FrobeniusStructure, StableClass, canonicalize_class, class_stabilizer_size,
+from .classes import (FrobeniusStructure, canonicalize_class, class_stabilizer_size,
                       enumerate_stable_classes, lift_stable_class, weyl_orbit_contains)
 from .duality_conorm import ConormData, Isogeny, equivariant_for, fold_isogeny, validate_isogeny
 from .exact_lattice import LatticeMap, Sublattice, TorsionVector
@@ -69,11 +69,26 @@ def verify_conorm_well_defined(a: GammaAction, count=100, den_bound=24, p=2,
     return ValidationReport(not problems, problems)
 
 
+def _lift_problems(conorm: ConormData, qs, point_map, problem: str) -> list:
+    """Per q, ``problem`` for the first stable class of the fold whose lift is not
+    the class of ``point_map`` (the situation's explicit map) at its representative.
+    """
+    fd = conorm.folded
+    problems = []
+    for q in qs:
+        frob = FrobeniusStructure.untwisted(q, fd.rank)
+        for cls in enumerate_stable_classes(fd.fixed_base, frob):
+            explicit = canonicalize_class(fd.source.base, point_map(cls.rep))
+            if lift_stable_class(conorm, cls).rep != explicit:
+                problems.append(problem.format(rep=cls.rep.fractions(), q=q))
+                break
+    return problems
+
+
 def verify_product_conorm(base_half: BasedRootDatum, m: int, qs) -> ValidationReport:
     """For the rotation of H^m the lift is the diagonal and the norm is x^m."""
     problems = []
-    a = catalog.rotation_action(base_half, m)
-    fd = fold(a)
+    fd = fold(catalog.rotation_action(base_half, m))
     conorm = ConormData(fd)
     n = base_half.datum.rank
     stacked = LatticeMap([[1 if c == r % n else 0 for c in range(n)]
@@ -82,37 +97,20 @@ def verify_product_conorm(base_half: BasedRootDatum, m: int, qs) -> ValidationRe
         problems.append("conorm is not the diagonal embedding")
     if fd.restriction @ conorm.matrix != LatticeMap.identity(n).scale(m):
         problems.append("norm of the lift is not the m-th power map")
-    for q in qs:
-        frob = FrobeniusStructure.untwisted(q, fd.rank)
-        for cls in enumerate_stable_classes(fd.fixed_base, frob):
-            lift = lift_stable_class(conorm, cls)
-            # each factor of the lifted representative is the class itself
-            nums, den = lift.rep.nums, lift.rep.den
-            blocks = [TorsionVector(nums[k * n:(k + 1) * n], den) for k in range(m)]
-            if not all(weyl_orbit_contains(base_half, cls.rep, b) for b in blocks):
-                problems.append(f"lift of {cls.rep.fractions()} at q={q} "
-                                "is not diagonal up to the Weyl group")
-                break
+    # W(H^m) = W(H)^m acts blockwise: the least point of (x, ..., x) is (min Wx, ...)
+    problems += _lift_problems(conorm, qs, lambda x: TorsionVector(x.nums * m, x.den),
+                               "lift of {rep} at q={q} is not diagonal up to the Weyl group")
     return ValidationReport(not problems, problems)
 
 
 def verify_trivial_lift(base: BasedRootDatum, m: int, qs) -> ValidationReport:
     """Trivial action of a group of order m lifts a class to its m-th power."""
     problems = []
-    n = base.datum.rank
-    fd = fold(catalog.trivial_action(base, m))
-    conorm = ConormData(fd)
-    if conorm.matrix != LatticeMap.identity(n).scale(m):
+    conorm = ConormData(fold(catalog.trivial_action(base, m)))
+    if conorm.matrix != LatticeMap.identity(base.datum.rank).scale(m):
         problems.append("conorm of the trivial action is not multiplication by m")
-    for q in qs:
-        frob = FrobeniusStructure.untwisted(q, n)
-        for cls in enumerate_stable_classes(base, frob):
-            lift = lift_stable_class(conorm, cls)
-            power = canonicalize_class(base, cls.rep.scale(m))
-            if lift.rep != power:
-                problems.append(f"lift of {cls.rep.fractions()} at q={q} "
-                                "is not the m-th power")
-                break
+    problems += _lift_problems(conorm, qs, lambda x: x.scale(m),
+                               "lift of {rep} at q={q} is not the m-th power")
     return ValidationReport(not problems, problems)
 
 
@@ -163,19 +161,13 @@ def verify_normal_subgroup_composition(a: GammaAction, normal_indices,
         return ValidationReport(False, problems)
     if conorm_full.matrix != conorm0.matrix @ conorm_bar.matrix @ transport:
         problems.append("conorm does not factor through the stages")
-    source = a.base
-    for q in qs:
-        frob = FrobeniusStructure.untwisted(q, fd_full.rank)
-        for cls in enumerate_stable_classes(fd_full.fixed_base, frob):
-            direct = lift_stable_class(conorm_full, cls)
-            mid = canonicalize_class(fd_bar.fixed_base, cls.rep.apply(transport))
-            staged_pt = conorm0.apply(
-                canonicalize_class(fd0.fixed_base, conorm_bar.apply(mid)))
-            staged = canonicalize_class(source, staged_pt)
-            if staged != direct.rep:
-                problems.append(f"class {cls.rep.fractions()} at q={q} lifts "
-                                "differently through the stages")
-                break
+
+    def staged(x):
+        mid = canonicalize_class(fd_bar.fixed_base, x.apply(transport))
+        return conorm0.apply(canonicalize_class(fd0.fixed_base, conorm_bar.apply(mid)))
+
+    problems += _lift_problems(conorm_full, qs, staged,
+                               "class {rep} at q={q} lifts differently through the stages")
     return ValidationReport(not problems, problems)
 
 
@@ -222,16 +214,9 @@ def verify_pinning_factorization(a: GammaAction, qs) -> ValidationReport:
         problems.append("twisted dual roots do not sit inside the pinned dual roots")
     elif not is_closed_subsystem(dual_root_datum(fp.fixed), fd.fixed.coroots):
         problems.append("twisted dual roots are not closed in the pinned dual system")
-    for q in qs:
-        frob = FrobeniusStructure.untwisted(q, fd.rank)
-        for cls in enumerate_stable_classes(fd.fixed_base, frob):
-            direct = lift_stable_class(conorm, cls)
-            coarse = StableClass(canonicalize_class(fp.fixed_base, cls.rep), q)
-            via_pinned = lift_stable_class(conorm_p, coarse)
-            if via_pinned != direct:
-                problems.append(f"class {cls.rep.fractions()} at q={q} lifts "
-                                "differently through the pinned fold")
-                break
+    problems += _lift_problems(
+        conorm, qs, lambda x: conorm_p.apply(canonicalize_class(fp.fixed_base, x)),
+        "class {rep} at q={q} lifts differently through the pinned fold")
     return ValidationReport(not problems, problems)
 
 

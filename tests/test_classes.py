@@ -6,7 +6,7 @@ import builders as B
 from oracles import gl_class_count, steinberg_count
 from test_gamma_action import z2_flip_action
 
-from rootfold import catalog
+from rootfold import catalog, verify
 from rootfold.classes import (
     FrobeniusStructure,
     StableClass,
@@ -15,6 +15,7 @@ from rootfold.classes import (
     enumerate_stable_classes,
     lift_stable_class,
     max_finite_order,
+    weyl_orbit_contains,
 )
 from rootfold.duality_conorm import ConormData
 from rootfold.exact_lattice import LatticeMap, TorsionVector
@@ -83,6 +84,18 @@ def test_canonicalize_picks_least_translate():
 def test_class_stabilizer_size():
     assert class_stabilizer_size(B.gl(2), TorsionVector((0, 0), 1)) == 2
     assert class_stabilizer_size(B.gl(2), TorsionVector((1, 2), 3)) == 1
+
+
+@pytest.mark.parametrize("walk", [
+    lambda base, p: canonicalize_class(base, p),
+    lambda base, p: class_stabilizer_size(base, p),
+    lambda base, p: weyl_orbit_contains(base, p, p),
+    lambda base, p: weyl_orbit_contains(base, TorsionVector((1, 2, 0), 3), p),
+], ids=["canonicalize", "stabilizer", "contains-itself", "contains-as-needle"])
+def test_a_point_of_the_wrong_rank_is_refused(walk):
+    # a rank-2 point on the rank-3 datum of GL(3)
+    with pytest.raises(ValueError, match="point of rank 2 for a datum of rank 3"):
+        walk(catalog.gl(3), TorsionVector((1, 2), 3))
 
 
 def test_enumerate_gl1():
@@ -155,6 +168,25 @@ def test_verify_product_conorm():
 def test_verify_trivial_lift():
     assert verify_trivial_lift(B.gl(2), 2, (2, 3)).ok
     assert verify_trivial_lift(B.gl(1), 5, (3,)).ok
+
+
+@pytest.mark.parametrize("check, problem", [
+    (lambda qs: verify_product_conorm(B.gl(2), 2, qs), "is not diagonal up to the Weyl group"),
+    (lambda qs: verify_trivial_lift(B.gl(2), 2, qs), "is not the m-th power"),
+    (lambda qs: verify_normal_subgroup_composition(z4_composite_action(), [0, 2], qs),
+     "lifts differently through the stages"),
+    (lambda qs: verify_pinning_factorization(z2_flip_action(4), qs),
+     "lifts differently through the pinned fold"),
+], ids=["product", "trivial", "normal-subgroup", "pinning"])
+def test_a_wrong_lift_gives_one_problem_per_q(monkeypatch, check, problem):
+    # no stable point of these rank <= 4 groups at q = 2, 3 has order 101
+    monkeypatch.setattr(verify, "lift_stable_class", lambda conorm, cls: StableClass(
+        TorsionVector((1,) * conorm.matrix.codomain_rank, 101), cls.q))
+    rep = check((2, 3))
+    assert not rep.ok
+    assert len(rep.problems) == 2
+    for q, text in zip((2, 3), rep.problems):
+        assert f" at q={q} " in text and text.endswith(problem)
 
 
 def test_verify_reports_are_hashable():

@@ -149,6 +149,30 @@ def test_unknown_config_keys_rejected(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_q_below_two_gives_one_line_from_a_flag_and_from_a_config(capsys, tmp_path):
+    assert main(["classes", "--preset", "gl2", "--q", "1"]) == 2
+    from_flag = capsys.readouterr()
+    path = config_path(tmp_path, {"preset": "gl2", "q": 1})
+    assert main(["classes", "--config", path]) == 2
+    assert capsys.readouterr() == from_flag
+    assert_one_usage_line(from_flag, "rootfold: q must be an integer at least 2")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_command_lines_parse_and_name_every_key_and_command():
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("rootfold ")]
+    assert commands
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    assert {argv[0] for argv in commands} == set(cli.COMMANDS)
+    assert [key for key in cli._KEYS if f"`{key}`" not in text] == []
+
+
 def test_config_roundtrip_is_idempotent():
     doc = {"preset": "d4", "action": "triality", "q": 2,
            "format": "json", "budget": "small"}

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import builders as B
+from test_action_laws import ACTIONS, FRACTIONS, catalog_action, hypothesis, st
 from test_chevalley import perm_map
 from test_gamma_action import z2_flip_action
 
@@ -13,7 +14,7 @@ from rootfold.duality_conorm import (
     fold_isogeny,
     validate_isogeny,
 )
-from rootfold.exact_lattice import LatticeMap, TorsionVector
+from rootfold.exact_lattice import LatticeMap, TorsionVector, kernel_basis
 from rootfold.folding import fold
 from rootfold.gamma_action import FiniteGroup, GammaAction
 from rootfold.verify import verify_isogeny_square
@@ -193,3 +194,32 @@ def test_isogeny_square_rejects_nonequivariant_actions():
     rep = verify_isogeny_square(phi, a_src, z2_flip_action(2))
     assert not rep.ok
     assert any("equivariant" in p for p in rep.problems)
+
+
+@st.composite
+def coboundary_twisted_actions(draw):
+    """A catalog action and its copy with twists t(x) + s - x.s for a random s."""
+    a = catalog_action(draw(st.sampled_from(ACTIONS)))
+    rank = a.base.datum.rank
+    s = TorsionVector.from_fractions(draw(st.lists(FRACTIONS, min_size=rank, max_size=rank)))
+    twist = [t + s - s.apply(a.coaction(x)) for x, t in enumerate(a.twist)]
+    return a, GammaAction(a.group, a.base, a.diagram, twist)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(coboundary_twisted_actions(), st.data())
+def test_conorm_of_a_coboundary_twist(pair, data):
+    a, twisted = pair
+    fd = fold(twisted)
+    conorm = ConormData(fd).matrix
+    # the norm restricted to the folded torus is |Gamma|
+    assert fd.restriction @ conorm == LatticeMap.identity(fd.rank).scale(a.group.size)
+    # every integer section of the restriction gives the same conorm
+    kernel = kernel_basis(fd.restriction)
+    shift = LatticeMap([data.draw(st.lists(st.integers(-3, 3), min_size=fd.rank,
+                                           max_size=fd.rank))
+                        for _ in range(kernel.domain_rank)], fd.rank)
+    n = a.base.datum.rank
+    assert sum(twisted.diagram, LatticeMap.zero(n, n)) @ (fd.section + kernel @ shift) == conorm
+    # a coboundary conjugates by a torus element, which keeps every root space
+    assert fd.fixed.roots == fold(a).fixed.roots

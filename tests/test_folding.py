@@ -7,7 +7,7 @@ from oracles import same_type
 from test_chevalley import flip_map, perm_map
 from test_gamma_action import S3_PERMS, d4_action, z2_flip_action
 
-from rootfold import catalog, folding
+from rootfold import catalog, folding, gamma_action
 from rootfold.chevalley import build_structure_constants
 from rootfold.duality_conorm import ConormData
 from rootfold.exact_lattice import (LatticeMap, TorsionVector, dot, fixed_sublattice,
@@ -315,10 +315,23 @@ def test_restricted_root_comparison_builds_one_table():
     a = catalog.preset("e6ad-pinned").action
     unused = GammaAction(a.group, a.base, a.diagram, a.twist)  # no pinned scalars yet
     build_structure_constants.cache_clear()
+    gamma_action._pinned_scalars.cache_clear()
     restricted_root_comparison(unused)
     info = build_structure_constants.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     assert info.hits >= 1
+
+
+def test_restricted_root_comparison_propagates_each_diagram_part_once(monkeypatch):
+    # the action and its pinned projection have the same six diagram parts
+    a = catalog.preset("d4-full-s3").action
+    calls = []
+    real = gamma_action.propagate_scalars
+    monkeypatch.setattr(gamma_action, "propagate_scalars",
+                        lambda sc, d: calls.append(d) or real(sc, d))
+    gamma_action._pinned_scalars.cache_clear()
+    restricted_root_comparison(a)
+    assert len(calls) <= a.group.size == 6
 
 
 @pytest.mark.parametrize("compare", [restricted_root_comparison, dual_length_comparison])
