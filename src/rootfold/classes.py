@@ -8,8 +8,12 @@ orbits meeting the fixed points of w o (q * tau) for some Weyl element w.
 
 A class is named by its canonical representative, the least point of its
 orbit, found by walking the orbit with the simple reflections; the order of a
-point's stabilizer is |W| over the size of that orbit.  Enumeration is the
-one place that runs through every Weyl element.
+point's stabilizer is |W| over the size of that orbit.  A walk step
+s_i(x) = x - <x, coroot_i> root_i is one short pairing with the coroot and an
+update on the support of the root, and a point whose pairing is 0 mod its
+denominator is fixed by s_i, so the step is skipped.  The nonzero entries of
+the simple roots and coroots are kept once per based datum.  Enumeration is
+the one place that runs through every Weyl element.
 
 Lifting a class through a fold applies the conorm matrix to a class
 representative and recanonicalizes in the bigger Weyl group.
@@ -78,31 +82,33 @@ class StableClass(NamedTuple):
         return (self.rep.key(), self.q) < (other.rep.key(), other.q)
 
 
-def _compiled_reflections(base: BasedRootDatum):
-    """Simple reflections as lists of (row index, row); unit rows dropped.
+@lru_cache(maxsize=None)
+def _reflection_steps(base: BasedRootDatum):
+    """Per simple reflection, the nonzero (index, entry) pairs of its coroot and root."""
+    return tuple((tuple((j, x) for j, x in enumerate(coroot) if x),
+                  tuple((j, x) for j, x in enumerate(root) if x))
+                 for root, coroot in zip(base.simple_roots, base.simple_coroots))
 
-    In simple-root coordinates a reflection rewrites one coordinate, so this
-    turns the orbit step from a full matrix product into a few dot products.
-    """
-    n = base.datum.rank
-    out = []
-    for m in map(base.datum.reflection, base.simple_indices):
-        rows = [(i, tuple(row)) for i, row in enumerate(m.rows)
-                if any(row[j] != (1 if j == i else 0) for j in range(n))]
-        out.append(tuple(rows))
-    return out
+
+def _check_rank(point, rank):
+    if point.rank != rank:
+        raise ValueError(f"point of rank {point.rank} for a datum of rank {rank}")
 
 
 def _orbit_walk(base, point, needle=None):
     """The orbit of ``point`` as numerator tuples, or None if it meets ``needle``.
 
     Both points must have the rank of the datum; a needle with another
-    denominator is not in the orbit, which is then returned unwalked.
+    denominator is not in the orbit, which is then returned unwalked.  Each
+    step pairs a point with a simple coroot mod the denominator; a zero
+    pairing means the reflection fixes the point, and otherwise only the
+    coordinates on the simple root's support change.  The steps come from
+    ``_reflection_steps``, cached per based datum.
     """
     rank = base.datum.rank
-    for p in (point, needle):
-        if p is not None and p.rank != rank:
-            raise ValueError(f"point of rank {p.rank} for a datum of rank {rank}")
+    _check_rank(point, rank)
+    if needle is not None:
+        _check_rank(needle, rank)
     den = point.den
     start = tuple(x % den for x in point.nums)
     if needle is not None:
@@ -111,17 +117,22 @@ def _orbit_walk(base, point, needle=None):
         needle = needle.nums
         if needle == start:
             return None
-    mats = _compiled_reflections(base)
-    rng_n = range(rank)
+    steps = _reflection_steps(base)
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for v in frontier:
-            for touched in mats:
+            for coroot, root in steps:
+                c = 0
+                for j, x in coroot:
+                    c += x * v[j]
+                c %= den
+                if not c:
+                    continue
                 w = list(v)
-                for i, row in touched:
-                    w[i] = sum(row[j] * v[j] for j in rng_n) % den
+                for j, x in root:
+                    w[j] = (w[j] - c * x) % den
                 w = tuple(w)
                 if w not in seen:
                     if w == needle:
@@ -146,7 +157,8 @@ def canonicalize_class(base: BasedRootDatum, point: TorsionVector) -> TorsionVec
 def class_stabilizer_size(base: BasedRootDatum, point: TorsionVector) -> int:
     seen = _orbit_walk(base, point)
     order = weyl_group_order(base)
-    assert order % len(seen) == 0
+    if order % len(seen):
+        raise AssertionError(f"orbit of size {len(seen)} does not divide |W| = {order}")
     return order // len(seen)
 
 
@@ -200,4 +212,5 @@ def enumerate_stable_classes(base: BasedRootDatum, frob: FrobeniusStructure):
 def lift_stable_class(conorm: ConormData, cls: StableClass) -> StableClass:
     """Canonical lift of a stable class through the conorm of the fold."""
     target = conorm.folded.source.base
+    _check_rank(cls.rep, conorm.matrix.domain_rank)
     return StableClass(canonicalize_class(target, conorm.apply(cls.rep)), cls.q)

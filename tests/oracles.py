@@ -8,6 +8,8 @@ matrix conjugation.  The diagram walker finds a Cartan type from the shape
 of the Dynkin diagram, where the library reads it off root counts.  The
 action oracle checks the homomorphism and twist-cocycle laws of a group
 action on every pair of elements, where the library checks generators only.
+The orbit oracle closes a torsion point under full reflection matrices, where
+the library steps by one sparse coroot pairing.
 The Fraction eliminations ``_det``, ``_rank`` and ``solve_rational`` are the
 reference for the library's one integer elimination.
 
@@ -287,6 +289,28 @@ def _dot(u, v):
 
 def _apply(rows, v):
     return tuple(_dot(row, v) for row in rows)
+
+
+def brute_force_orbit(nums, den, roots, coroots):
+    """The orbit of nums/den in (Q/Z)^n under the reflections in ``roots``.
+
+    ``roots[k]`` pairs with ``coroots[k]``; the reflection is the full matrix
+    I - a a^vee^T, applied by a matrix product.  Returns the numerator tuples
+    mod den of the closure of the point under those matrices.
+    """
+    n = len(nums)
+    mats = [[[(r == c) - a[r] * av[c] for c in range(n)] for r in range(n)]
+            for a, av in zip(roots, coroots)]
+    start = tuple(x % den for x in nums)
+    orbit, todo = {start}, [start]
+    while todo:
+        v = todo.pop()
+        for m in mats:
+            w = tuple(x % den for x in _apply(m, v))
+            if w not in orbit:
+                orbit.add(w)
+                todo.append(w)
+    return orbit
 
 
 def action_is_valid(table, diagrams, twists, roots, coroots) -> bool:

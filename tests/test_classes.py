@@ -1,15 +1,20 @@
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
 import builders as B
-from oracles import gl_class_count, steinberg_count
+from oracles import brute_force_orbit, gl_class_count, steinberg_count
+from test_action_laws import hypothesis, st
+from test_cartan_oracle import GROUPS
 from test_gamma_action import z2_flip_action
 
 from rootfold import catalog, verify
 from rootfold.classes import (
     FrobeniusStructure,
     StableClass,
+    _reflection_steps,
     canonicalize_class,
     class_stabilizer_size,
     enumerate_stable_classes,
@@ -21,6 +26,7 @@ from rootfold.duality_conorm import ConormData
 from rootfold.exact_lattice import LatticeMap, TorsionVector
 from rootfold.folding import fold
 from rootfold.gamma_action import FiniteGroup, GammaAction
+from rootfold.root_datum import BasedRootDatum, weyl_group_order
 from rootfold.verify import (
     levi_for_element,
     subgroup_action,
@@ -91,11 +97,80 @@ def test_class_stabilizer_size():
     lambda base, p: class_stabilizer_size(base, p),
     lambda base, p: weyl_orbit_contains(base, p, p),
     lambda base, p: weyl_orbit_contains(base, TorsionVector((1, 2, 0), 3), p),
-], ids=["canonicalize", "stabilizer", "contains-itself", "contains-as-needle"])
+    lambda base, p: lift_stable_class(ConormData(fold(catalog.trivial_action(base, 2))),
+                                      StableClass(p, 3)),
+], ids=["canonicalize", "stabilizer", "contains-itself", "contains-as-needle", "lift"])
 def test_a_point_of_the_wrong_rank_is_refused(walk):
-    # a rank-2 point on the rank-3 datum of GL(3)
+    # a rank-2 point on the rank-3 datum of GL(3), and on its rank-3 fold
     with pytest.raises(ValueError, match="point of rank 2 for a datum of rank 3"):
         walk(catalog.gl(3), TorsionVector((1, 2), 3))
+
+
+def apply_step(step, v, den=None):
+    """s_i(v) = v - <v, coroot> root from one entry of the step table, mod den if given."""
+    coroot, root = step
+    c = sum(x * v[j] for j, x in coroot)
+    w = list(v)
+    for j, x in root:
+        w[j] -= c * x
+    return tuple(w) if den is None else tuple(x % den for x in w)
+
+
+def test_reflection_steps_match_the_reflection_matrices():
+    bases = [catalog.group_datum(name) for name in GROUPS]
+    bases += [B.from_cartan_sc(B.e_cartan(7)), B.from_cartan_ad(B.e_cartan(7))]
+    for base in bases:
+        rd = base.datum
+        steps = _reflection_steps(base)
+        assert _reflection_steps(BasedRootDatum(rd, base.simple_indices)) is steps
+        assert len(steps) == len(base.simple_indices)
+        for i, step in zip(base.simple_indices, steps):
+            m = rd.reflection(i)
+            for k in range(rd.rank):
+                e = tuple(int(j == k) for j in range(rd.rank))
+                assert apply_step(step, e) == m(e), (base, i, k)
+                assert apply_step(step, e, 7) == tuple(x % 7 for x in m(e)), (base, i, k)
+
+
+# every catalog group of rank at most 8 whose Weyl group has at most 1152
+# elements; the list takes in the rootless tori and the rank-zero gl0, torus0
+SMALL_W_GROUPS = [name for name in GROUPS
+                  if weyl_group_order(catalog.group_datum(name)) <= 1152]
+
+
+@st.composite
+def orbit_cases(draw):
+    """A catalog group, a point of denominator 1-12 and a word in its simple reflections."""
+    base = catalog.group_datum(draw(st.sampled_from(SMALL_W_GROUPS)))
+    den = draw(st.integers(1, 12))
+    rank = base.datum.rank
+    point = TorsionVector(draw(st.lists(st.integers(0, den - 1), min_size=rank,
+                                        max_size=rank)), den)
+    word = draw(st.lists(st.sampled_from(base.simple_indices), max_size=12)
+                if base.simple_indices else st.just([]))
+    return base, point, word
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(orbit_cases())
+def test_orbit_walks_match_the_brute_force_orbit(case):
+    base, point, word = case
+    rd, den = base.datum, point.den
+    orbit = brute_force_orbit(point.nums, den, base.simple_roots, base.simple_coroots)
+    assert canonicalize_class(base, point) == TorsionVector(min(orbit), den)
+    order = weyl_group_order(base)
+    assert order % len(orbit) == 0
+    assert class_stabilizer_size(base, point) == order // len(orbit)
+    translate = point
+    for i in word:
+        translate = translate.apply(rd.reflection(i))
+    assert weyl_orbit_contains(base, point, translate)
+    # the first point of the same denominator outside the orbit, if there is one
+    outside = next((v for v in product(range(den), repeat=rd.rank)
+                    if gcd(den, *v) == 1 and v not in orbit), None)
+    hypothesis.event(f"a point outside: {outside is not None}")
+    if outside is not None:
+        assert not weyl_orbit_contains(base, point, TorsionVector(outside, den))
 
 
 def test_enumerate_gl1():
