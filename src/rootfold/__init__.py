@@ -21,9 +21,9 @@ from .exact_lattice import (
 from .root_datum import (
     RootDatum,
     BasedRootDatum,
-    WeylElement,
     validate,
     weyl_group,
+    weyl_matrices,
     invariant_inner_product,
     classify_length,
     cartan_type,
@@ -49,7 +49,7 @@ from . import catalog
 __all__ = [
     "LatticeMap", "Sublattice", "TorsionVector",
     "smith_normal_form", "fixed_sublattice", "solve_torsion_fixed",
-    "RootDatum", "BasedRootDatum", "WeylElement", "validate", "weyl_group",
+    "RootDatum", "BasedRootDatum", "validate", "weyl_group", "weyl_matrices",
     "invariant_inner_product", "classify_length", "cartan_type",
     "is_closed_subsystem", "dual_root_datum",
     "StructureConstants", "build_structure_constants", "propagate_scalars",

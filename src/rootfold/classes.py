@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .duality_conorm import ConormData
 from .exact_lattice import LatticeMap, TorsionVector, solve_torsion_fixed
 from .root_datum import (BasedRootDatum, RootDatum, morphism_problem, weyl_group,
-                         weyl_group_order)
+                         weyl_group_order, weyl_matrices)
 
 
 def _least_prime_factor(q):
@@ -203,8 +203,8 @@ def enumerate_stable_classes(base: BasedRootDatum, frob: FrobeniusStructure):
     """Sorted canonical representatives of the Frobenius-stable classes."""
     _check_twist(base.datum, frob.tau)
     reps = set()
-    for w in weyl_group(base):
-        for x in solve_torsion_fixed(frob.point_map(w.matrix)):
+    for m in weyl_matrices(base, weyl_group(base)):
+        for x in solve_torsion_fixed(frob.point_map(m)):
             reps.add(canonicalize_class(base, x))
     return [StableClass(r, frob.q) for r in sorted(reps, key=lambda t: t.key())]
 

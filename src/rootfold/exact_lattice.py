@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 
 
 Vec = tuple[int, ...]
@@ -116,7 +116,7 @@ class LatticeMap:
     __slots__ = ("rows", "codomain_rank", "domain_rank")
 
     def __init__(self, rows, domain_rank=None):
-        self.rows: Mat = tuple([tuple(map(int, r)) for r in rows])
+        self.rows: Mat = tuple([tuple(map(index, r)) for r in rows])
         self.codomain_rank = len(self.rows)
         if domain_rank is None:
             if not self.rows:
@@ -380,10 +380,10 @@ class TorsionVector:
     __slots__ = ("nums", "den")
 
     def __init__(self, nums, den: int):
-        den = int(den)
+        den = index(den)
         if den <= 0:
             raise ValueError("denominator must be positive")
-        nums = [int(x) % den for x in nums]
+        nums = [index(x) % den for x in nums]
         g = gcd(den, *nums)
         if g > 1:
             den //= g

@@ -8,10 +8,11 @@ pairing.  Roots are stored as explicit vectors so that non-semisimple groups
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import index
 
 from .exact_lattice import LatticeMap, dot, solve_integer, vadd, vneg, vsub
 
@@ -26,11 +27,11 @@ class RootDatum:
     __slots__ = ("rank", "roots", "coroots", "_index")
 
     def __init__(self, rank: int, roots, coroots):
-        self.rank = int(rank)
+        self.rank = index(rank)
         if self.rank < 0:
             raise ValueError(f"rank {self.rank} is negative")
-        self.roots = tuple(tuple(int(x) for x in r) for r in roots)
-        self.coroots = tuple(tuple(int(x) for x in c) for c in coroots)
+        self.roots = tuple(tuple(map(index, r)) for r in roots)
+        self.coroots = tuple(tuple(map(index, c)) for c in coroots)
         if len(self.roots) != len(self.coroots):
             raise ValueError("roots and coroots must correspond one to one")
         for v in self.roots + self.coroots:
@@ -87,7 +88,7 @@ class BasedRootDatum:
 
     def __init__(self, datum: RootDatum, simple_indices):
         self.datum = datum
-        self.simple_indices = tuple(int(i) for i in simple_indices)
+        self.simple_indices = tuple(map(index, simple_indices))
         self._root_coefficients = None
 
     @property
@@ -234,119 +235,84 @@ def morphism_problem(m: LatticeMap, dom: RootDatum, cod: RootDatum) -> str | Non
     return None
 
 
-class WeylElement:
-    """A Weyl group element: matrix on X plus its canonical reduced word.
+def weyl_group(rd: RootDatum | BasedRootDatum, cap: int = 1_000_000) -> list[tuple[int, int]]:
+    """The Weyl group as its breadth-first tree on the simple reflections.
 
-    The word is the lexicographically least reduced expression in the simple
-    reflections (indices into the base's simple list); the matrix equals the
-    left-to-right product of those reflections.  Immutable; its length is the
-    length of the word.
-    """
-
-    __slots__ = ("matrix", "word")
-
-    def __init__(self, matrix: LatticeMap, word: tuple[int, ...]):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "word", word)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __len__(self):
-        return len(self.word)
-
-    def __eq__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.word == other.word and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash((self.matrix, self.word))
-
-    def __repr__(self):
-        return f"WeylElement(matrix={self.matrix!r}, word={self.word!r})"
-
-
-class _RowImages(dict):
-    """Memo of y -> y - <y, a> a^vee, which right multiplication by s_a does to a row.
-
-    Rows of Weyl-group matrices fall in a few orbits, so each image is
-    computed once per closure.
-    """
-
-    def __init__(self, a, av):
-        super().__init__()
-        self.a, self.av = a, av
-
-    def __missing__(self, row):
-        c = dot(row, self.a)
-        image = self[row] = tuple(x - c * y for x, y in zip(row, self.av))
-        return image
-
-
-def _matrix_group_closure(base: BasedRootDatum, cap: int):
-    """Breadth-first closure of the group generated by the simple reflections.
+    One (parent index, simple index) pair per element: element k is its
+    parent times s_i, and the identity comes first, as (-1, -1).  The order
+    is breadth-first from the identity with the simple reflections tried in
+    index order, so parent indices never decrease, and the word read off the
+    parent chain is the lexicographically least reduced word.  ``len()`` of
+    the table is |W|; ``weyl_matrices`` turns it into matrices.
 
     Element w is keyed by the pairings of w^-1(v) with the simple coroots.
     v pairs nonzero with every coroot, so only the identity fixes it, and
     w^-1(v) - v lies in the span of the simple roots, where those pairings
     are injective for a finite group: the key determines w.  The step
     w -> w s_i subtracts key[i] times row i of the Cartan matrix from the
-    key.  Only a newly found element needs its matrix, which is its
-    parent's with s_i applied to every row.  Returns (matrices as LatticeMap
-    list, canonical lex-least words), in breadth-first order starting at the
-    identity.
-    """
-    n = base.datum.rank
-    simples, cosimples = base.simple_roots, base.simple_coroots
-    steps = []
-    for i, (a, av) in enumerate(zip(simples, cosimples)):
-        cartan_row = tuple((j, x) for j, x in enumerate(dot(a, bv) for bv in cosimples) if x)
-        steps.append((i, cartan_row, _RowImages(a, av).__getitem__))
-    v = _positivity_functional(n, base.datum.coroots)
-    key = tuple(dot(v, bv) for bv in cosimples)
-    seen = {key}
-    keys = [key]
-    mats = [LatticeMap.identity(n).rows]
-    words = [()]
-    frontier = [0]
-    while frontier:
-        new_frontier = []
-        for idx in frontier:
-            key = keys[idx]
-            for i, cartan_row, row_image in steps:
-                c = key[i]
-                new_key = list(key)
-                for j, a_ij in cartan_row:
-                    new_key[j] -= c * a_ij
-                new_key = tuple(new_key)
-                if new_key in seen:
-                    continue
-                if len(mats) >= cap:
-                    raise WeylCapError(f"group size exceeds cap {cap}")
-                seen.add(new_key)
-                new_frontier.append(len(mats))
-                keys.append(new_key)
-                mats.append(tuple(map(row_image, mats[idx])))
-                words.append(words[idx] + (i,))
-        frontier = new_frontier
-    return [LatticeMap(m, n) for m in mats], words
-
-
-def weyl_group(rd: RootDatum | BasedRootDatum, cap: int = 1_000_000) -> list[WeylElement]:
-    """All Weyl elements with canonical words, breadth-first from the identity.
-
-    Raises WeylCapError before building any element when |W| exceeds cap.
+    key.  Raises WeylCapError before any step when |W| exceeds cap.
     """
     base = rd if isinstance(rd, BasedRootDatum) else based_from_datum(rd)
     order = weyl_group_order(base)
     if order > cap:
         raise WeylCapError(f"Weyl group of order {order} exceeds the cap {cap}")
-    mats, words = _matrix_group_closure(base, cap)
-    return [WeylElement(m, w) for m, w in zip(mats, words)]
+    cosimples = base.simple_coroots
+    cartan_rows = [tuple((j, x) for j, x in enumerate(dot(a, bv) for bv in cosimples) if x)
+                   for a in base.simple_roots]
+    v = _positivity_functional(base.datum.rank, base.datum.coroots)
+    key = tuple(dot(v, bv) for bv in cosimples)
+    seen = {key}
+    table = [(-1, -1)]
+    frontier = [(0, key)]
+    while frontier:
+        new_frontier = []
+        for parent, key in frontier:
+            for i, cartan_row in enumerate(cartan_rows):
+                c = key[i]
+                new_key = list(key)
+                for j, a_ij in cartan_row:
+                    new_key[j] -= c * a_ij
+                new_key = tuple(new_key)
+                if new_key not in seen:
+                    seen.add(new_key)
+                    new_frontier.append((len(table), new_key))
+                    table.append((parent, i))
+        frontier = new_frontier
+    return table
+
+
+def weyl_matrices(base: BasedRootDatum, table):
+    """The matrix on X of each element of ``table``, one at a time, in its order.
+
+    ``table`` is ``weyl_group(base)``: breadth-first, identity first, parent
+    indices non-decreasing.  An element's matrix is its parent's times s_i,
+    which sends each row y to y - <y, a_i> a_i^vee; rows of Weyl-group
+    matrices fall in a few orbits, so each image is computed once per
+    generator.  A matrix is dropped once no later element can have it as
+    parent, so about one breadth-first level is alive at a time.
+    """
+    n = base.datum.rank
+    images = [({}, a, av) for a, av in zip(base.simple_roots, base.simple_coroots)]
+    alive = deque()  # rows of elements first, first + 1, ...
+    first = 0
+    for parent, i in table:
+        if parent < 0:
+            rows = LatticeMap.identity(n).rows
+        else:
+            while first < parent:
+                alive.popleft()
+                first += 1
+            memo, a, av = images[i]
+            rows = []
+            for row in alive[0]:
+                image = memo.get(row)
+                if image is None:
+                    c = dot(row, a)
+                    image = memo[row] = tuple(x - c * y for x, y in zip(row, av))
+                rows.append(image)
+            rows = tuple(rows)
+        alive.append(rows)
+        yield LatticeMap(rows, n)
 
 
 def _positivity_functional(rank: int, vectors):

@@ -9,7 +9,9 @@ of the Dynkin diagram, where the library reads it off root counts.  The
 action oracle checks the homomorphism and twist-cocycle laws of a group
 action on every pair of elements, where the library checks generators only.
 The orbit oracle closes a torsion point under full reflection matrices, where
-the library steps by one sparse coroot pairing.
+the library steps by one sparse coroot pairing.  The Weyl-group oracle closes
+the identity under the same matrices, where the library walks integer keys
+and builds each matrix from its parent's rows.
 The Fraction eliminations ``_det``, ``_rank`` and ``solve_rational`` are the
 reference for the library's one integer elimination.
 
@@ -311,6 +313,33 @@ def brute_force_orbit(nums, den, roots, coroots):
                 orbit.add(w)
                 todo.append(w)
     return orbit
+
+
+def weyl_matrices_by_closure(n, simple_roots, simple_coroots):
+    """The Weyl group's matrices on X = Z^n, each with its lex-least reduced word.
+
+    Closes {I} under right multiplication by the full reflection matrices
+    I - a a^vee^T of the simple roots, breadth-first, trying the reflections
+    in index order from the elements in the order they were found.  By
+    induction on the length, each level is then found in the lex order of the
+    words, and each element first along its lex-least reduced word.  Returns
+    {matrix rows: word} in that order.
+    """
+    identity = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+    gens = [[[(r == c) - a[r] * av[c] for c in range(n)] for r in range(n)]
+            for a, av in zip(simple_roots, simple_coroots)]
+    words = {identity: ()}
+    frontier = [identity]
+    while frontier:
+        found = []
+        for m in frontier:
+            for i, g in enumerate(gens):
+                p = tuple(tuple(_dot(row, col) for col in zip(*g)) for row in m)
+                if p not in words:
+                    words[p] = words[m] + (i,)
+                    found.append(p)
+        frontier = found
+    return words
 
 
 def action_is_valid(table, diagrams, twists, roots, coroots) -> bool:

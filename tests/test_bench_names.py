@@ -2,7 +2,9 @@
 
 The benchmark reaches into ``rootfold`` by name: the tracer wraps functions
 listed per module, the worker imports from the package root, and the class
-jobs call catalog twist builders.  A rename in ``src/`` would otherwise only
+jobs call catalog twist builders.  The tracer also takes ``len()`` of the
+result of each function in its ``SIZED`` table as a work count.  A rename in
+``src/``, or a sized result that became a generator, would otherwise only
 show up as failed benchmark jobs.  The files are read with ``ast``; nothing
 under ``perfbench/`` is imported.
 """
@@ -12,6 +14,10 @@ import importlib
 from pathlib import Path
 
 import rootfold
+from oracles import steinberg_count
+from rootfold import catalog
+from rootfold.classes import FrobeniusStructure
+from rootfold.exact_lattice import LatticeMap
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -45,3 +51,26 @@ def test_worker_imports_and_twist_builders_exist():
     missing = ([name for name in sorted(imported) if not hasattr(rootfold, name)]
                + [name for name in sorted(builders) if not hasattr(rootfold.catalog, name)])
     assert not missing
+
+
+GL2 = catalog.gl(2)
+SHIFT = LatticeMap([[3, 1], [0, 3]])
+
+# per sized function: its arguments on a tiny input, and the len() it must give
+SIZED_CASES = {
+    "root_datum.weyl_group": ((catalog.gl(3),), 6),
+    "classes.enumerate_stable_classes": (
+        (GL2, FrobeniusStructure.untwisted(3, 2)),
+        steinberg_count(GL2.simple_roots, LatticeMap.identity(2).rows, 3)),
+    # |det(m - I)| fixed points
+    "exact_lattice.solve_torsion_fixed": ((SHIFT,), abs((SHIFT - LatticeMap.identity(2)).det())),
+}
+
+
+def test_sized_results_have_their_counts():
+    sized = _assigned(_module("tracer.py"), "SIZED")
+    assert sorted(sized) == sorted(SIZED_CASES)
+    for name, (args, count) in SIZED_CASES.items():
+        mod, fn = name.split(".")
+        result = getattr(importlib.import_module(f"rootfold.{mod}"), fn)(*args)
+        assert len(result) == count, name

@@ -1,4 +1,9 @@
-"""The package's records: their fields, equality, hashing and immutability."""
+"""The package's records: their fields, equality, hashing and immutability.
+
+The integer value types refuse entries that are not integers.
+"""
+
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +24,7 @@ from rootfold.gamma_action import (
     StabilizerReport,
     stabilizer_hypothesis,
 )
-from rootfold.root_datum import ValidationReport, WeylElement, weyl_group
+from rootfold.root_datum import BasedRootDatum, RootDatum, ValidationReport
 
 
 def sample_records():
@@ -28,7 +33,6 @@ def sample_records():
     hyp = stabilizer_hypothesis(a)
     return {
         "ValidationReport": ValidationReport(False, ["a", "b"]),
-        "WeylElement": weyl_group(catalog.gl(2))[1],
         "FrobeniusStructure": FrobeniusStructure.untwisted(4, 2),
         "StableClass": StableClass(TorsionVector((1, 2), 3), 3),
         "Preset": catalog.preset("gl4-pinned"),
@@ -42,7 +46,6 @@ def sample_records():
 
 FIELDS = {
     "ValidationReport": ("ok", "problems"),
-    "WeylElement": ("matrix", "word"),
     "FrobeniusStructure": ("q", "p", "tau"),
     "StableClass": ("rep", "q"),
     "Preset": ("name", "description", "action", "expected_fold"),
@@ -93,14 +96,20 @@ def test_validation_report_keeps_a_tuple_and_its_truth():
     assert ValidationReport(True, []) == ValidationReport(True, ())
 
 
-def test_weyl_element_length_is_its_word_length():
-    els = weyl_group(catalog.gl(3))
-    assert [len(w) for w in els] == [len(w.word) for w in els] == [0, 1, 1, 2, 2, 3]
-    assert els[1] != els[2]
-    assert els[1] == WeylElement(els[1].matrix, els[1].word)
-    assert len({*els, *weyl_group(catalog.gl(3))}) == 6
-    with pytest.raises(AttributeError):
-        del els[1].word
+A1 = RootDatum(1, [(2,), (-2,)], [(1,), (-1,)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LatticeMap([[1.5, 0], [0, 1]]),
+    lambda: TorsionVector((Fraction(1, 2), 1), 3),
+    lambda: TorsionVector((1,), 2.5),
+    lambda: RootDatum(1, [(2.5,), (-2,)], [(1,), (-1,)]),
+    lambda: BasedRootDatum(A1, [0.5]),
+], ids=["lattice-map", "torsion-numerator", "torsion-denominator", "root-datum",
+        "based-root-datum"])
+def test_constructors_refuse_non_integers(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_stabilizer_report_truth_is_holds():

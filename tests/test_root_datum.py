@@ -3,13 +3,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import builders as B
 import rootfold
-from oracles import form_value, same_type
+from oracles import form_value, same_type, weyl_matrices_by_closure
 from rootfold import catalog
 from rootfold.exact_lattice import LatticeMap, smith_normal_form
 from rootfold.root_datum import (
@@ -27,7 +28,9 @@ from rootfold.root_datum import (
     validate,
     weyl_group,
     weyl_group_order,
+    weyl_matrices,
 )
+from test_cartan_oracle import GROUPS
 
 
 def test_validate_accepts_standard_data():
@@ -127,11 +130,20 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
     assert proc.stdout.strip() == "[]"
 
 
+def words_of(table):
+    """Each element's word, read off the parent chain of a ``weyl_group`` table."""
+    words = []
+    for parent, i in table:
+        words.append(() if parent < 0 else words[parent] + (i,))
+    return words
+
+
 def test_weyl_torus_is_trivial():
-    els = weyl_group(RootDatum(2, [], []))
-    assert len(els) == 1
-    assert els[0].matrix == LatticeMap.identity(2)
-    assert els[0].word == ()
+    base = based_from_datum(RootDatum(2, [], []))
+    table = weyl_group(base)
+    assert table == [(-1, -1)]
+    assert list(weyl_matrices(base, table)) == [LatticeMap.identity(2)]
+    assert words_of(table) == [()]
 
 
 def test_weyl_cap():
@@ -140,38 +152,80 @@ def test_weyl_cap():
         weyl_group(B.from_cartan_sc(B.F4_CARTAN), cap=100)
 
 
+def test_weyl_cap_boundary():
+    from rootfold.root_datum import WeylCapError
+    f4 = catalog.group_datum("f4")
+    assert len(weyl_group(f4, cap=1152)) == 1152
+    with pytest.raises(WeylCapError, match="order 1152 exceeds the cap 1151"):
+        weyl_group(f4, cap=1151)
+
+
 def test_a2_canonical_words():
-    els = weyl_group(B.from_cartan_sc(B.A2_CARTAN))
-    assert [list(e.word) for e in els] == [[], [0], [1], [0, 1], [1, 0], [0, 1, 0]]
+    table = weyl_group(B.from_cartan_sc(B.A2_CARTAN))
+    assert [list(w) for w in words_of(table)] == [[], [0], [1], [0, 1], [1, 0], [0, 1, 0]]
+
+
+def test_table_is_breadth_first_from_the_identity():
+    table = weyl_group(catalog.group_datum("f4"))
+    parents = [parent for parent, _ in table]
+    assert table[0] == (-1, -1)
+    assert parents == sorted(parents)
+    lengths = [len(w) for w in words_of(table)]
+    assert lengths == sorted(lengths)
 
 
 def test_words_multiply_to_matrix():
     bases = [B.sp(2)] + [catalog.group_datum(n) for n in ("gl4", "g2", "so8", "f4")]
     for base in bases:
         gens = [base.datum.reflection(i) for i in base.simple_indices]
-        for e in weyl_group(base):
+        table = weyl_group(base)
+        for word, matrix in zip(words_of(table), weyl_matrices(base, table)):
             m = LatticeMap.identity(base.datum.rank)
-            for g in e.word:
+            for g in word:
                 m = m @ gens[g]
-            assert m == e.matrix
+            assert m == matrix
+
+
+# every catalog datum with |W| <= 1152 (rootless tori included) and a mixed direct sum
+ORACLE_GROUPS = [name for name in GROUPS
+                 if weyl_group_order(catalog.group_datum(name)) <= 1152] + ["g2+gl3"]
+
+
+def oracle_group(name):
+    if name == "g2+gl3":
+        return catalog.direct_sum(catalog.g2(), catalog.gl(3))
+    return catalog.group_datum(name)
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_weyl_table_against_closure_oracle(name):
+    base = oracle_group(name)
+    table = weyl_group(base)
+    mats = [m.rows for m in weyl_matrices(base, table)]
+    oracle = weyl_matrices_by_closure(base.datum.rank, base.simple_roots,
+                                      base.simple_coroots)
+    assert len(set(mats)) == len(mats) == weyl_group_order(base)
+    assert set(mats) == set(oracle)
+    # the oracle's words are lex-least reduced words that multiply out to its matrices
+    assert words_of(table) == [oracle[m] for m in mats]
 
 
 def test_weyl_closure_under_generators():
     base = B.so_odd(3)
-    els = weyl_group(base)
-    mats = {e.matrix for e in els}
+    els = list(weyl_matrices(base, weyl_group(base)))
+    mats = set(els)
     gens = [base.datum.reflection(i) for i in base.simple_indices]
     rng = random.Random(7)
     for _ in range(30):
-        a = rng.choice(els).matrix @ rng.choice(gens)
+        a = rng.choice(els) @ rng.choice(gens)
         assert a in mats
 
 
 def test_weyl_matrices_permute_roots():
     base = B.from_cartan_sc(B.G2_CARTAN)
     roots = set(base.datum.roots)
-    for e in weyl_group(base):
-        assert {e.matrix(r) for r in roots} == roots
+    for m in weyl_matrices(base, weyl_group(base)):
+        assert {m(r) for r in roots} == roots
 
 
 # --- invariant form and lengths ---
@@ -237,9 +291,9 @@ def test_length_constant_on_weyl_orbits():
     base = B.sp(3)
     rd = base.datum
     lens = length_classes(rd)
-    for e in weyl_group(base)[:50]:
+    for m in islice(weyl_matrices(base, weyl_group(base)), 50):
         for i, r in enumerate(rd.roots):
-            assert lens[rd.root_index(e.matrix(r))] == lens[i]
+            assert lens[rd.root_index(m(r))] == lens[i]
 
 
 # --- cartan type recognition ---
