@@ -78,9 +78,6 @@ class StableClass(NamedTuple):
     rep: TorsionVector
     q: int
 
-    def __lt__(self, other):
-        return (self.rep.key(), self.q) < (other.rep.key(), other.q)
-
 
 @lru_cache(maxsize=None)
 def _reflection_steps(base: BasedRootDatum):
@@ -99,11 +96,13 @@ def _orbit_walk(base, point, needle=None):
     """The orbit of ``point`` as numerator tuples, or None if it meets ``needle``.
 
     Both points must have the rank of the datum; a needle with another
-    denominator is not in the orbit, which is then returned unwalked.  Each
-    step pairs a point with a simple coroot mod the denominator; a zero
-    pairing means the reflection fixes the point, and otherwise only the
-    coordinates on the simple root's support change.  The steps come from
-    ``_reflection_steps``, cached per based datum.
+    denominator is not in the orbit, which is then returned unwalked.  Keep
+    the needle exit: containment checks mostly meet the needle early, and the
+    conorm check of acceptance criterion 6 takes 18 s without it, 3 s with it
+    (2-vCPU host).  Each step pairs a point with a simple coroot mod the
+    denominator; a zero pairing means the reflection fixes the point, and
+    otherwise only the coordinates on the simple root's support change.  The
+    steps come from ``_reflection_steps``, cached per based datum.
     """
     rank = base.datum.rank
     _check_rank(point, rank)
@@ -206,7 +205,7 @@ def enumerate_stable_classes(base: BasedRootDatum, frob: FrobeniusStructure):
     for m in weyl_matrices(base, weyl_group(base)):
         for x in solve_torsion_fixed(frob.point_map(m)):
             reps.add(canonicalize_class(base, x))
-    return [StableClass(r, frob.q) for r in sorted(reps, key=lambda t: t.key())]
+    return [StableClass(r, frob.q) for r in sorted(reps)]
 
 
 def lift_stable_class(conorm: ConormData, cls: StableClass) -> StableClass:

@@ -228,7 +228,7 @@ def _stable_classes(cfg: JobConfig, base: BasedRootDatum):
         if cfg.tau is None:
             frob = FrobeniusStructure.untwisted(cfg.q, base.datum.rank)
         else:
-            tau = LatticeMap([list(map(int, row)) for row in cfg.tau], base.datum.rank)
+            tau = LatticeMap(cfg.tau, base.datum.rank)
             frob = FrobeniusStructure.twisted(cfg.q, tau)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad frobenius data: {exc}") from exc

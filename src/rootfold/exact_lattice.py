@@ -3,17 +3,17 @@
 All matrices are tuples of tuples of Python ints, so every operation is
 arbitrary-precision and deterministic.  One integer elimination, ``_echelon``
 (row Hermite form carried across augmented rows), underlies every normal
-form, determinant, inverse, kernel, section and solve here; Smith forms
-alternate its passes on a matrix and on the transpose.  Torsion vectors model
-points of a torus with cocharacter lattice Z^n: an element of (Q/Z)^n kept in
-reduced canonical form.
+form, determinant, inverse, kernel, section and solve here, torsion fixed
+points included; only cokernel invariants take a Smith form, whose passes
+alternate on a matrix and its transpose.  Torsion vectors model points of a
+torus with cocharacter lattice Z^n: an element of (Q/Z)^n kept in reduced
+canonical form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import index, mul
 
 
@@ -183,10 +183,8 @@ class LatticeMap:
         if n != self.codomain_rank:
             raise ValueError("determinant of a non-square map")
         # W @ m = H with det W = +-1 and H triangular: det m = det W * (product of pivots)
-        h, det = _echelon(self.rows, n)
-        for i in range(n):
-            det *= h[i][i]
-        return det
+        h, sign = _echelon(self.rows, n)
+        return sign * prod(h[i][i] for i in range(n))
 
     def inverse_unimodular(self) -> "LatticeMap":
         """Inverse of a square integer matrix with determinant +-1."""
@@ -397,7 +395,8 @@ class TorsionVector:
 
     @classmethod
     def from_fractions(cls, fracs) -> "TorsionVector":
-        fracs = [Fraction(f) for f in fracs]
+        """Integers and Fractions only: ``Fraction(f, 1)`` raises ``TypeError`` on a float."""
+        fracs = [Fraction(f, 1) for f in fracs]
         den = lcm(*(f.denominator for f in fracs))
         return cls([int(f * den) for f in fracs], den)
 
@@ -433,9 +432,6 @@ class TorsionVector:
     def is_zero(self) -> bool:
         return self.den == 1
 
-    def key(self):
-        return (self.den, self.nums)
-
     def __eq__(self, other):
         return isinstance(other, TorsionVector) and self.den == other.den and self.nums == other.nums
 
@@ -443,7 +439,7 @@ class TorsionVector:
         return hash((self.den, self.nums))
 
     def __lt__(self, other):
-        return self.key() < other.key()
+        return (self.den, self.nums) < (other.den, other.nums)
 
     def __repr__(self):
         return f"TorsionVector({list(self.nums)}/{self.den})"
@@ -452,23 +448,25 @@ class TorsionVector:
 def solve_torsion_fixed(m: LatticeMap) -> list[TorsionVector]:
     """All x in (Q/Z)^n with (m - I)x integral; requires det(m - I) != 0.
 
-    There are exactly |det(m - I)| solutions, returned sorted.
+    There are exactly d = |det(m - I)| solutions x = y/d, returned sorted.
+    The row Hermite form H = W @ (m - I), W unimodular, is integral on x
+    exactly when m - I is, and is upper triangular with diagonal h_1 ... h_n
+    of product d.  From the last row up, row i gives h_i values
+    y_i = (k d - sum_(j>i) H_ij y_j) / h_i mod d, k < h_i; the division is
+    exact because each y_j is a multiple of h_1 ... h_(j-1).
     """
     n = m.domain_rank
-    a = m - LatticeMap.identity(n)
-    u, d, v = smith_normal_form(a)
-    diag = [d.rows[i][i] for i in range(n)]
-    if any(x == 0 for x in diag):
+    h, _ = _echelon((m - LatticeMap.identity(n)).rows, n)
+    diag = [h[i][i] for i in range(n)]
+    if not all(diag):
         raise ValueError("m - I is singular; the fixed set is infinite")
-    sols = []
-    for ks in iproduct(*[range(x) for x in diag]):
-        y = [Fraction(k, x) for k, x in zip(ks, diag)]
-        x = [sum(Fraction(v.rows[i][j]) * y[j] for j in range(n)) for i in range(n)]
-        sols.append(TorsionVector.from_fractions(x))
-    sols = sorted(set(sols))
-    expected = 1
-    for x in diag:
-        expected *= x
-    if len(sols) != expected:
+    d = prod(diag)
+    tails = [()]
+    for i in reversed(range(n)):
+        hi, step = diag[i], d // diag[i]
+        shifts = [sum(map(mul, h[i][i + 1:], t)) // hi for t in tails]
+        tails = [((k * step - s) % d, *t) for t, s in zip(tails, shifts) for k in range(hi)]
+    sols = sorted({TorsionVector(y, d) for y in tails})
+    if len(sols) != d:
         raise AssertionError("solution count does not match |det(m - I)|")
     return sols

@@ -31,6 +31,7 @@ from .gamma_action import (
 from .root_datum import (
     BasedRootDatum,
     RootDatum,
+    dual_root_datum,
     indecomposable_indices,
     length_classes,
     validate,
@@ -195,7 +196,7 @@ def dual_length_comparison(a: GammaAction) -> DualLengthComparison:
     fp = fold(pinned_projection(a))
     phi_dual = set(fd.fixed.coroots)
     underline_dual = set(fp.fixed.coroots)
-    dual_datum = RootDatum(fp.rank, fp.fixed.coroots, fp.fixed.roots)
+    dual_datum = dual_root_datum(fp.fixed)
     lens = length_classes(dual_datum)
     longs = {r for i, r in enumerate(dual_datum.roots) if lens[i] == "long"}
     return DualLengthComparison(

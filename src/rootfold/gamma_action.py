@@ -8,6 +8,7 @@ norms, conorms) consumes actions in this normal form.
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 from typing import NamedTuple
 
 from .chevalley import build_structure_constants, propagate_scalars
@@ -21,7 +22,7 @@ class FiniteGroup:
     __slots__ = ("size", "table", "names", "generators")
 
     def __init__(self, table, names=None):
-        self.table = tuple(tuple(map(int, row)) for row in table)
+        self.table = tuple(tuple(map(index, row)) for row in table)
         self.size = len(self.table)
         self.names = tuple(names) if names else tuple(str(i) for i in range(self.size))
         n = self.size

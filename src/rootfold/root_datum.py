@@ -504,8 +504,8 @@ def generate_datum(rank: int, simple_roots, simple_coroots, cap: int = 100_000) 
     Roots come out in breadth-first discovery order starting from the simples,
     so the construction is deterministic in the input order.
     """
-    simples = [tuple(int(x) for x in r) for r in simple_roots]
-    cosimples = [tuple(int(x) for x in c) for c in simple_coroots]
+    simples = [tuple(map(index, r)) for r in simple_roots]
+    cosimples = [tuple(map(index, c)) for c in simple_coroots]
     pairs = {}
     order = []
     for a, av in zip(simples, cosimples):

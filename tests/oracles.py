@@ -13,13 +13,17 @@ the library steps by one sparse coroot pairing.  The Weyl-group oracle closes
 the identity under the same matrices, where the library walks integer keys
 and builds each matrix from its parent's rows.
 The Fraction eliminations ``_det``, ``_rank`` and ``solve_rational`` are the
-reference for the library's one integer elimination.
+reference for the library's one integer elimination, and the torsion
+fixed-point scan tries every point of denominator |det(m - I)|, where the
+library back-substitutes in a Hermite form.
 
 The last three functions compare Cartan types up to the low-rank
 coincidences and evaluate a bilinear form; only tests need them.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 
 def bracket_factory(sc):
@@ -283,6 +287,23 @@ def steinberg_count(simple_roots, tau, q):
     centre = abs(on_x * _det(gram) / on_roots)
     assert centre.denominator == 1, "the centre's point count must be an integer"
     return int(centre) * q ** len(s)
+
+
+def torsion_fixed_points(rows):
+    """The x in (Q/Z)^n with (m - I)x integral, m given by its rows, by a scan.
+
+    With d = |det(m - I)| > 0 every such x is y/d for a y in (Z/d)^n, so
+    every y with (m - I)y = 0 mod d is kept, in lowest terms, as the pair
+    (denominator, numerators); the pairs come back sorted.
+    """
+    a = [[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(rows)]
+    d = abs(int(_det(a)))
+    points = set()
+    for y in product(range(d), repeat=len(rows)):
+        if all(_dot(r, y) % d == 0 for r in a):
+            g = gcd(d, *y)
+            points.add((d // g, tuple(v // g for v in y)))
+    return sorted(points)
 
 
 def _dot(u, v):

@@ -10,7 +10,7 @@ from test_action_laws import hypothesis, st
 from test_cartan_oracle import GROUPS
 from test_gamma_action import z2_flip_action
 
-from rootfold import catalog, verify
+from rootfold import catalog, exact_lattice, verify
 from rootfold.classes import (
     FrobeniusStructure,
     StableClass,
@@ -201,6 +201,17 @@ def test_twisted_gl_counts_match_unitary_formula():
         for q in (2, 3, 4, 5):
             got = len(enumerate_stable_classes(B.gl(n), FrobeniusStructure.twisted(q, tau)))
             assert got == q ** (n - 1) * (q + 1), (n, q)
+
+
+def test_enumeration_takes_no_smith_form(monkeypatch):
+    calls = []
+    smith = exact_lattice.smith_normal_form
+    monkeypatch.setattr(exact_lattice, "smith_normal_form",
+                        lambda m: calls.append(m) or smith(m))
+    tau = catalog.pinned_so_even_action(8).diagram[1]
+    enumerate_stable_classes(catalog.group_datum("so8"), FrobeniusStructure.twisted(2, tau))
+    enumerate_stable_classes(catalog.group_datum("g2"), FrobeniusStructure.untwisted(4, 2))
+    assert calls == []
 
 
 def test_frobenius_rejects_non_square_tau():

@@ -8,6 +8,7 @@ import oracles
 from oracles import solve_rational
 
 from rootfold import catalog
+from rootfold.classes import FrobeniusStructure
 from rootfold.exact_lattice import (
     LatticeMap,
     Sublattice,
@@ -17,8 +18,9 @@ from rootfold.exact_lattice import (
     row_hermite_form,
     smith_normal_form,
     solve_integer,
+    solve_torsion_fixed,
 )
-from rootfold.root_datum import BasedRootDatum, RootDatum
+from rootfold.root_datum import BasedRootDatum, RootDatum, weyl_group, weyl_matrices
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -164,6 +166,33 @@ def test_torsion_vector_arithmetic_stays_canonical(data):
     assert_canonical(a - b, [x - y for x, y in zip(fa, fb)])
     assert_canonical(-a, [-x for x in fa])
     assert_canonical(a.scale(c), [c * x for x in fa])
+
+
+def fixed_point_pairs(m):
+    return [(x.den, x.nums) for x in solve_torsion_fixed(m)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_torsion_fixed_points_match_a_scan(data):
+    n = data.draw(st.integers(0, 3))
+    rows = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    hypothesis.assume(1 <= abs(oracles._det([[x - (i == j) for j, x in enumerate(r)]
+                                             for i, r in enumerate(rows)])) <= 60)
+    assert fixed_point_pairs(LatticeMap(rows, n)) == oracles.torsion_fixed_points(rows)
+
+
+@pytest.mark.parametrize("group, builder, n, q", [
+    ("gl2", "pinned_gl_action", 2, 3), ("gl3", "pinned_gl_action", 3, 2),
+    ("sl3", "pinned_sl_action", 3, 5), ("pgl3", "pinned_pgl_action", 3, 4),
+    ("so6", "pinned_so_even_action", 6, 2)])
+def test_twisted_catalog_fixed_points_match_a_scan(group, builder, n, q):
+    base = catalog.group_datum(group)
+    frob = FrobeniusStructure.twisted(q, getattr(catalog, builder)(n).diagram[1])
+    for w in weyl_matrices(base, weyl_group(base)):
+        m = frob.point_map(w)
+        assert fixed_point_pairs(m) == oracles.torsion_fixed_points(m.rows), w
 
 
 GROUPS = ("e6ad", "e6sc", "f4", "g2", "d4", "gl0", "gl1", "gl2", "gl4", "sl2", "sl3",

@@ -1,6 +1,7 @@
 """The package's records: their fields, equality, hashing and immutability.
 
-The integer value types refuse entries that are not integers.
+The integer value types, and the builders that feed them, refuse entries
+that are not integers; torsion coordinates may be Fractions but not floats.
 """
 
 from fractions import Fraction
@@ -21,10 +22,11 @@ from rootfold.folding import (
 )
 from rootfold.gamma_action import (
     ComponentStabilizerRecord,
+    FiniteGroup,
     StabilizerReport,
     stabilizer_hypothesis,
 )
-from rootfold.root_datum import BasedRootDatum, RootDatum, ValidationReport
+from rootfold.root_datum import BasedRootDatum, RootDatum, ValidationReport, generate_datum
 
 
 def sample_records():
@@ -105,8 +107,11 @@ A1 = RootDatum(1, [(2,), (-2,)], [(1,), (-1,)])
     lambda: TorsionVector((1,), 2.5),
     lambda: RootDatum(1, [(2.5,), (-2,)], [(1,), (-1,)]),
     lambda: BasedRootDatum(A1, [0.5]),
+    lambda: generate_datum(1, [(2.5,)], [(1.9,)]),
+    lambda: FiniteGroup([[0, 1], [1, 0.7]]),
+    lambda: TorsionVector.from_fractions([0.1]),
 ], ids=["lattice-map", "torsion-numerator", "torsion-denominator", "root-datum",
-        "based-root-datum"])
+        "based-root-datum", "generated-datum", "finite-group", "torsion-from-floats"])
 def test_constructors_refuse_non_integers(build):
     with pytest.raises(TypeError):
         build()
