@@ -73,7 +73,8 @@ class StructureConstants:
         if s in pos:
             # triple rule on a + b + (-s) = 0
             val = -Fraction(self._sq[s], 1) / self._sq[a] * self._resolve(vneg(b), s)
-            assert val.denominator == 1
+            if val.denominator != 1:
+                raise AssertionError(f"non-integral structure constant {val} at {a}, {b}")
             return int(val)
         return self._resolve(vneg(b), vneg(a))
 
@@ -119,9 +120,9 @@ def build_structure_constants(base: BasedRootDatum) -> StructureConstants:
             if rd.is_root(d2):
                 acc += sc._resolve(b0, vneg(xi)) * sc._resolve(d2, a0)
             val = Fraction(sq[g], 1) / sq[eta] / table[(a0, b0)] * acc
-            assert val.denominator == 1, "sign system inconsistency"
             v = int(val)
-            assert abs(v) == sc.string_p(xi, eta) + 1, "sign system inconsistency"
+            if val.denominator != 1 or abs(v) != sc.string_p(xi, eta) + 1:
+                raise AssertionError("sign system inconsistency")
             table[(xi, eta)] = v
             table[(eta, xi)] = -v
     return sc
@@ -145,7 +146,8 @@ def propagate_scalars(sc: StructureConstants, diagram: LatticeMap):
             continue
         a0, b0 = sc._extra[g]
         ratio = sc.n(diagram(a0), diagram(b0)) // sc.n(a0, b0)
-        assert ratio in (1, -1)
+        if ratio not in (1, -1):
+            raise AssertionError(f"diagram scales N({a0}, {b0}) by {ratio}, not by a sign")
         bump = Fraction(0) if ratio == 1 else Fraction(1, 2)
         c[g] = (c[a0] + c[b0] + bump) % 1
     out = dict(c)

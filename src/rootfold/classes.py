@@ -11,9 +11,11 @@ orbit, found by walking the orbit with the simple reflections; the order of a
 point's stabilizer is |W| over the size of that orbit.  A walk step
 s_i(x) = x - <x, coroot_i> root_i is one short pairing with the coroot and an
 update on the support of the root, and a point whose pairing is 0 mod its
-denominator is fixed by s_i, so the step is skipped.  The nonzero entries of
-the simple roots and coroots are kept once per based datum.  Enumeration is
-the one place that runs through every Weyl element.
+denominator is fixed by s_i, so the step is skipped.  The steps of all the
+simple reflections form one function, generated from source text once per
+based datum on its first walk: its text holds only fixed names and the exact
+``int`` entries of the simple roots and coroots, never text from an input.
+Enumeration is the one place that runs through every Weyl element.
 
 Lifting a class through a fold applies the conorm matrix to a class
 representative and recanonicalizes in the bigger Weyl group.
@@ -79,12 +81,38 @@ class StableClass(NamedTuple):
     q: int
 
 
+def _terms_text(terms):
+    """The signed terms x * name of the pairs (x, name) with x nonzero, a unit
+    coefficient left out: [(1, "a"), (0, "b"), (-2, "c")] gives " + a - 2 * c"."""
+    return "".join(f" {'-' if x < 0 else '+'} {'' if abs(x) == 1 else f'{abs(x)} * '}{name}"
+                   for x, name in terms if x)
+
+
 @lru_cache(maxsize=None)
-def _reflection_steps(base: BasedRootDatum):
-    """Per simple reflection, the nonzero (index, entry) pairs of its coroot and root."""
-    return tuple((tuple((j, x) for j, x in enumerate(coroot) if x),
-                  tuple((j, x) for j, x in enumerate(root) if x))
-                 for root, coroot in zip(base.simple_roots, base.simple_coroots))
+def _step_function(base: BasedRootDatum):
+    """``neighbours(v, den)``: the images s_i(v) mod den with a nonzero pairing, in base order.
+
+    Generated from source text once per based datum, as ``namedtuple`` does:
+    v is unpacked into locals, each pairing <v, coroot_i> mod den is one
+    unrolled expression over the coroot's support, and each image tuple is
+    one expression that changes only the coordinates on the root's support.
+    The text holds only fixed names and the entries of the simple roots and
+    coroots, which the ``RootDatum`` constructor has made exact ``int``s with
+    ``operator.index``; so no text from an input reaches ``exec``.
+    """
+    names = [f"v{j}" for j in range(base.datum.rank)]
+    lines = ["def neighbours(v, den):", f"    [{', '.join(names)}] = v", "    out = []"]
+    for root, coroot in zip(base.simple_roots, base.simple_coroots):
+        pairing = _terms_text(zip(coroot, names)).removeprefix(" + ") or "0"
+        image = [f"({name}{_terms_text([(-x, 'c')])}) % den" if x else name
+                 for x, name in zip(root, names)]
+        lines += [f"    c = ({pairing}) % den",
+                  "    if c:",
+                  f"        out.append(({', '.join(image)},))"]
+    lines.append("    return out")
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["neighbours"]
 
 
 def _check_rank(point, rank):
@@ -99,10 +127,10 @@ def _orbit_walk(base, point, needle=None):
     denominator is not in the orbit, which is then returned unwalked.  Keep
     the needle exit: containment checks mostly meet the needle early, and the
     conorm check of acceptance criterion 6 takes 18 s without it, 3 s with it
-    (2-vCPU host).  Each step pairs a point with a simple coroot mod the
-    denominator; a zero pairing means the reflection fixes the point, and
-    otherwise only the coordinates on the simple root's support change.  The
-    steps come from ``_reflection_steps``, cached per based datum.
+    (2-vCPU host).  Each point's images come from one call of the function
+    that ``_step_function`` generates once per based datum, from text that
+    holds only exact ``int``s and fixed names; a reflection whose coroot
+    pairs with the point to 0 mod the denominator fixes it and gives no image.
     """
     rank = base.datum.rank
     _check_rank(point, rank)
@@ -116,23 +144,13 @@ def _orbit_walk(base, point, needle=None):
         needle = needle.nums
         if needle == start:
             return None
-    steps = _reflection_steps(base)
+    neighbours = _step_function(base)
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for v in frontier:
-            for coroot, root in steps:
-                c = 0
-                for j, x in coroot:
-                    c += x * v[j]
-                c %= den
-                if not c:
-                    continue
-                w = list(v)
-                for j, x in root:
-                    w[j] = (w[j] - c * x) % den
-                w = tuple(w)
+            for w in neighbours(v, den):
                 if w not in seen:
                     if w == needle:
                         return None

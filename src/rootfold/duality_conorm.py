@@ -41,7 +41,8 @@ class ConormData:
         self.matrix = sum_diag @ folded.section
         # on the folded torus the norm is multiplication by |Gamma|
         k = a.group.size
-        assert folded.restriction @ self.matrix == LatticeMap.identity(folded.rank).scale(k)
+        if folded.restriction @ self.matrix != LatticeMap.identity(folded.rank).scale(k):
+            raise AssertionError("norm is not multiplication by |Gamma| on the folded torus")
 
     def apply(self, point: TorsionVector) -> TorsionVector:
         return point.apply(self.matrix)

@@ -121,8 +121,8 @@ def fold(a: GammaAction) -> FoldedDatum:
         scaled = tuple(mult * x for x in sigma)
         # coordinates of the orbit sum in the fixed cocharacter basis
         beta_vee = sub.coordinates(scaled)
-        assert beta_vee is not None
-        assert dot(beta, beta_vee) == 2
+        if beta_vee is None or dot(beta, beta_vee) != 2:
+            raise AssertionError(f"folded coroot of {beta} is not dual to it")
         records[beta] = FoldedRootRecord(beta, beta_vee, orb, alpha, mult)
 
     roots = sorted(records)

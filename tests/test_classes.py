@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -14,7 +15,7 @@ from rootfold import catalog, exact_lattice, verify
 from rootfold.classes import (
     FrobeniusStructure,
     StableClass,
-    _reflection_steps,
+    _step_function,
     canonicalize_class,
     class_stabilizer_size,
     enumerate_stable_classes,
@@ -26,7 +27,7 @@ from rootfold.duality_conorm import ConormData
 from rootfold.exact_lattice import LatticeMap, TorsionVector
 from rootfold.folding import fold
 from rootfold.gamma_action import FiniteGroup, GammaAction
-from rootfold.root_datum import BasedRootDatum, weyl_group_order
+from rootfold.root_datum import BasedRootDatum, RootDatum, weyl_group_order
 from rootfold.verify import (
     levi_for_element,
     subgroup_action,
@@ -106,30 +107,54 @@ def test_a_point_of_the_wrong_rank_is_refused(walk):
         walk(catalog.gl(3), TorsionVector((1, 2), 3))
 
 
-def apply_step(step, v, den=None):
-    """s_i(v) = v - <v, coroot> root from one entry of the step table, mod den if given."""
-    coroot, root = step
-    c = sum(x * v[j] for j, x in coroot)
-    w = list(v)
-    for j, x in root:
-        w[j] -= c * x
-    return tuple(w) if den is None else tuple(x % den for x in w)
-
-
 def test_reflection_steps_match_the_reflection_matrices():
+    """The generated step function gives s_i(v) mod den, for each simple reflection
+    whose pairing with v is nonzero mod den, in base order; one function per base."""
+    rng = random.Random(18)
     bases = [catalog.group_datum(name) for name in GROUPS]
     bases += [B.from_cartan_sc(B.e_cartan(7)), B.from_cartan_ad(B.e_cartan(7))]
     for base in bases:
         rd = base.datum
-        steps = _reflection_steps(base)
-        assert _reflection_steps(BasedRootDatum(rd, base.simple_indices)) is steps
-        assert len(steps) == len(base.simple_indices)
-        for i, step in zip(base.simple_indices, steps):
-            m = rd.reflection(i)
-            for k in range(rd.rank):
-                e = tuple(int(j == k) for j in range(rd.rank))
-                assert apply_step(step, e) == m(e), (base, i, k)
-                assert apply_step(step, e, 7) == tuple(x % 7 for x in m(e)), (base, i, k)
+        neighbours = _step_function(base)
+        assert _step_function(BasedRootDatum(rd, base.simple_indices)) is neighbours
+        steps = [(rd.reflection(i), rd.coroots[i]) for i in base.simple_indices]
+        units = [tuple(int(j == k) for j in range(rd.rank)) for k in range(rd.rank)]
+        for den in (1, 2, 7, 1009):
+            points = [tuple(x % den for x in e) for e in units]
+            points += [tuple(rng.randrange(den) for _ in range(rd.rank)) for _ in range(4)]
+            for v in points:
+                expected = [tuple(x % den for x in m(v)) for m, coroot in steps
+                            if sum(a * b for a, b in zip(coroot, v)) % den]
+                assert neighbours(v, den) == expected, (base, v, den)
+
+
+class Opaque(int):
+    """An int that refuses to be formatted, printed, negated or made absolute."""
+
+    def _refuse(self, *args):
+        raise AssertionError("an entry of the caller's type reached the step function's text")
+
+    __format__ = __repr__ = __neg__ = __abs__ = _refuse
+
+
+@pytest.mark.parametrize("name", ["gl3", "so5", "g2", "sp6"])
+def test_walks_on_a_datum_built_from_an_int_subclass(name):
+    # the constructors store exact ints, so the step function's text never
+    # formats an entry of the caller's type
+    base = catalog.group_datum(name)
+    rd = base.datum
+    roots = [[Opaque(x) for x in r] for r in rd.roots]
+    coroots = [[Opaque(x) for x in c] for c in rd.coroots]
+    other = BasedRootDatum(RootDatum(Opaque(rd.rank), roots, coroots),
+                           [Opaque(i) for i in base.simple_indices])
+    den = 6
+    for nums in product(range(den), repeat=rd.rank):
+        if sum(nums) % 5:
+            continue
+        point = TorsionVector(nums, den)
+        orbit = brute_force_orbit(nums, den, base.simple_roots, base.simple_coroots)
+        assert canonicalize_class(other, point) == TorsionVector(min(orbit), den)
+        assert class_stabilizer_size(other, point) == weyl_group_order(base) // len(orbit)
 
 
 # every catalog group of rank at most 8 whose Weyl group has at most 1152

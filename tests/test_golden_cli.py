@@ -11,10 +11,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rootfold
 from rootfold import catalog, cli
 
 GOLDEN = Path(__file__).resolve().with_name("golden_cli.json")
@@ -59,6 +63,20 @@ def load_golden():
 def test_golden_cli_job(argv):
     job = load_golden()[tuple(argv)]
     assert run_job(argv) == (job["exit"], job["stdout_sha256"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["fold", "--preset", "d4-triality", "--format", "json"],
+    ["lift", "--preset", "d4-triality", "--q", "4", "--format", "json"],
+], ids=" ".join)
+def test_golden_job_under_python_dash_o(argv):
+    # -O strips assert statements; a job's output must not depend on them
+    src = str(Path(rootfold.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-m", "rootfold", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"})
+    job = load_golden()[tuple(argv)]
+    assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == (
+        job["exit"], job["stdout_sha256"]), proc.stderr
 
 
 def test_golden_file_lists_exactly_the_jobs():

@@ -1,7 +1,8 @@
 """The package's modules import one another in one direction only.
 
 Each module may import only modules earlier in LAYERS.  Imports inside
-functions count too, so a deferred import cannot hide a cycle.
+functions count too, so a deferred import cannot hide a cycle.  The source
+also holds no ``assert`` statement, since ``python -O`` strips them.
 """
 
 import ast
@@ -37,3 +38,11 @@ def test_imports_point_to_earlier_layers():
             if target not in LAYERS[:rank]:
                 bad.append(f"{name} imports {target}")
     assert not bad, bad
+
+
+def test_no_assert_statements():
+    # an internal check raises AssertionError itself, so that it still runs under -O
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
