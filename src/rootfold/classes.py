@@ -8,14 +8,18 @@ orbits meeting the fixed points of w o (q * tau) for some Weyl element w.
 
 A class is named by its canonical representative, the least point of its
 orbit, found by walking the orbit with the simple reflections; the order of a
-point's stabilizer is |W| over the size of that orbit.  A walk step
-s_i(x) = x - <x, coroot_i> root_i is one short pairing with the coroot and an
-update on the support of the root, and a point whose pairing is 0 mod its
-denominator is fixed by s_i, so the step is skipped.  The steps of all the
-simple reflections form one function, generated from source text once per
-based datum on its first walk: its text holds only fixed names and the exact
-``int`` entries of the simple roots and coroots, never text from an input.
-Enumeration is the one place that runs through every Weyl element.
+point's stabilizer is |W| over the size of that orbit.  The whole
+breadth-first walk is one function, generated from source text once per
+based datum on its first walk: its text holds only fixed names, reflection
+indices and the exact ``int`` entries of the simple roots and coroots, never
+text from an input.  A step s_i(x) = x - <x, coroot_i> root_i is one short
+pairing with the coroot and an update on the support of the root.  It is
+skipped when the pairing is 0 mod the point's denominator, since s_i then
+fixes the point, and when s_i produced the point, since s_i(s_i x) = x is
+where the walk came from.  That second skip needs <root_i, coroot_i> = 2, so
+the generator checks it for every simple root and raises ``ValueError``
+otherwise.  Enumeration is the one place that runs through every Weyl
+element.
 
 Lifting a class through a fold applies the conorm matrix to a class
 representative and recanonicalizes in the bigger Weyl group.
@@ -24,10 +28,11 @@ representative and recanonicalizes in the bigger Weyl group.
 from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import index
 from typing import NamedTuple
 
 from .duality_conorm import ConormData
-from .exact_lattice import LatticeMap, TorsionVector, solve_torsion_fixed
+from .exact_lattice import LatticeMap, TorsionVector, dot, solve_torsion_fixed
 from .root_datum import (BasedRootDatum, RootDatum, morphism_problem, weyl_group,
                          weyl_group_order, weyl_matrices)
 
@@ -39,17 +44,21 @@ def _least_prime_factor(q):
 
 
 class FrobeniusStructure(namedtuple("FrobeniusStructure", "q p tau")):
-    """q = p^k with p prime, and tau an integral automorphism of X.
+    """q = p^k with p prime and k >= 1, and tau an integral automorphism of X.
 
-    Construction raises ``ValueError`` when p is not prime, q is not a power
-    of p, or tau is not square and invertible over the integers.
+    Construction raises ``TypeError`` when q or p is not an integer, and
+    ``ValueError`` when p is not prime, q is below 2 or not a power of p, or
+    tau is not square and invertible over the integers.
     """
 
     __slots__ = ()
 
     def __new__(cls, q: int, p: int, tau: LatticeMap):
+        q, p = index(q), index(p)
         if p < 2 or _least_prime_factor(p) != p:
             raise ValueError(f"{p} is not prime")
+        if q < 2:
+            raise ValueError(f"q = {q} is not a prime power")
         rest = q
         while rest % p == 0:
             rest //= p
@@ -89,30 +98,53 @@ def _terms_text(terms):
 
 
 @lru_cache(maxsize=None)
-def _step_function(base: BasedRootDatum):
-    """``neighbours(v, den)``: the images s_i(v) mod den with a nonzero pairing, in base order.
+def _walk_function(base: BasedRootDatum):
+    """``walk(start, den, needle)``: the orbit of ``start`` mod den, or None once it meets ``needle``.
 
-    Generated from source text once per based datum, as ``namedtuple`` does:
-    v is unpacked into locals, each pairing <v, coroot_i> mod den is one
-    unrolled expression over the coroot's support, and each image tuple is
-    one expression that changes only the coordinates on the root's support.
-    The text holds only fixed names and the entries of the simple roots and
-    coroots, which the ``RootDatum`` constructor has made exact ``int``s with
-    ``operator.index``; so no text from an input reaches ``exec``.
+    ``start`` is a numerator tuple reduced mod den; ``needle`` is None or
+    another such tuple.  Generated from source text once per based datum, as
+    ``namedtuple`` does: a breadth-first walk over a frontier of (point,
+    index of the simple reflection that produced it), where each point is
+    unpacked into locals and, per simple reflection, the pairing
+    <v, coroot_i> mod den is one unrolled expression over the coroot's
+    support and the image one tuple expression over the root's.  A point
+    that s_i produced skips s_i, since s_i(s_i v) = v is already seen; that
+    needs <root_i, coroot_i> = 2, so a simple root that pairs otherwise
+    raises ``ValueError``.  The text holds only fixed names, reflection
+    indices and the entries of the simple roots and coroots, which the
+    ``RootDatum`` constructor has made exact ``int``s with ``operator.index``;
+    so no text from an input reaches ``exec``.
     """
     names = [f"v{j}" for j in range(base.datum.rank)]
-    lines = ["def neighbours(v, den):", f"    [{', '.join(names)}] = v", "    out = []"]
-    for root, coroot in zip(base.simple_roots, base.simple_coroots):
-        pairing = _terms_text(zip(coroot, names)).removeprefix(" + ") or "0"
+    lines = ["def walk(start, den, needle):",
+             "    seen = {start}",
+             "    add = seen.add",
+             "    frontier = [(start, -1)]",
+             "    while frontier:",
+             "        nxt = []",
+             "        push = nxt.append",
+             "        for v, k in frontier:",
+             f"            [{', '.join(names)}] = v"]
+    for i, (root, coroot) in enumerate(zip(base.simple_roots, base.simple_coroots)):
+        pairs_to = dot(root, coroot)
+        if pairs_to != 2:
+            raise ValueError(f"simple root {root} pairs to {pairs_to} with its coroot, not 2")
+        pairing = _terms_text(zip(coroot, names)).removeprefix(" + ")
         image = [f"({name}{_terms_text([(-x, 'c')])}) % den" if x else name
                  for x, name in zip(root, names)]
-        lines += [f"    c = ({pairing}) % den",
-                  "    if c:",
-                  f"        out.append(({', '.join(image)},))"]
-    lines.append("    return out")
+        lines += [f"            if k != {i}:",
+                  f"                c = ({pairing}) % den",
+                  "                if c:",
+                  f"                    w = ({', '.join(image)},)",
+                  "                    if w not in seen:",
+                  "                        if w == needle:",
+                  "                            return None",
+                  "                        add(w)",
+                  f"                        push((w, {i}))"]
+    lines += ["        frontier = nxt", "    return seen"]
     namespace = {}
     exec("\n".join(lines), namespace)
-    return namespace["neighbours"]
+    return namespace["walk"]
 
 
 def _check_rank(point, rank):
@@ -127,15 +159,14 @@ def _orbit_walk(base, point, needle=None):
     denominator is not in the orbit, which is then returned unwalked.  Keep
     the needle exit: containment checks mostly meet the needle early, and the
     conorm check of acceptance criterion 6 takes 18 s without it, 3 s with it
-    (2-vCPU host).  Each point's images come from one call of the function
-    that ``_step_function`` generates once per based datum, from text that
-    holds only exact ``int``s and fixed names; a reflection whose coroot
-    pairs with the point to 0 mod the denominator fixes it and gives no image.
+    (2-vCPU host).  The walk itself is the function ``_walk_function``
+    generates for the base.
     """
     rank = base.datum.rank
     _check_rank(point, rank)
     if needle is not None:
         _check_rank(needle, rank)
+    walk = _walk_function(base)
     den = point.den
     start = tuple(x % den for x in point.nums)
     if needle is not None:
@@ -144,20 +175,7 @@ def _orbit_walk(base, point, needle=None):
         needle = needle.nums
         if needle == start:
             return None
-    neighbours = _step_function(base)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in neighbours(v, den):
-                if w not in seen:
-                    if w == needle:
-                        return None
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
+    return walk(start, den, needle)
 
 
 def weyl_orbit_contains(base: BasedRootDatum, a: TorsionVector,

@@ -15,7 +15,7 @@ from rootfold import catalog, exact_lattice, verify
 from rootfold.classes import (
     FrobeniusStructure,
     StableClass,
-    _step_function,
+    _walk_function,
     canonicalize_class,
     class_stabilizer_size,
     enumerate_stable_classes,
@@ -107,39 +107,63 @@ def test_a_point_of_the_wrong_rank_is_refused(walk):
         walk(catalog.gl(3), TorsionVector((1, 2), 3))
 
 
-def test_reflection_steps_match_the_reflection_matrices():
-    """The generated step function gives s_i(v) mod den, for each simple reflection
-    whose pairing with v is nonzero mod den, in base order; one function per base."""
-    rng = random.Random(18)
-    bases = [catalog.group_datum(name) for name in GROUPS]
-    bases += [B.from_cartan_sc(B.e_cartan(7)), B.from_cartan_ad(B.e_cartan(7))]
-    for base in bases:
+def walk_cases():
+    """(base, dens) for the generated-walk test: every catalog group at den 1 and 2,
+    the ones with |W| <= 1152 also at 7 and 12, and E7 (sc and ad) at 2 and 3."""
+    for name in GROUPS:
+        base = catalog.group_datum(name)
+        yield base, (1, 2, 7, 12) if weyl_group_order(base) <= 1152 else (1, 2)
+    for build in (B.from_cartan_sc, B.from_cartan_ad):
+        yield build(B.e_cartan(7)), (2, 3)
+
+
+def test_generated_walk_matches_the_brute_force_orbit():
+    """The generated walk returns the orbit, or None once it meets a needle in it
+    other than the start; an equal base gets the same function."""
+    rng = random.Random(19)
+    for base, dens in walk_cases():
         rd = base.datum
-        neighbours = _step_function(base)
-        assert _step_function(BasedRootDatum(rd, base.simple_indices)) is neighbours
-        steps = [(rd.reflection(i), rd.coroots[i]) for i in base.simple_indices]
+        walk = _walk_function(base)
+        assert _walk_function(BasedRootDatum(rd, base.simple_indices)) is walk
         units = [tuple(int(j == k) for j in range(rd.rank)) for k in range(rd.rank)]
-        for den in (1, 2, 7, 1009):
+        for den in dens:
             points = [tuple(x % den for x in e) for e in units]
-            points += [tuple(rng.randrange(den) for _ in range(rd.rank)) for _ in range(4)]
+            points += [tuple(rng.randrange(den) for _ in range(rd.rank)) for _ in range(3)]
             for v in points:
-                expected = [tuple(x % den for x in m(v)) for m, coroot in steps
-                            if sum(a * b for a, b in zip(coroot, v)) % den]
-                assert neighbours(v, den) == expected, (base, v, den)
+                orbit = brute_force_orbit(v, den, base.simple_roots, base.simple_coroots)
+                assert walk(v, den, None) == orbit, (base, v, den)
+                if len(orbit) > 1:
+                    assert walk(v, den, max(orbit - {v})) is None, (base, v, den)
+                outside = tuple((x + 1) % den for x in v)
+                if outside not in orbit:
+                    assert walk(v, den, outside) == orbit, (base, v, den)
+
+
+@pytest.mark.parametrize("walk", [
+    lambda base, p: canonicalize_class(base, p),
+    lambda base, p: class_stabilizer_size(base, p),
+    lambda base, p: weyl_orbit_contains(base, p, TorsionVector((2,), 3)),
+], ids=["canonicalize", "stabilizer", "contains"])
+def test_a_simple_root_that_does_not_pair_to_two_is_refused(walk):
+    # s_i(s_i v) = v, which lets the walk skip the reflection a point came
+    # from, needs <root_i, coroot_i> = 2
+    base = BasedRootDatum(RootDatum(1, [(2,), (-2,)], [(2,), (-2,)]), [0])
+    with pytest.raises(ValueError, match=r"simple root \(2,\) pairs to 4 with its coroot, not 2"):
+        walk(base, TorsionVector((1,), 3))
 
 
 class Opaque(int):
     """An int that refuses to be formatted, printed, negated or made absolute."""
 
     def _refuse(self, *args):
-        raise AssertionError("an entry of the caller's type reached the step function's text")
+        raise AssertionError("an entry of the caller's type reached the walk function's text")
 
     __format__ = __repr__ = __neg__ = __abs__ = _refuse
 
 
 @pytest.mark.parametrize("name", ["gl3", "so5", "g2", "sp6"])
 def test_walks_on_a_datum_built_from_an_int_subclass(name):
-    # the constructors store exact ints, so the step function's text never
+    # the constructors store exact ints, so the walk function's text never
     # formats an entry of the caller's type
     base = catalog.group_datum(name)
     rd = base.datum

@@ -23,7 +23,8 @@ from rootfold import catalog, cli
 
 GOLDEN = Path(__file__).resolve().with_name("golden_cli.json")
 
-# the README commands, less `lift --preset e6ad-pinned --q 5`, which takes minutes
+# the README commands, less `lift --preset e6ad-pinned --q 5`, which does not
+# finish within 300 s of CPU (2-vCPU host)
 README_JOBS = [
     ["fold", "--preset", "d4-triality"],
     ["classes", "--preset", "gl2", "--q", "3", "--format", "json"],

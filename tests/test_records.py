@@ -110,8 +110,11 @@ A1 = RootDatum(1, [(2,), (-2,)], [(1,), (-1,)])
     lambda: generate_datum(1, [(2.5,)], [(1.9,)]),
     lambda: FiniteGroup([[0, 1], [1, 0.7]]),
     lambda: TorsionVector.from_fractions([0.1]),
+    lambda: FrobeniusStructure(8.0, 2, LatticeMap.identity(2)),
+    lambda: FrobeniusStructure(8, 2.0, LatticeMap.identity(2)),
 ], ids=["lattice-map", "torsion-numerator", "torsion-denominator", "root-datum",
-        "based-root-datum", "generated-datum", "finite-group", "torsion-from-floats"])
+        "based-root-datum", "generated-datum", "finite-group", "torsion-from-floats",
+        "frobenius-q", "frobenius-p"])
 def test_constructors_refuse_non_integers(build):
     with pytest.raises(TypeError):
         build()
@@ -139,6 +142,13 @@ def test_frobenius_structure_checks_on_construction():
         FrobeniusStructure(9, 9, LatticeMap.identity(2))
     with pytest.raises(ValueError, match="invertible"):
         FrobeniusStructure(9, 3, LatticeMap([[2]]))
+
+
+@pytest.mark.parametrize("q", [1, 0, -8])
+def test_frobenius_structure_refuses_q_below_two(q):
+    # q = p^0 = 1 made an m - I that is singular on gl2 and one class on gl0
+    with pytest.raises(ValueError, match=f"q = {q} is not a prime power"):
+        FrobeniusStructure(q, 2, LatticeMap.identity(2))
 
 
 def test_job_config_is_mutable_and_compares_by_value():
