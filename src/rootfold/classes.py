@@ -8,7 +8,12 @@ orbits meeting the fixed points of w o (q * tau) for some Weyl element w.
 
 A class is named by its canonical representative, the least point of its
 orbit, found by walking the orbit with the simple reflections; the order of a
-point's stabilizer is |W| over the size of that orbit.  The whole
+point's stabilizer is |W| over the size of that orbit.  Enumeration stays on
+numerator tuples from the fixed-point solve to the orbit minimum: a fixed
+point y/d is walked at its denominator d even when gcd(d, y) = g > 1, since
+that orbit is g times the orbit of (y/g)/(d/g) and its minimum reduces to the
+same class; the minima are reduced and sorted once, and each class gets one
+``TorsionVector``.  The whole
 breadth-first walk is one function, generated from source text once per
 based datum on its first walk: its text holds only fixed names, reflection
 indices and the exact ``int`` entries of the simple roots and coroots, never
@@ -32,7 +37,7 @@ from operator import index
 from typing import NamedTuple
 
 from .duality_conorm import ConormData
-from .exact_lattice import LatticeMap, TorsionVector, dot, solve_torsion_fixed
+from .exact_lattice import LatticeMap, TorsionVector, _torsion_fixed_numerators, dot
 from .root_datum import (BasedRootDatum, RootDatum, morphism_problem, weyl_group,
                          weyl_group_order, weyl_matrices)
 
@@ -160,7 +165,8 @@ def _orbit_walk(base, point, needle=None):
     the needle exit: containment checks mostly meet the needle early, and the
     conorm check of acceptance criterion 6 takes 18 s without it, 3 s with it
     (2-vCPU host).  The walk itself is the function ``_walk_function``
-    generates for the base.
+    generates for the base, started from ``point.nums``, which the
+    ``TorsionVector`` constructor has already reduced mod den.
     """
     rank = base.datum.rank
     _check_rank(point, rank)
@@ -168,7 +174,7 @@ def _orbit_walk(base, point, needle=None):
         _check_rank(needle, rank)
     walk = _walk_function(base)
     den = point.den
-    start = tuple(x % den for x in point.nums)
+    start = point.nums
     if needle is not None:
         if needle.den != den:
             return {start}
@@ -235,13 +241,24 @@ def _check_twist(rd: RootDatum, tau: LatticeMap):
 
 
 def enumerate_stable_classes(base: BasedRootDatum, frob: FrobeniusStructure):
-    """Sorted canonical representatives of the Frobenius-stable classes."""
+    """Sorted canonical representatives of the Frobenius-stable classes.
+
+    Each fixed point y/d of each w o Frobenius is walked as a numerator
+    tuple at its d, and (d, least point of the orbit) is kept; the reduction
+    to lowest terms, which merges the pairs of one class, comes last.
+    """
     _check_twist(base.datum, frob.tau)
-    reps = set()
+    walk = _walk_function(base)
+    minima = set()
     for m in weyl_matrices(base, weyl_group(base)):
-        for x in solve_torsion_fixed(frob.point_map(m)):
-            reps.add(canonicalize_class(base, x))
-    return [StableClass(r, frob.q) for r in sorted(reps)]
+        d, numerators = _torsion_fixed_numerators(frob.point_map(m))
+        for y in numerators:
+            minima.add((d, min(walk(y, d, None))))
+    reps = set()
+    for d, y in minima:
+        g = gcd(d, *y)
+        reps.add((d // g, tuple(x // g for x in y)))
+    return [StableClass(TorsionVector(y, d), frob.q) for d, y in sorted(reps)]
 
 
 def lift_stable_class(conorm: ConormData, cls: StableClass) -> StableClass:

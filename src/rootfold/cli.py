@@ -228,7 +228,10 @@ def _stable_classes(cfg: JobConfig, base: BasedRootDatum):
         if cfg.tau is None:
             frob = FrobeniusStructure.untwisted(cfg.q, base.datum.rank)
         else:
-            tau = LatticeMap(cfg.tau, base.datum.rank)
+            lengths = [len(row) for row in cfg.tau]
+            if len(set(lengths)) > 1:
+                raise ValueError(f"tau is ragged: rows of lengths {lengths}")
+            tau = LatticeMap(cfg.tau, lengths[0] if lengths else base.datum.rank)
             frob = FrobeniusStructure.twisted(cfg.q, tau)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad frobenius data: {exc}") from exc

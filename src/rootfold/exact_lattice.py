@@ -445,15 +445,16 @@ class TorsionVector:
         return f"TorsionVector({list(self.nums)}/{self.den})"
 
 
-def solve_torsion_fixed(m: LatticeMap) -> list[TorsionVector]:
-    """All x in (Q/Z)^n with (m - I)x integral; requires det(m - I) != 0.
+def _torsion_fixed_numerators(m: LatticeMap) -> tuple[int, set[Vec]]:
+    """(d, the numerators y in [0, d)^n of the fixed points y/d of m), d = |det(m - I)|.
 
-    There are exactly d = |det(m - I)| solutions x = y/d, returned sorted.
     The row Hermite form H = W @ (m - I), W unimodular, is integral on x
     exactly when m - I is, and is upper triangular with diagonal h_1 ... h_n
     of product d.  From the last row up, row i gives h_i values
     y_i = (k d - sum_(j>i) H_ij y_j) / h_i mod d, k < h_i; the division is
-    exact because each y_j is a multiple of h_1 ... h_(j-1).
+    exact because each y_j is a multiple of h_1 ... h_(j-1).  The y are not
+    reduced: y/d is in lowest terms only when gcd(d, y) = 1.  Raises
+    ``ValueError`` when m - I is singular.
     """
     n = m.domain_rank
     h, _ = _echelon((m - LatticeMap.identity(n)).rows, n)
@@ -466,7 +467,18 @@ def solve_torsion_fixed(m: LatticeMap) -> list[TorsionVector]:
         hi, step = diag[i], d // diag[i]
         shifts = [sum(map(mul, h[i][i + 1:], t)) // hi for t in tails]
         tails = [((k * step - s) % d, *t) for t, s in zip(tails, shifts) for k in range(hi)]
-    sols = sorted({TorsionVector(y, d) for y in tails})
-    if len(sols) != d:
+    numerators = set(tails)
+    if len(numerators) != d:
         raise AssertionError("solution count does not match |det(m - I)|")
-    return sols
+    return d, numerators
+
+
+def solve_torsion_fixed(m: LatticeMap) -> list[TorsionVector]:
+    """All x in (Q/Z)^n with (m - I)x integral; requires det(m - I) != 0.
+
+    There are exactly d = |det(m - I)| solutions x = y/d, returned sorted;
+    the numerators y come from ``_torsion_fixed_numerators``, which raises
+    ``ValueError`` on a singular m - I.
+    """
+    d, numerators = _torsion_fixed_numerators(m)
+    return sorted(TorsionVector(y, d) for y in numerators)

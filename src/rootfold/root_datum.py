@@ -22,9 +22,13 @@ class WeylCapError(RuntimeError):
 
 
 class RootDatum:
-    """Rank, roots, and coroots; index i of `roots` pairs with index i of `coroots`."""
+    """Rank, roots, and coroots; index i of `roots` pairs with index i of `coroots`.
 
-    __slots__ = ("rank", "roots", "coroots", "_index")
+    The hash is computed on the first ``__hash__`` and kept, since caches
+    keyed by a datum or its bases look it up on every call.
+    """
+
+    __slots__ = ("rank", "roots", "coroots", "_index", "_hash")
 
     def __init__(self, rank: int, roots, coroots):
         self.rank = index(rank)
@@ -40,6 +44,7 @@ class RootDatum:
         self._index = {r: i for i, r in enumerate(self.roots)}
         if len(self._index) != len(self.roots):
             raise ValueError("duplicate roots")
+        self._hash = None
 
     def root_index(self, v) -> int:
         return self._index[tuple(v)]
@@ -71,7 +76,9 @@ class RootDatum:
                 and self.roots == other.roots and self.coroots == other.coroots)
 
     def __hash__(self):
-        return hash((self.rank, self.roots, self.coroots))
+        if self._hash is None:
+            self._hash = hash((self.rank, self.roots, self.coroots))
+        return self._hash
 
     def __repr__(self):
         return f"RootDatum(rank={self.rank}, {len(self.roots)} roots)"

@@ -289,6 +289,11 @@ def steinberg_count(simple_roots, tau, q):
     return int(centre) * q ** len(s)
 
 
+def fixed_point_count(rows):
+    """d = |det(m - I)|, m given by its rows: the scan below tries d^n points."""
+    return abs(int(_det([[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(rows)])))
+
+
 def torsion_fixed_points(rows):
     """The x in (Q/Z)^n with (m - I)x integral, m given by its rows, by a scan.
 
@@ -297,7 +302,7 @@ def torsion_fixed_points(rows):
     (denominator, numerators); the pairs come back sorted.
     """
     a = [[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(rows)]
-    d = abs(int(_det(a)))
+    d = fixed_point_count(rows)
     points = set()
     for y in product(range(d), repeat=len(rows)):
         if all(_dot(r, y) % d == 0 for r in a):

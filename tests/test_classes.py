@@ -6,7 +6,8 @@ from math import gcd
 import pytest
 
 import builders as B
-from oracles import brute_force_orbit, gl_class_count, steinberg_count
+from oracles import (brute_force_orbit, fixed_point_count, gl_class_count, steinberg_count,
+                     torsion_fixed_points, weyl_matrices_by_closure)
 from test_action_laws import hypothesis, st
 from test_cartan_oracle import GROUPS
 from test_gamma_action import z2_flip_action
@@ -115,6 +116,18 @@ def walk_cases():
         yield base, (1, 2, 7, 12) if weyl_group_order(base) <= 1152 else (1, 2)
     for build in (B.from_cartan_sc, B.from_cartan_ad):
         yield build(B.e_cartan(7)), (2, 3)
+
+
+def test_equal_data_built_apart_hash_equal_and_share_a_walk():
+    base = catalog.group_datum("so8")
+    rd = base.datum
+    copy = RootDatum(rd.rank, [list(r) for r in rd.roots], [list(c) for c in rd.coroots])
+    assert copy == rd and copy is not rd
+    assert copy._hash is None  # computed on the first hash, not at construction
+    assert hash(copy) == hash(rd) == hash(copy)
+    other = BasedRootDatum(copy, list(base.simple_indices))
+    assert hash(other) == hash(base)
+    assert _walk_function(other) is _walk_function(base)
 
 
 def test_generated_walk_matches_the_brute_force_orbit():
@@ -261,6 +274,72 @@ def test_enumeration_takes_no_smith_form(monkeypatch):
     enumerate_stable_classes(catalog.group_datum("so8"), FrobeniusStructure.twisted(2, tau))
     enumerate_stable_classes(catalog.group_datum("g2"), FrobeniusStructure.untwisted(4, 2))
     assert calls == []
+
+
+def test_enumeration_builds_one_torsion_vector_per_class(monkeypatch):
+    """Fixed points are walked as numerator tuples; TorsionVectors are built per class."""
+    cases = [(catalog.group_datum("so8"),
+              FrobeniusStructure.twisted(2, catalog.pinned_so_even_action(8).diagram[1])),
+             (catalog.group_datum("g2"), FrobeniusStructure.untwisted(4, 2)),
+             (catalog.group_datum("gl3"),
+              FrobeniusStructure.twisted(3, catalog.pinned_gl_action(3).diagram[1]))]
+    built = []
+    init = TorsionVector.__init__
+    monkeypatch.setattr(TorsionVector, "__init__",
+                        lambda self, nums, den: built.append(den) or init(self, nums, den))
+    for base, frob in cases:
+        built.clear()
+        classes = enumerate_stable_classes(base, frob)
+        assert len(built) <= 3 * len(classes), (base, len(built), len(classes))
+
+
+def _point_map(w, tau, q):
+    """The rows of w q tau, for matrices given by their rows."""
+    return [[q * sum(x * y for x, y in zip(row, col)) for col in zip(*tau)] for row in w]
+
+
+def oracle_classes(base, tau, q, ws):
+    """(den, least point of the orbit) of every class, from the oracles alone:
+    the fixed points of each w q tau by a scan, their orbits by full reflections."""
+    reps = set()
+    for w in ws:
+        for den, nums in torsion_fixed_points(_point_map(w, tau, q)):
+            reps.add((den, min(brute_force_orbit(nums, den, base.datum.roots,
+                                                 base.datum.coroots))))
+    return sorted(reps)
+
+
+MAX_SCAN = 2 * 10 ** 4
+
+
+def whole_list_cases():
+    """(label, base, tau rows, q, Weyl matrices) where every scan of d^n points is small."""
+    untwisted = [(name, catalog.group_datum(name), None) for name in GROUPS
+                 if weyl_group_order(catalog.group_datum(name)) <= 48]
+    twisted = [(f"{name} pinned", catalog.group_datum(name), build(n).diagram[1].rows)
+               for name, build, n in [("gl2", catalog.pinned_gl_action, 2),
+                                      ("gl3", catalog.pinned_gl_action, 3),
+                                      ("sl3", catalog.pinned_sl_action, 3),
+                                      ("pgl3", catalog.pinned_pgl_action, 3)]]
+    for label, base, tau in untwisted + twisted:
+        n = base.datum.rank
+        tau = tau or LatticeMap.identity(n).rows
+        ws = list(weyl_matrices_by_closure(n, base.simple_roots, base.simple_coroots))
+        for q in (2, 3, 4, 5):
+            if all(fixed_point_count(_point_map(w, tau, q)) ** n <= MAX_SCAN for w in ws):
+                yield f"{label} q={q}", base, tau, q, ws
+
+
+WHOLE_LIST_CASES = list(whole_list_cases())
+
+
+@pytest.mark.parametrize("label, base, tau, q, ws", WHOLE_LIST_CASES,
+                         ids=[case[0] for case in WHOLE_LIST_CASES])
+def test_whole_class_list_matches_the_oracles(label, base, tau, q, ws):
+    frob = FrobeniusStructure.twisted(q, LatticeMap(tau, base.datum.rank))
+    got = enumerate_stable_classes(base, frob)
+    assert [(c.rep.den, c.rep.nums) for c in got] == oracle_classes(base, tau, q, ws)
+    assert {c.q for c in got} <= {q}
 
 
 def test_frobenius_rejects_non_square_tau():

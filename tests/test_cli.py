@@ -412,6 +412,11 @@ def test_verify_rejects_a_bad_action(capsys, argv):
     ("lift", {"preset": "gl2-product-swap", "q": 3, "tau": [[1, 1], [0, 1]]},
      "permute the roots"),
     ("classes", {"preset": "torus2", "q": 2, "tau": [[2, 1], [1, 1]]}, "infinite order"),
+    # well-formed matrices of the wrong shape, and a ragged one
+    ("lift", {"preset": "gl4-pinned", "q": 3, "tau": [[1]]},
+     "tau has rank 1 but the datum has rank 2"),
+    ("classes", {"preset": "gl2", "q": 3, "tau": [[]]}, "tau must be square, not 1 x 0"),
+    ("classes", {"preset": "gl2", "q": 3, "tau": [[1, 0], [1]]}, "rows of lengths [2, 1]"),
 ])
 def test_bad_tau_exits_two(capsys, tmp_path, command, doc, match):
     assert main([command, "--config", config_path(tmp_path, doc)]) == 2
