@@ -1,9 +1,11 @@
 """Named root data, actions, and isogenies with the conventions fixed once.
 
-Classical groups use Euclidean coordinates (characters of the diagonal
-torus); exceptional groups and simply connected forms are generated from
-Cartan matrices with Bourbaki node numbering.  Exceptional types above rank
-six are deliberately absent.
+Every group is the closure of its simple roots and coroots under its own
+reflections (``generate_datum``).  Classical groups give them in Euclidean
+coordinates (characters of the diagonal torus); exceptional groups and
+simply connected and adjoint forms read them off Cartan matrices with
+Bourbaki node numbering.  Exceptional types above rank six are deliberately
+absent.
 
 Three presets carry fixed torus twists: the inner twist of the split
 involution of adjoint E6 whose fold is C4 rather than F4, the inner twist of
@@ -105,19 +107,15 @@ def _e(n, i, s=1):
     return tuple(v)
 
 
+def _chain(n):
+    """The simple roots e_i - e_(i+1) of type A in Z^n; each is its own coroot."""
+    return [vadd(_e(n, i), _e(n, i + 1, -1)) for i in range(n - 1)]
+
+
 @lru_cache(maxsize=None)
 def gl(n) -> BasedRootDatum:
-    roots, coroots = [], []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                r = vadd(_e(n, i), _e(n, j, -1))
-                roots.append(r)
-                coroots.append(r)
-    rd = RootDatum(n, roots, coroots)
-    simples = tuple(rd.root_index(vadd(_e(n, i), _e(n, i + 1, -1)))
-                    for i in range(n - 1))
-    return BasedRootDatum(rd, simples)
+    chain = _chain(n)
+    return generate_datum(n, chain, chain)
 
 
 def sl(n) -> BasedRootDatum:
@@ -130,46 +128,20 @@ def pgl(n) -> BasedRootDatum:
 
 @lru_cache(maxsize=None)
 def sp(n) -> BasedRootDatum:
-    """Sp(2n) on its diagonal torus: long roots 2e_i, short e_i - e_j."""
-    roots, coroots = [], []
-    for i in range(n):
-        for s in (1, -1):
-            roots.append(_e(n, i, 2 * s))
-            coroots.append(_e(n, i, s))
-        for j in range(i + 1, n):
-            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                r = vadd(_e(n, i, si), _e(n, j, sj))
-                roots.append(r)
-                coroots.append(r)
-    rd = RootDatum(n, roots, coroots)
-    simples = [rd.root_index(vadd(_e(n, i), _e(n, i + 1, -1))) for i in range(n - 1)]
-    simples.append(rd.root_index(_e(n, n - 1, 2)))
-    return BasedRootDatum(rd, tuple(simples))
+    """Sp(2n) on its diagonal torus: long simple root 2e_n, short e_i - e_(i+1)."""
+    chain = _chain(n)
+    return generate_datum(n, chain + [_e(n, n - 1, 2)], chain + [_e(n, n - 1)])
 
 
 @lru_cache(maxsize=None)
 def so(n) -> BasedRootDatum:
     """Split special orthogonal group on Z^m, m = floor(n/2)."""
     m = n // 2
-    roots, coroots = [], []
-    if n % 2 == 1:
-        for i in range(m):
-            for s in (1, -1):
-                roots.append(_e(m, i, s))
-                coroots.append(_e(m, i, 2 * s))
-    for i in range(m):
-        for j in range(i + 1, m):
-            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                r = vadd(_e(m, i, si), _e(m, j, sj))
-                roots.append(r)
-                coroots.append(r)
-    rd = RootDatum(m, roots, coroots)
-    simples = [rd.root_index(vadd(_e(m, i), _e(m, i + 1, -1))) for i in range(m - 1)]
-    if n % 2 == 1:
-        simples.append(rd.root_index(_e(m, m - 1)))
-    else:
-        simples.append(rd.root_index(vadd(_e(m, m - 2), _e(m, m - 1))))
-    return BasedRootDatum(rd, tuple(simples))
+    chain = _chain(m)
+    if n % 2:
+        return generate_datum(m, chain + [_e(m, m - 1)], chain + [_e(m, m - 1, 2)])
+    last = vadd(_e(m, m - 2), _e(m, m - 1))
+    return generate_datum(m, chain + [last], chain + [last])
 
 
 def spin(n) -> BasedRootDatum:
@@ -412,28 +384,19 @@ def sl_gl1_flip_action(n) -> GammaAction:
 
 class Preset(NamedTuple):
     name: str
-    description: str
     action: GammaAction
-    expected_fold: tuple | None
 
 
 _FIXED_PRESETS = {
-    "e6ad-pinned": (lambda: pinned_e6_action("adjoint"),
-                    "split involution of adjoint E6", (("F", 4),)),
-    "e6sc-pinned": (lambda: pinned_e6_action("sc"),
-                    "split involution of simply connected E6", (("F", 4),)),
-    "e6ad-twisted-c4": (twisted_e6_c4_action,
-                        "inner twist of the E6 involution", (("C", 4),)),
-    "d4-triality": (triality_action, "cyclic triality on D4", (("G", 2),)),
-    "d4-full-s3": (full_s3_action, "full graph symmetry on D4", (("G", 2),)),
-    "d4-twisted-a2": (twisted_triality_a2_action,
-                      "inner twist of the triality", (("A", 2),)),
-    "d4-s3-twisted": (s3_twisted_d4_action,
-                      "short-dropping twist of the graph symmetry", None),
-    "gl4-inner-block": (inner_block_gl4_action,
-                        "inner two-torsion twist of GL(4)", None),
-    "gl2gl2-z4": (z4_composite_action,
-                  "order-four mixing of two GL(2) factors", None),
+    "e6ad-pinned": lambda: pinned_e6_action("adjoint"),
+    "e6sc-pinned": lambda: pinned_e6_action("sc"),
+    "e6ad-twisted-c4": twisted_e6_c4_action,
+    "d4-triality": triality_action,
+    "d4-full-s3": full_s3_action,
+    "d4-twisted-a2": twisted_triality_a2_action,
+    "d4-s3-twisted": s3_twisted_d4_action,
+    "gl4-inner-block": inner_block_gl4_action,
+    "gl2gl2-z4": z4_composite_action,
 }
 
 
@@ -472,22 +435,15 @@ def group_datum(name: str) -> BasedRootDatum:
     raise ValueError(f"unknown group {name!r}")
 
 
-# (family, kind) of a numbered preset -> (action of the numbers, description,
-# folded type of the first number or None)
+# (family, kind) of a numbered preset -> the action of its numbers
 _NUMBERED_PRESETS = {
-    ("gl", "pinned"): (pinned_gl_action, "transpose-inverse flip of GL({0})",
-                       lambda n: None if n % 2 else (("C", n // 2),)),
-    ("gl", "so-twist"): (so_twist_gl_action, "orthogonal twist of the GL({0}) flip",
-                         lambda n: (("A", 1), ("A", 1)) if n == 4 else (("D", n // 2),)),
-    ("sl", "pinned"): (pinned_sl_action, "diagram involution of SL({0})",
-                       lambda n: (("B", (n - 1) // 2),) if n % 2 else (("C", n // 2),)),
-    ("pgl", "pinned"): (pinned_pgl_action, "diagram involution of PGL({0})", None),
-    ("so", "pinned"): (pinned_so_even_action, "graph involution of SO({0})",
-                       lambda n: (("B", n // 2 - 1),)),
-    ("gl", "trivial-z"): (lambda n, m: trivial_action(gl(n), m),
-                          "trivial order-{1} action on GL({0})", None),
-    ("gl", "product-swap"): (lambda n: rotation_action(gl(n), 2),
-                             "swap of two GL({0}) factors", None),
+    ("gl", "pinned"): pinned_gl_action,
+    ("gl", "so-twist"): so_twist_gl_action,
+    ("sl", "pinned"): pinned_sl_action,
+    ("pgl", "pinned"): pinned_pgl_action,
+    ("so", "pinned"): pinned_so_even_action,
+    ("gl", "trivial-z"): lambda n, m: trivial_action(gl(n), m),
+    ("gl", "product-swap"): lambda n: rotation_action(gl(n), 2),
 }
 
 
@@ -497,8 +453,7 @@ def preset(name: str) -> Preset:
     The numbers are digits only, as in ``group_datum``.
     """
     if name in _FIXED_PRESETS:
-        builder, desc, expected = _FIXED_PRESETS[name]
-        return Preset(name, desc, builder(), expected)
+        return Preset(name, _FIXED_PRESETS[name]())
     head, _, kind = name.partition("-")
     family = "pgl" if head.startswith("pgl") else head[:2]
     numbers = [head[len(family):]]
@@ -506,15 +461,13 @@ def preset(name: str) -> Preset:
         kind, numbers = "trivial-z", numbers + [kind[len("trivial-z"):]]
     if (family, kind) not in _NUMBERED_PRESETS:
         raise ValueError(f"unknown preset {name!r}")
-    build, desc, expected = _NUMBERED_PRESETS[family, kind]
     try:
         if not all(map(str.isdigit, numbers)):
             raise ValueError("preset numbers are digits only")
-        numbers = list(map(int, numbers))
-        action = build(*numbers)
+        action = _NUMBERED_PRESETS[family, kind](*map(int, numbers))
     except (ValueError, IndexError) as exc:
         raise ValueError(f"malformed preset name {name!r}") from exc
-    return Preset(name, desc.format(*numbers), action, expected and expected(numbers[0]))
+    return Preset(name, action)
 
 
 GOLDEN_FOLDS = {

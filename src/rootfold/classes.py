@@ -36,7 +36,6 @@ from math import gcd, isqrt, lcm
 from operator import index
 from typing import NamedTuple
 
-from .duality_conorm import ConormData
 from .exact_lattice import LatticeMap, TorsionVector, _torsion_fixed_numerators, dot
 from .root_datum import (BasedRootDatum, RootDatum, morphism_problem, weyl_group,
                          weyl_group_order, weyl_matrices)
@@ -261,8 +260,8 @@ def enumerate_stable_classes(base: BasedRootDatum, frob: FrobeniusStructure):
     return [StableClass(TorsionVector(y, d), frob.q) for d, y in sorted(reps)]
 
 
-def lift_stable_class(conorm: ConormData, cls: StableClass) -> StableClass:
-    """Canonical lift of a stable class through the conorm of the fold."""
+def lift_stable_class(conorm, cls: StableClass) -> StableClass:
+    """Canonical lift of a stable class through the conorm (a ``ConormData``) of a fold."""
     target = conorm.folded.source.base
     _check_rank(cls.rep, conorm.matrix.domain_rank)
     return StableClass(canonicalize_class(target, conorm.apply(cls.rep)), cls.q)

@@ -84,13 +84,6 @@ def test_golden_fold_table():
         assert same_type(types, expected), name
 
 
-def test_preset_expected_fold_matches_golden():
-    for name, expected in C.GOLDEN_FOLDS.items():
-        p = C.preset(name)
-        if p.expected_fold is not None:
-            assert same_type(p.expected_fold, expected)
-
-
 def test_twisted_e6_fold_is_adjoint_c4():
     fd = fold(C.twisted_e6_c4_action())
     assert based_isomorphism(fd.fixed_base, C.adjoint("C", 4)) is not None

@@ -92,19 +92,36 @@ def test_verify_kinds_are_the_suite_table_keys():
     assert cli.VERIFY_KINDS == tuple(verify.SUITES)
 
 
-@pytest.mark.parametrize("command", ["fold", "conorm"])
-def test_fold_and_conorm_jobs_load_neither_classes_nor_verify(command):
+# the layers every command loads: the CLI's imports and theirs
+_CLI_LAYERS = {"rootfold", "rootfold.cli", "rootfold.catalog", "rootfold.chevalley",
+               "rootfold.duality_conorm", "rootfold.exact_lattice", "rootfold.folding",
+               "rootfold.gamma_action", "rootfold.root_datum"}
+
+
+# command -> its arguments, and the layers it loads beyond those
+_COMMAND_LAYERS = {
+    "fold": (["--preset", "d4-triality"], set()),
+    "conorm": (["--preset", "d4-triality"], set()),
+    "classes": (["--preset", "gl2", "--q", "3"], {"rootfold.classes"}),
+    "lift": (["--preset", "d4-triality", "--q", "2"], {"rootfold.classes"}),
+    "verify": (["product", "--budget", "small"], {"rootfold.classes", "rootfold.verify"}),
+}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_each_command_loads_exactly_its_layers(command):
+    args, extra = _COMMAND_LAYERS[command]
     src = str(Path(rootfold.__file__).resolve().parents[1])
     code = (
         "import contextlib, io, sys\n"
         "from rootfold import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cli.main([{command!r}, '--preset', 'd4-triality'])\n"
-        "print(code, sorted({'rootfold.classes', 'rootfold.verify'} & set(sys.modules)))\n")
+        f"    code = cli.main({[command, *args]!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'rootfold'))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 []"
+    assert proc.stdout.strip() == f"0 {sorted(_CLI_LAYERS | extra)}"
 
 
 def test_verify_failure_gives_exit_one(capsys, monkeypatch):

@@ -1,9 +1,11 @@
-"""The package root exports exactly what it imports, each name once."""
+"""The package root exports each name of its one table once, on first use."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
-
-import pytest
 
 import rootfold
 
@@ -31,16 +33,45 @@ def test_no_export_repeats():
 
 
 def test_lazy_exports_resolve_and_are_listed():
-    """Names no import binds come from the class and verification layers."""
-    from rootfold import classes, verify
-    lazy = [name for name in rootfold.__all__ if name not in imported_names()]
-    assert "enumerate_stable_classes" in lazy and "verify_isogeny_square" in lazy
-    for name in lazy:
-        home = classes if hasattr(classes, name) else verify
-        assert getattr(rootfold, name) is getattr(home, name), name
-    assert not sorted(set(rootfold.__all__) - set(dir(rootfold)))
-    with pytest.raises(AttributeError):
-        rootfold.no_such_name
+    """Every export is the object of its layer in ``_EXPORTS``, and listed once."""
+    table = rootfold._EXPORTS
+    assert sorted(rootfold.__all__) == sorted(
+        [name for names in table.values() for name in names] + ["catalog"])
+    for layer, names in table.items():
+        module = importlib.import_module(f"rootfold.{layer}")
+        assert getattr(rootfold, layer) is module
+        for name in names:
+            assert getattr(rootfold, name) is getattr(module, name), name
+
+
+def fresh(code):
+    """Standard output of ``code`` run in a new interpreter on this package."""
+    src = str(INIT.parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'rootfold'))"
+
+
+def test_import_loads_no_layer():
+    assert fresh(f"import sys, rootfold\n{LOADED}") == "['rootfold']"
+
+
+def test_class_layer_loads_only_what_it_imports():
+    assert fresh(f"import sys, rootfold.classes\n{LOADED}") == str(
+        ["rootfold", "rootfold.classes", "rootfold.exact_lattice", "rootfold.root_datum"])
+
+
+def test_unknown_name_raises_and_dir_covers_exports():
+    code = ("import rootfold\n"
+            "try:\n"
+            "    rootfold.no_such_name\n"
+            "except AttributeError:\n"
+            "    print(sorted(set(rootfold.__all__) - set(dir(rootfold))))\n")
+    assert fresh(code) == "[]"
 
 
 def test_every_import_is_exported():

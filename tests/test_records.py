@@ -50,7 +50,7 @@ FIELDS = {
     "ValidationReport": ("ok", "problems"),
     "FrobeniusStructure": ("q", "p", "tau"),
     "StableClass": ("rep", "q"),
-    "Preset": ("name", "description", "action", "expected_fold"),
+    "Preset": ("name", "action"),
     "FoldedRootRecord": ("root", "coroot", "orbit", "source_rep", "multiplier"),
     "RestrictionComparison": ("phi", "underline_phi", "phi_in_underline",
                               "underline_short_in_phi", "missing_short", "hypothesis",
