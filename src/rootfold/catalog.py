@@ -14,6 +14,7 @@ full graph symmetry of D4 whose fold drops short restricted roots and so
 breaks the short-root inclusion that cyclic stabilizers would guarantee.
 """
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -400,11 +401,14 @@ _FIXED_PRESETS = {
 }
 
 
-def preset_names():
-    fixed = sorted(_FIXED_PRESETS)
-    families = ["gl<n>-pinned", "gl<2k>-so-twist", "sl<n>-pinned", "pgl<n>-pinned",
-                "so<2k>-pinned", "gl<n>-trivial-z<m>", "gl<n>-product-swap"]
-    return fixed + families
+# every number in a catalog name: ASCII digits with no leading zero, so each
+# name has one spelling; a numbered name's pattern writes each number as <n>
+_NUMBER = re.compile("0|[1-9][0-9]*")
+
+
+def _pattern(name):
+    """The pattern of ``name`` and its numbers: gl2-trivial-z3 gives gl<n>-trivial-z<n>, [2, 3]."""
+    return _NUMBER.sub("<n>", name), [int(x) for x in _NUMBER.findall(name)]
 
 
 _NAMED_GROUPS = {
@@ -412,10 +416,10 @@ _NAMED_GROUPS = {
     "f4": f4, "g2": g2, "d4": d4,
 }
 
-# builder and least number of each numbered family
+# pattern of a numbered group -> builder and least number
 _GROUP_FAMILIES = {
-    "gl": (gl, 0), "sl": (sl, 1), "pgl": (pgl, 1), "sp": (lambda n: sp(n // 2), 2),
-    "so": (so, 3), "spin": (spin, 5), "torus": (torus, 0),
+    "gl<n>": (gl, 0), "sl<n>": (sl, 1), "pgl<n>": (pgl, 1), "sp<n>": (lambda n: sp(n // 2), 2),
+    "so<n>": (so, 3), "spin<n>": (spin, 5), "torus<n>": (torus, 0),
 }
 
 
@@ -423,48 +427,43 @@ def group_datum(name: str) -> BasedRootDatum:
     """A based root datum by short name: gl4, sl3, sp6, so7, spin8, e6ad, ..."""
     if name in _NAMED_GROUPS:
         return _NAMED_GROUPS[name]()
-    for prefix, (builder, least) in sorted(_GROUP_FAMILIES.items(),
-                                           key=lambda kv: -len(kv[0])):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            n = int(name[len(prefix):])
-            if n < least:
-                raise ValueError(f"group {name!r}: the catalog starts at {prefix}{least}")
-            if prefix == "sp" and n % 2:
-                raise ValueError(f"group {name!r}: symplectic groups have even matrix size")
-            return builder(n)
-    raise ValueError(f"unknown group {name!r}")
+    pattern, numbers = _pattern(name)
+    if pattern not in _GROUP_FAMILIES:
+        raise ValueError(f"unknown group {name!r}")
+    (builder, least), (n,) = _GROUP_FAMILIES[pattern], numbers
+    if n < least:
+        raise ValueError(f"group {name!r}: the catalog starts at "
+                         f"{pattern.replace('<n>', str(least))}")
+    if pattern == "sp<n>" and n % 2:
+        raise ValueError(f"group {name!r}: symplectic groups have even matrix size")
+    return builder(n)
 
 
-# (family, kind) of a numbered preset -> the action of its numbers
+# pattern of a numbered preset -> the action of its numbers
 _NUMBERED_PRESETS = {
-    ("gl", "pinned"): pinned_gl_action,
-    ("gl", "so-twist"): so_twist_gl_action,
-    ("sl", "pinned"): pinned_sl_action,
-    ("pgl", "pinned"): pinned_pgl_action,
-    ("so", "pinned"): pinned_so_even_action,
-    ("gl", "trivial-z"): lambda n, m: trivial_action(gl(n), m),
-    ("gl", "product-swap"): lambda n: rotation_action(gl(n), 2),
+    "gl<n>-pinned": pinned_gl_action,
+    "gl<n>-so-twist": so_twist_gl_action,
+    "sl<n>-pinned": pinned_sl_action,
+    "pgl<n>-pinned": pinned_pgl_action,
+    "so<n>-pinned": pinned_so_even_action,
+    "gl<n>-trivial-z<n>": lambda n, m: trivial_action(gl(n), m),
+    "gl<n>-product-swap": lambda n: rotation_action(gl(n), 2),
 }
 
 
-def preset(name: str) -> Preset:
-    """A named action: a fixed one, or <family><n>-<kind> as in ``preset_names``.
+def preset_names():
+    return sorted(_FIXED_PRESETS) + list(_NUMBERED_PRESETS)
 
-    The numbers are digits only, as in ``group_datum``.
-    """
+
+def preset(name: str) -> Preset:
+    """A named action: a fixed one, or a numbered one as in ``preset_names``."""
     if name in _FIXED_PRESETS:
         return Preset(name, _FIXED_PRESETS[name]())
-    head, _, kind = name.partition("-")
-    family = "pgl" if head.startswith("pgl") else head[:2]
-    numbers = [head[len(family):]]
-    if kind.startswith("trivial-z"):
-        kind, numbers = "trivial-z", numbers + [kind[len("trivial-z"):]]
-    if (family, kind) not in _NUMBERED_PRESETS:
+    pattern, numbers = _pattern(name)
+    if pattern not in _NUMBERED_PRESETS:
         raise ValueError(f"unknown preset {name!r}")
     try:
-        if not all(map(str.isdigit, numbers)):
-            raise ValueError("preset numbers are digits only")
-        action = _NUMBERED_PRESETS[family, kind](*map(int, numbers))
+        action = _NUMBERED_PRESETS[pattern](*numbers)
     except (ValueError, IndexError) as exc:
         raise ValueError(f"malformed preset name {name!r}") from exc
     return Preset(name, action)

@@ -11,16 +11,15 @@ that follow from the Jacobi identity in any Chevalley basis:
   four-term rule N(a,b)N(a+b,c) + N(b,c)N(b+c,a) + N(c,a)N(c+a,b) = 0
                  whenever a + b + c is a root and no two of a, b, c are opposite
 
-with (x,x) the invariant squared length.  The fill asserts |N| = p+1 on every
-derived value, so an inconsistent sign system cannot survive construction.
+with (x,x) the squared length in one invariant form per component.  The fill
+asserts |N| = p+1 on every derived value, so an inconsistent sign system fails.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
-from .exact_lattice import LatticeMap, dot, vadd, vneg, vsub
-from .root_datum import BasedRootDatum, invariant_inner_product
+from .exact_lattice import LatticeMap, vadd, vneg, vsub
+from .root_datum import BasedRootDatum, _component_grams
 
 
 class StructureConstants:
@@ -83,11 +82,10 @@ class StructureConstants:
 def build_structure_constants(base: BasedRootDatum) -> StructureConstants:
     """The signed table of ``base``, built once per based datum and shared."""
     rd = base.datum
-    # squared lengths through the form scaled to integers: one Fraction per root
-    form = invariant_inner_product(rd)
-    den = lcm(*(x.denominator for row in form for x in row))
-    int_form = [tuple(int(x * den) for x in row) for row in form]
-    sq = {r: Fraction(dot(r, [dot(row, r) for row in int_form]), den) for r in rd.roots}
+    # each component's integer squared lengths; both rules divide two lengths
+    # of one component, so the scale of each component's form cancels
+    sq = {rd.roots[i]: length for _, lengths in _component_grams(rd)
+          for i, length in lengths.items()}
     all_coeffs = base.root_coefficients()
     coeffs = {rd.roots[i]: all_coeffs[i] for i in base.positive_roots()}
     order = tuple(sorted(coeffs, key=lambda r: (sum(coeffs[r]), tuple(-x for x in coeffs[r]))))

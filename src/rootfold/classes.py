@@ -47,41 +47,36 @@ def _least_prime_factor(q):
     return next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
 
 
-class FrobeniusStructure(namedtuple("FrobeniusStructure", "q p tau")):
-    """q = p^k with p prime and k >= 1, and tau an integral automorphism of X.
+class FrobeniusStructure(namedtuple("FrobeniusStructure", "q tau")):
+    """q a power of a prime, and tau an integral automorphism of X.
 
-    Construction raises ``TypeError`` when q or p is not an integer, and
-    ``ValueError`` when p is not prime, q is below 2 or not a power of p, or
-    tau is not square and invertible over the integers.
+    Construction raises ``TypeError`` when q is not an integer, and
+    ``ValueError`` when q is below 2 or not a prime power, or tau is not
+    square and invertible over the integers.
     """
 
     __slots__ = ()
 
-    def __new__(cls, q: int, p: int, tau: LatticeMap):
-        q, p = index(q), index(p)
-        if p < 2 or _least_prime_factor(p) != p:
-            raise ValueError(f"{p} is not prime")
-        if q < 2:
-            raise ValueError(f"q = {q} is not a prime power")
-        rest = q
-        while rest % p == 0:
-            rest //= p
-        if rest != 1:
+    def __new__(cls, q: int, tau: LatticeMap):
+        q = index(q)
+        p = _least_prime_factor(q)
+        # q divides p^k for some k >= log_p(q) exactly when p is its only prime
+        if pow(p, q.bit_length(), q):
             raise ValueError(f"{q} is not a power of {p}")
         if tau.domain_rank != tau.codomain_rank:
             raise ValueError(f"tau must be square, not {tau.codomain_rank} x "
                              f"{tau.domain_rank}")
         if abs(tau.det()) != 1:
             raise ValueError("twist must be invertible over the integers")
-        return super().__new__(cls, q, p, tau)
+        return super().__new__(cls, q, tau)
 
     @classmethod
     def untwisted(cls, q, rank):
-        return cls(q, _least_prime_factor(q), LatticeMap.identity(rank))
+        return cls(q, LatticeMap.identity(rank))
 
     @classmethod
     def twisted(cls, q, tau):
-        return cls(q, _least_prime_factor(q), tau)
+        return cls(q, tau)
 
     def point_map(self, w_matrix=None) -> LatticeMap:
         """The matrix of w o Frobenius on dual-torus torsion points."""

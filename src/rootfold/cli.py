@@ -9,6 +9,7 @@ and 2 on unusable input.
 import argparse
 import json
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from . import catalog
@@ -36,18 +37,18 @@ _INT_SHAPES = ("an integer", "a list of integers", "a list of lists of integers"
                "a list of integer matrices")
 _TYPE_NAMES = {str: "a string", dict: "an object"}
 
-# config key -> (JobConfig field, default, JSON shape); a shape is a type, the
-# nesting depth of an integer tree, or a tuple of the allowed strings
+# config key -> (default, JSON shape); a shape is a type, the nesting depth of
+# an integer tree, or a tuple of the allowed strings
 _KEYS = {
-    "preset": ("preset", None, str),
-    "action": ("action", None, str),
-    "q": ("q", None, 0),
-    "tau": ("tau", None, 2),
-    "format": ("fmt", "table", ("table", "json")),
-    "budget": ("budget", "full", tuple(BUDGET_QS)),
-    "which": ("which", None, str),
-    "group": ("group", None, dict),
-    "action_spec": ("action_spec", None, dict),
+    "preset": (None, str),
+    "action": (None, str),
+    "q": (None, 0),
+    "tau": (None, 2),
+    "format": ("table", ("table", "json")),
+    "budget": ("full", tuple(BUDGET_QS)),
+    "which": (None, str),
+    "group": (None, dict),
+    "action_spec": (None, dict),
 }
 # the keys that a --flag sets, in the order of the help text
 _FLAGS = ("preset", "action", "q", "format", "budget")
@@ -62,7 +63,7 @@ def _is_int_tree(x, depth: int) -> bool:
 
 def _checked(key: str, val):
     """``val`` if it has the JSON shape of config key ``key``; else ``UsageError``."""
-    _, default, shape = _KEYS[key]
+    default, shape = _KEYS[key]
     if val is None and default is None:  # JSON null leaves the key unset
         return val
     kind = str if isinstance(shape, tuple) else shape
@@ -77,30 +78,10 @@ def _checked(key: str, val):
     return val
 
 
-class JobConfig:
-    """One job's settings, by keyword: the config document's keys, then the flags."""
+class JobConfig(namedtuple("JobConfig", _KEYS, defaults=[d for d, _ in _KEYS.values()])):
+    """One job's settings, one field per config key: the document's keys, then the flags."""
 
-    __slots__ = tuple(field for field, _, _ in _KEYS.values())
-
-    def __init__(self, **fields):
-        for field, default, _ in _KEYS.values():
-            setattr(self, field, fields.pop(field, default))
-        if fields:
-            raise TypeError(f"unknown JobConfig fields: {', '.join(fields)}")
-
-    def _fields(self):
-        return tuple(getattr(self, key) for key in self.__slots__)
-
-    def __eq__(self, other):
-        if not isinstance(other, JobConfig):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None  # mutable: flags are merged in place
-
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
-        return f"JobConfig({args})"
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobConfig":
@@ -109,12 +90,7 @@ class JobConfig:
         unknown = sorted(set(d) - set(_KEYS))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(map(repr, unknown))}")
-        return cls(**{_KEYS[key][0]: _checked(key, val) for key, val in d.items()})
-
-    def to_dict(self) -> dict:
-        """The keys whose value is not the default."""
-        return {key: getattr(self, field) for key, (field, default, _) in _KEYS.items()
-                if getattr(self, field) != default}
+        return cls(**{key: _checked(key, val) for key, val in d.items()})
 
 
 def parse_config_file(path: str) -> JobConfig:
@@ -144,13 +120,18 @@ def _check_ints(spec: dict, depths: dict, what: str):
                              f"{_INT_SHAPES[depth]}")
 
 
+def _spec_error(what: str, exc: Exception) -> UsageError:
+    detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+    return UsageError(f"bad explicit {what} spec: {detail}")
+
+
 def _explicit_datum(spec: dict) -> BasedRootDatum:
     _check_ints(spec, _GROUP_INTS, "group")
     try:
         rd = RootDatum(spec["rank"], spec["roots"], spec["coroots"])
         base = BasedRootDatum(rd, spec.get("simples", ()))
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad explicit group spec: {exc}") from exc
+        raise _spec_error("group", exc) from exc
     rep = validate(base)
     if not rep.ok:
         raise UsageError("explicit group invalid: " + "; ".join(rep.problems))
@@ -183,7 +164,7 @@ def _explicit_action(cfg: JobConfig) -> GammaAction:
                  else None)
         action = GammaAction(group, base, diagrams, twist)
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad explicit action spec: {exc}") from exc
+        raise _spec_error("action", exc) from exc
     rep = validate_action(action)
     if not rep.ok:
         raise UsageError("explicit action invalid: " + "; ".join(rep.problems))
@@ -372,7 +353,7 @@ def _print_table(payload, out):
 
 def emit(payload, cfg: JobConfig, out=None):
     out = out or sys.stdout
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2), file=out)
     else:
         _print_table(payload, out)
@@ -398,18 +379,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("which", choices=VERIFY_KINDS)
         p.add_argument("--config", metavar="PATH")
         for key in _FLAGS:
-            shape = _KEYS[key][2]
+            shape = _KEYS[key][1]
             choices = shape if isinstance(shape, tuple) else None
             p.add_argument(f"--{key}", choices=choices, type=int if shape == 0 else None)
     return parser
 
 
 def merge_flags(cfg: JobConfig, ns: argparse.Namespace) -> JobConfig:
-    for key in (*_FLAGS, "which"):
-        val = getattr(ns, key, None)
-        if val is not None:
-            setattr(cfg, _KEYS[key][0], _checked(key, val))
-    return cfg
+    flags = {key: getattr(ns, key, None) for key in (*_FLAGS, "which")}
+    return cfg._replace(**{key: _checked(key, val) for key, val in flags.items()
+                           if val is not None})
 
 
 def main(argv=None) -> int:

@@ -19,14 +19,12 @@ from .root_datum import BasedRootDatum, ValidationReport, _components, morphism_
 class FiniteGroup:
     """Explicit multiplication table; element 0 is the identity."""
 
-    __slots__ = ("size", "table", "names", "generators")
+    __slots__ = ("size", "table", "generators")
 
-    def __init__(self, table, names=None):
+    def __init__(self, table):
         self.table = tuple(tuple(map(index, row)) for row in table)
-        self.size = len(self.table)
-        self.names = tuple(names) if names else tuple(str(i) for i in range(self.size))
-        n = self.size
-        if not n or any(len(r) != n for r in self.table) or len(self.names) != n:
+        self.size = n = len(self.table)
+        if not n or any(len(r) != n for r in self.table):
             raise ValueError("malformed multiplication table")
         for i in range(n):
             if self.table[0][i] != i or self.table[i][0] != i:
@@ -111,24 +109,27 @@ class FiniteGroup:
 
     @classmethod
     def trivial(cls):
-        return cls(((0,),), names=("e",))
+        return cls(((0,),))
 
     @classmethod
     def cyclic(cls, n):
         elems = tuple(range(n))
-        return cls(tuple(elems[i:] + elems[:i] for i in range(n)),
-                   names=tuple(f"g{i}" if i else "e" for i in range(n)))
+        return cls(tuple(elems[i:] + elems[:i] for i in range(n)))
 
     @classmethod
-    def from_permutations(cls, perms, names=None):
-        """Group of permutation tuples; perms[0] must be the identity."""
+    def from_permutations(cls, perms):
+        """Group of permutation tuples of range(k), one k; perms[0] must be the identity."""
         perms = [tuple(p) for p in perms]
         if not perms:
             raise ValueError("no permutations")
+        k = len(perms[0])
+        for i, p in enumerate(perms):
+            if sorted(p) != list(range(k)):
+                raise ValueError(f"permutation {i} is not a permutation of range({k})")
         index = {p: i for i, p in enumerate(perms)}
         if len(index) != len(perms):
             raise ValueError("duplicate permutations")
-        if perms[0] != tuple(range(len(perms[0]))):
+        if perms[0] != tuple(range(k)):
             raise ValueError("first permutation must be the identity")
         table = []
         for p in perms:
@@ -139,7 +140,7 @@ class FiniteGroup:
                     raise ValueError("permutations not closed under composition")
                 row.append(index[comp])
             table.append(row)
-        return cls(table, names=names)
+        return cls(table)
 
 
 class GammaAction:
@@ -334,16 +335,8 @@ def stabilizer_hypothesis(a: GammaAction) -> StabilizerReport:
         ordered = sorted(comp_roots)
         perms = {i: tuple(ordered.index(a.act_root(i, r)) for r in ordered) for i in stab}
         image = set(perms.values())
-        # the image is cyclic iff some induced permutation has full order
-        def perm_order(p):
-            k, cur = 1, p
-            ident = tuple(range(len(ordered)))
-            while cur != ident:
-                cur = tuple(p[x] for x in cur)
-                k += 1
-            return k
-
-        cyclic = any(perm_order(p) == len(image) for p in image)
+        # the identity permutation sorts first
+        cyclic = FiniteGroup.from_permutations(sorted(image)).is_cyclic()
         kernel = [i for i in stab if perms[i] == tuple(range(len(ordered)))]
         faithful = len(kernel) == 1
         trivial = len(image) == 1

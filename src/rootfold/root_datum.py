@@ -252,12 +252,12 @@ def weyl_group(rd: RootDatum | BasedRootDatum, cap: int = 1_000_000) -> list[tup
     parent chain is the lexicographically least reduced word.  ``len()`` of
     the table is |W|; ``weyl_matrices`` turns it into matrices.
 
-    Element w is keyed by the pairings of w^-1(v) with the simple coroots.
-    v pairs nonzero with every coroot, so only the identity fixes it, and
-    w^-1(v) - v lies in the span of the simple roots, where those pairings
-    are injective for a finite group: the key determines w.  The step
+    Element w is keyed by the pairings of w^-1(rho) with the simple
+    coroots, where rho in the span of the simple roots pairs to 1 with each
+    of them, so the identity's key is (1, ..., 1).  rho is regular and the
+    pairings are injective on that span, so the key determines w.  The step
     w -> w s_i subtracts key[i] times row i of the Cartan matrix from the
-    key.  Raises WeylCapError before any step when |W| exceeds cap.
+    key; rho itself is never built.  Raises WeylCapError before any step when |W| exceeds cap.
     """
     base = rd if isinstance(rd, BasedRootDatum) else based_from_datum(rd)
     order = weyl_group_order(base)
@@ -266,8 +266,7 @@ def weyl_group(rd: RootDatum | BasedRootDatum, cap: int = 1_000_000) -> list[tup
     cosimples = base.simple_coroots
     cartan_rows = [tuple((j, x) for j, x in enumerate(dot(a, bv) for bv in cosimples) if x)
                    for a in base.simple_roots]
-    v = _positivity_functional(base.datum.rank, base.datum.coroots)
-    key = tuple(dot(v, bv) for bv in cosimples)
+    key = (1,) * len(cosimples)
     seen = {key}
     table = [(-1, -1)]
     frontier = [(0, key)]

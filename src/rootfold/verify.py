@@ -129,7 +129,7 @@ def subgroup_action(a: GammaAction, indices) -> GammaAction:
                 raise ValueError("indices are not closed under multiplication")
             row.append(pos[gh])
         table.append(row)
-    sub = FiniteGroup(table, [a.group.names[g] for g in indices])
+    sub = FiniteGroup(table)
     return GammaAction(sub, a.base, [a.diagram[g] for g in indices],
                        [a.twist[g] for g in indices])
 

@@ -223,5 +223,6 @@ def isogeny_spin_to_so(n) -> Isogeny:
 
 
 def serialize_config(cfg) -> str:
-    """Canonical JSON text of a ``rootfold.cli.JobConfig``."""
-    return json.dumps(cfg.to_dict(), sort_keys=True, indent=2)
+    """Canonical JSON text of a ``rootfold.cli.JobConfig``: its keys that are not the default."""
+    doc = {key: val for key, val in cfg._asdict().items() if val != cfg._field_defaults[key]}
+    return json.dumps(doc, sort_keys=True, indent=2)

@@ -6,12 +6,18 @@ jobs call catalog twist builders.  The tracer also takes ``len()`` of the
 result of each function in its ``SIZED`` table as a work count.  A rename in
 ``src/``, or a sized result that became a generator, would otherwise only
 show up as failed benchmark jobs.  The files are read with ``ast``; nothing
-under ``perfbench/`` is imported.
+under ``perfbench/`` is imported.  The benchmark's own output check is run
+as a subprocess, one second per in-process workload.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import rootfold
 from oracles import steinberg_count
@@ -74,3 +80,14 @@ def test_sized_results_have_their_counts():
         mod, fn = name.split(".")
         result = getattr(importlib.import_module(f"rootfold.{mod}"), fn)(*args)
         assert len(result) == count, name
+
+
+@pytest.mark.parametrize("workload", ["classes", "lift"])
+def test_benchmark_output_check_passes(workload):
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload, "--seed", "0",
+         "--seconds", "1", "--trace", "0"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), done.stdout

@@ -1,14 +1,20 @@
 """The named groups, actions, and isogenies ship in working order."""
 
+import re
+
 import pytest
 
 from builders import based_isomorphism, isogeny_spin_to_so
 from oracles import same_type
 from rootfold import catalog as C
+from rootfold.cli import main
 from rootfold.duality_conorm import validate_isogeny
 from rootfold.folding import fold, restricted_root_comparison
 from rootfold.gamma_action import validate_action
 from rootfold.root_datum import cartan_type, validate
+from test_bench_names import PERFBENCH, _assigned, _module
+from test_cli import assert_one_usage_line
+from test_golden_cli import golden_jobs
 
 
 CLASSICAL = [
@@ -132,3 +138,40 @@ def test_preset_names_lists_fixed_entries():
     names = C.preset_names()
     for fixed in ["d4-triality", "e6ad-twisted-c4", "gl2gl2-z4"]:
         assert fixed in names
+
+
+# numbers in catalog names are ASCII digits with no leading zero
+ONE_SPELLING = ["gl٣", "spin٥", "so²", "gl03", "gl٤-pinned", "gl2-trivial-z03"]
+
+
+@pytest.mark.parametrize("name", ONE_SPELLING)
+def test_a_name_has_one_spelling(name):
+    with pytest.raises(ValueError):
+        C.group_datum(name)
+    with pytest.raises(ValueError):
+        C.preset(name)
+
+
+@pytest.mark.parametrize("command", ["classes", "fold"])
+@pytest.mark.parametrize("name", ONE_SPELLING)
+def test_a_misspelt_name_exits_two_naming_it(capsys, command, name):
+    assert main([command, "--preset", name, "--q", "2"]) == 2
+    captured = capsys.readouterr()
+    assert_one_usage_line(captured, f"rootfold: unknown preset {name!r}")
+    assert "invalid literal" not in captured.err
+
+
+def test_every_name_in_use_resolves():
+    readme = re.findall(r"--preset (\S+)", (PERFBENCH.parent / "README.md").read_text())
+    golden = [argv[argv.index("--preset") + 1] for argv in golden_jobs() if "--preset" in argv]
+    jobs = _module("jobs.py")
+    perfbench = ([group for group, _, _ in _assigned(jobs, "_CLASSES")]
+                 + [name for name, _ in _assigned(jobs, "_LIFT")]
+                 + list(_assigned(jobs, "GOLDEN_PRESETS")))
+    names = set(readme) | set(golden) | set(perfbench)
+    assert len(names) > 20 and {"gl2", "e6ad-pinned", "sl7-pinned"} <= names
+    for name in sorted(names):
+        try:
+            C.group_datum(name)
+        except ValueError:
+            C.preset(name)

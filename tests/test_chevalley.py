@@ -10,7 +10,7 @@ from oracles import form_value
 from rootfold import catalog
 from rootfold.chevalley import build_structure_constants, propagate_scalars
 from rootfold.exact_lattice import LatticeMap, vadd, vneg
-from rootfold.root_datum import BasedRootDatum, invariant_inner_product
+from rootfold.root_datum import BasedRootDatum, _components, invariant_inner_product
 
 
 def flip_map(m):
@@ -234,12 +234,17 @@ def test_shared_table_equals_a_fresh_build_on_every_catalog_base():
         assert shared._sq == fresh._sq
 
 
-def test_squared_lengths_are_the_form_values_on_every_catalog_base():
+def test_squared_lengths_are_one_multiple_of_the_form_values_per_component():
+    # the triple and four-term rules divide lengths within one component only
     for base in catalog_bases():
-        form = invariant_inner_product(base.datum)
+        rd = base.datum
+        form = invariant_inner_product(rd)
         sq = build_structure_constants(base)._sq
-        assert sq.keys() == set(base.datum.roots)
-        assert all(sq[r] == form_value(form, r, r) for r in base.datum.roots), base
+        assert sq.keys() == set(rd.roots)
+        for comp in _components(rd):
+            ratios = {Fraction(sq[r], 1) / form_value(form, r, r)
+                      for r in (rd.roots[i] for i in comp)}
+            assert len(ratios) == 1, base
 
 
 def test_root_inclusion_suite_builds_one_table_per_base():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -16,6 +17,7 @@ from rootfold import catalog, exact_lattice, verify
 from rootfold.classes import (
     FrobeniusStructure,
     StableClass,
+    _least_prime_factor,
     _walk_function,
     canonicalize_class,
     class_stabilizer_size,
@@ -60,19 +62,21 @@ def z4_composite_action():
 
 
 def test_frobenius_validation():
-    f = FrobeniusStructure.untwisted(8, 1)
-    assert f.p == 2
-    assert FrobeniusStructure.untwisted(9, 1).p == 3
-    with pytest.raises(ValueError):
+    assert FrobeniusStructure.untwisted(8, 1) == (8, LatticeMap.identity(1))
+    assert FrobeniusStructure.untwisted(9, 1).q == 9
+    with pytest.raises(ValueError, match="^6 is not a power of 2$"):
         FrobeniusStructure.untwisted(6, 1)
-    with pytest.raises(ValueError):
-        FrobeniusStructure(8, 3, LatticeMap.identity(1))
+    with pytest.raises(ValueError, match="^12 is not a power of 2$"):
+        FrobeniusStructure(12, LatticeMap.identity(1))
 
 
 @pytest.mark.parametrize("q, p", [(2**31, 2), (3**19, 3), (1000000007, 1000000007),
                                   (1000003**2, 1000003)])
 def test_frobenius_finds_the_characteristic_of_large_q(q, p):
-    assert FrobeniusStructure.untwisted(q, 0).p == p
+    assert _least_prime_factor(q) == p
+    start = time.process_time()
+    assert FrobeniusStructure.untwisted(q, 0).q == q
+    assert time.process_time() - start < 2
 
 
 @pytest.mark.parametrize("q", [1, 0, -3])

@@ -86,16 +86,24 @@ BAD_ACTION = st.one_of(
     NOT_INT.map(lambda x: {"permutations": [[x]], "diagrams": [[[1]]]}),
     NOT_INT.map(lambda x: {"diagrams": [[[1]]], "twists": [{"num": [x], "den": 1}]}),
     NOT_INT.map(lambda x: {"diagrams": [[[1]]], "twists": [{"num": [0], "den": x}]}),
+    st.sampled_from([[[0, 1], [1]], [[0, 1], [2, 0]], [[0, 1, 2], [1, 1, 0]]]).map(
+        lambda perms: {"permutations": perms, "diagrams": [[[1]]] * len(perms)}),
 ).map(lambda spec: {"group": A1, "action_spec": spec, "q": 3})
 
 MALFORMED = st.one_of(WRONG_TYPES, BAD_Q, UNKNOWN_KEY, MISSING, UNKNOWN_PRESET,
                       NOT_AN_OBJECT, BAD_GROUP)
 
 
+FAMILIES = st.sampled_from(["gl", "sl", "pgl", "sp", "so", "spin", "torus"])
+
 # every family of numbered catalog groups, at its smallest sizes
-SMALL_GROUPS = st.builds("{}{}".format,
-                         st.sampled_from(["gl", "sl", "pgl", "sp", "so", "spin", "torus"]),
-                         st.integers(0, 3))
+SMALL_GROUPS = st.builds("{}{}".format, FAMILIES, st.integers(0, 3))
+
+# a family name, a digit that is not ASCII, and maybe a preset kind
+UNICODE_NUMBERED = st.builds(
+    "{}{}{}".format, FAMILIES,
+    st.characters(categories=["Nd", "No"]).filter(lambda c: not "0" <= c <= "9"),
+    st.sampled_from(["", "-pinned", "-so-twist", "-trivial-z2"]))
 
 
 def run_config(command, doc):
@@ -135,6 +143,14 @@ def test_small_catalog_names_exit_zero_or_two(name):
         assert f"group '{name}'" in captured.err
 
 
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(st.sampled_from(["classes", "fold"]), UNICODE_NUMBERED)
+def test_unicode_digits_name_nothing(command, name):
+    code, captured = run_config(command, {"preset": name, "q": 3})
+    assert code == 2, (name, captured)
+    assert_one_usage_line(captured, f"rootfold: unknown preset {name!r}")
+
+
 def test_valid_job_passes():
     assert run_config("lift", VALID)[0] == 0
 
@@ -164,3 +180,27 @@ def test_non_integer_numbers_exit_two_naming_the_key(command, doc, key):
     code, captured = run_config(command, doc)
     assert code == 2
     assert_one_usage_line(captured, f"rootfold: bad explicit {key} must be ")
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("classes", {"group": {"roots": [], "coroots": [], "simples": []}, "q": 3},
+     "group spec: missing key 'rank'"),
+    ("fold", {"group": A1, "action_spec": {"cyclic": 1}, "q": 3},
+     "action spec: missing key 'diagrams'"),
+    ("fold", {"group": A1, "action_spec": {"diagrams": [[[1]]], "twists": [{"num": [0]}]},
+              "q": 3}, "action spec: missing key 'den'"),
+])
+def test_missing_spec_key_exits_two_naming_the_key(command, doc, message):
+    code, captured = run_config(command, doc)
+    assert code == 2
+    assert_one_usage_line(captured, f"rootfold: bad explicit {message}\n")
+
+
+@pytest.mark.parametrize("perms", [[[0, 1], [1]], [[0, 1], [2, 0]], [[0, 1, 2], [1, 1, 0]]])
+@pytest.mark.parametrize("command", ["fold", "conorm", "lift"])
+def test_explicit_entry_that_is_no_permutation_exits_two(command, perms):
+    doc = {"group": A1, "action_spec": {"permutations": perms, "diagrams": [[[1]], [[1]]]},
+           "q": 3}
+    code, captured = run_config(command, doc)
+    assert code == 2
+    assert_one_usage_line(captured, "rootfold: bad explicit action spec: permutation 1 is not ")

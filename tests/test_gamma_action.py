@@ -91,6 +91,17 @@ def test_s3_from_permutations():
     assert sorted(g.order_of(i) for i in g.elements()) == [1, 2, 2, 2, 3, 3]
 
 
+@pytest.mark.parametrize("perms, bad", [
+    ([[0, 1], [1]], 1),
+    ([[0, 1], [2, 0]], 1),
+    ([[0, 1, 2], [1, 1, 0]], 1),
+    ([[0, 1], [1, 0], [0, 1, 2]], 2),
+])
+def test_from_permutations_names_an_entry_that_permutes_nothing(perms, bad):
+    with pytest.raises(ValueError, match=f"^permutation {bad} is not a permutation of "):
+        FiniteGroup.from_permutations(perms)
+
+
 def test_subgroup_and_quotient():
     g = FiniteGroup.cyclic(4)
     sub = g.subgroup_closure([2])

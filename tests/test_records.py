@@ -48,7 +48,7 @@ def sample_records():
 
 FIELDS = {
     "ValidationReport": ("ok", "problems"),
-    "FrobeniusStructure": ("q", "p", "tau"),
+    "FrobeniusStructure": ("q", "tau"),
     "StableClass": ("rep", "q"),
     "Preset": ("name", "action"),
     "FoldedRootRecord": ("root", "coroot", "orbit", "source_rep", "multiplier"),
@@ -110,11 +110,11 @@ A1 = RootDatum(1, [(2,), (-2,)], [(1,), (-1,)])
     lambda: generate_datum(1, [(2.5,)], [(1.9,)]),
     lambda: FiniteGroup([[0, 1], [1, 0.7]]),
     lambda: TorsionVector.from_fractions([0.1]),
-    lambda: FrobeniusStructure(8.0, 2, LatticeMap.identity(2)),
-    lambda: FrobeniusStructure(8, 2.0, LatticeMap.identity(2)),
+    lambda: FrobeniusStructure(8.0, LatticeMap.identity(2)),
+    lambda: FrobeniusStructure.untwisted(8.0, 2),
 ], ids=["lattice-map", "torsion-numerator", "torsion-denominator", "root-datum",
         "based-root-datum", "generated-datum", "finite-group", "torsion-from-floats",
-        "frobenius-q", "frobenius-p"])
+        "frobenius-q", "frobenius-untwisted-q"])
 def test_constructors_refuse_non_integers(build):
     with pytest.raises(TypeError):
         build()
@@ -137,28 +137,30 @@ def test_stable_class_orders_by_representative_then_q():
 
 def test_frobenius_structure_checks_on_construction():
     f = FrobeniusStructure.untwisted(9, 2)
-    assert f == FrobeniusStructure(9, 3, LatticeMap.identity(2))
-    with pytest.raises(ValueError, match="is not prime"):
-        FrobeniusStructure(9, 9, LatticeMap.identity(2))
+    assert f == FrobeniusStructure(9, LatticeMap.identity(2))
+    with pytest.raises(ValueError, match="^6 is not a power of 2$"):
+        FrobeniusStructure(6, LatticeMap.identity(2))
     with pytest.raises(ValueError, match="invertible"):
-        FrobeniusStructure(9, 3, LatticeMap([[2]]))
+        FrobeniusStructure(9, LatticeMap([[2]]))
 
 
 @pytest.mark.parametrize("q", [1, 0, -8])
 def test_frobenius_structure_refuses_q_below_two(q):
     # q = p^0 = 1 made an m - I that is singular on gl2 and one class on gl0
     with pytest.raises(ValueError, match=f"q = {q} is not a prime power"):
-        FrobeniusStructure(q, 2, LatticeMap.identity(2))
+        FrobeniusStructure(q, LatticeMap.identity(2))
 
 
-def test_job_config_is_mutable_and_compares_by_value():
+def test_job_config_compares_by_value_and_merges_by_replace():
     cfg = JobConfig(preset="gl2", q=3)
-    assert (cfg.fmt, cfg.budget, cfg.tau) == ("table", "full", None)
+    assert (cfg.format, cfg.budget, cfg.tau) == ("table", "full", None)
     assert cfg == JobConfig(preset="gl2", q=3)
-    cfg.q = 5
-    assert cfg != JobConfig(preset="gl2", q=3)
-    assert cfg.to_dict() == {"preset": "gl2", "q": 5}
-    with pytest.raises(TypeError):
-        hash(cfg)
+    with pytest.raises(AttributeError):
+        cfg.q = 5
     with pytest.raises(AttributeError):
         cfg.unknown = 1
+    merged = cfg._replace(q=5)
+    assert merged != cfg and cfg.q == 3
+    assert merged == JobConfig(preset="gl2", q=5)
+    with pytest.raises(TypeError):
+        JobConfig(fmt="json")
