@@ -311,7 +311,6 @@ def rotation_action(base_half: BasedRootDatum, m: int) -> GammaAction:
     return GammaAction(FiniteGroup.cyclic(m), prod, mats)
 
 
-@lru_cache(maxsize=None)
 def twisted_e6_c4_action() -> GammaAction:
     """Inner twist of the pinned E6 involution folding to C4 instead of F4.
 
@@ -323,7 +322,6 @@ def twisted_e6_c4_action() -> GammaAction:
                        [(0,) * 6, (0, 0, 0, _HALF, 0, 0)])
 
 
-@lru_cache(maxsize=None)
 def twisted_triality_a2_action() -> GammaAction:
     """Inner twist of the cyclic triality whose fold is A2, not G2.
 
@@ -336,7 +334,6 @@ def twisted_triality_a2_action() -> GammaAction:
                        [TorsionVector.zero(4), t, t + t.apply(a.coaction(1))])
 
 
-@lru_cache(maxsize=None)
 def s3_twisted_d4_action() -> GammaAction:
     """Twisted full graph symmetry of D4 that drops short restricted roots.
 
@@ -455,8 +452,12 @@ def preset_names():
     return sorted(_FIXED_PRESETS) + list(_NUMBERED_PRESETS)
 
 
+@lru_cache(maxsize=None)
 def preset(name: str) -> Preset:
-    """A named action: a fixed one, or a numbered one as in ``preset_names``."""
+    """A named action: a fixed one, or a numbered one as in ``preset_names``.
+
+    Each name is built once per process; callers must not mutate the action.
+    """
     if name in _FIXED_PRESETS:
         return Preset(name, _FIXED_PRESETS[name]())
     pattern, numbers = _pattern(name)

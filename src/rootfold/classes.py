@@ -41,18 +41,72 @@ from .root_datum import (BasedRootDatum, RootDatum, morphism_problem, weyl_group
                          weyl_group_order, weyl_matrices)
 
 
+# trial division looks for factors up to this bound only
+_TRIAL_BOUND = 1024
+# Miller-Rabin on the first 13 primes as bases is exact below the limit
+# (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for odd n with 41 < n < ``_MR_LIMIT``."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _integer_root(q, k):
+    """The largest r with r**k <= q, by Newton's method from above."""
+    r = 1 << -(-q.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + q // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def _least_prime_factor(q):
+    """The prime of a prime power q, or a factor below ``_TRIAL_BOUND`` of another q.
+
+    With no factor that small, q = r**k for the largest such k, and q is a
+    prime power exactly when r is a prime; other q raise ``ValueError``.
+    """
     if q < 2:
         raise ValueError(f"q = {q} is not a prime power")
-    return next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    bound = min(isqrt(q), _TRIAL_BOUND)
+    p = next((d for d in range(2, bound + 1) if q % d == 0), None)
+    if p is not None:
+        return p
+    if bound < _TRIAL_BOUND:  # every d up to sqrt(q) was tried
+        return q
+    # r > _TRIAL_BOUND > 2**9, so k is at most a tenth of q's bit length
+    r = next((r for k in range(q.bit_length() // 10, 1, -1)
+              if (r := _integer_root(q, k)) ** k == q), q)
+    if r >= _MR_LIMIT:
+        raise ValueError(f"q = {q} is too large: no exact prime test for {r}")
+    if not _is_prime(r):
+        raise ValueError(f"q = {q} is not a prime power")
+    return r
 
 
 class FrobeniusStructure(namedtuple("FrobeniusStructure", "q tau")):
     """q a power of a prime, and tau an integral automorphism of X.
 
     Construction raises ``TypeError`` when q is not an integer, and
-    ``ValueError`` when q is below 2 or not a prime power, or tau is not
-    square and invertible over the integers.
+    ``ValueError`` when q is below 2 or not a prime power (or is r**k for an
+    r too large for the exact prime test), or tau is not square and invertible
+    over the integers.
     """
 
     __slots__ = ()

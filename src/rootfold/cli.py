@@ -240,8 +240,8 @@ def _jsonable(x):
     return str(x)
 
 
-def type_string(based_or_datum) -> str:
-    types, central = cartan_type(based_or_datum)
+def type_string(base: BasedRootDatum) -> str:
+    types, central = cartan_type(base)
     parts = [f"{fam}{rank}" for fam, rank in types]
     if central:
         parts.append(f"T{central}")
@@ -265,7 +265,7 @@ def cmd_fold(cfg: JobConfig):
         "command": "fold",
         "source_type": type_string(action.base),
         "rank": fd.rank,
-        "type": type_string(fd.fixed),
+        "type": type_string(fd.fixed_base),
         "roots": len(fd.fixed.roots),
         "restriction": _jsonable(fd.restriction),
         "provenance": prov,
@@ -282,7 +282,7 @@ def cmd_conorm(cfg: JobConfig):
     payload = {
         "command": "conorm",
         "group_order": k,
-        "folded_type": type_string(fd.fixed),
+        "folded_type": type_string(fd.fixed_base),
         "conorm": _jsonable(conorm.matrix),
         "norm_on_cochar": _jsonable(conorm.matrix.transpose()),
         "adjoint_ok": adjoint_ok,
@@ -316,7 +316,7 @@ def cmd_lift(cfg: JobConfig):
         rows.append({"class": _jsonable(c.rep), "lift": _jsonable(lifted.rep)})
     payload = {
         "command": "lift",
-        "folded_type": type_string(fd.fixed),
+        "folded_type": type_string(fd.fixed_base),
         "q": q,
         "count": len(rows),
         "lifts": rows,

@@ -85,7 +85,27 @@ def root_survives(a: GammaAction, root) -> bool:
     return all(root_space_scalar(a, i, root) == 0 for i in root_stabilizer(a, root))
 
 
+# (group table, base, diagram parts, twists) -> the fold of every action with them
+_FOLDS = {}
+
+
 def fold(a: GammaAction) -> FoldedDatum:
+    """The fold of ``a``, computed once per process for its defining parts.
+
+    The key is the group table, the base, the diagram parts and the twists,
+    not ``GammaAction.__eq__`` (which only compares twist pairings).  Every
+    action with those parts gets the same ``FoldedDatum``, whose ``source``
+    is the first of them folded; callers must not mutate it.  A fold that
+    raises is not kept.
+    """
+    key = (a.group.table, a.base, a.diagram, a.twist)
+    fd = _FOLDS.get(key)
+    if fd is None:
+        fd = _FOLDS[key] = _fold(a)
+    return fd
+
+
+def _fold(a: GammaAction) -> FoldedDatum:
     rep = validate_action(a)
     if not rep.ok:
         raise ValueError("invalid action: " + "; ".join(rep.problems))

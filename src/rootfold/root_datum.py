@@ -456,11 +456,11 @@ def cartan_type(rd: RootDatum | BasedRootDatum):
     """Multiset of irreducible types plus the central torus rank.
 
     Returns (sorted tuple of (family, rank) pairs, central_rank).  A
-    component's rank is its number of simple roots.
+    component's rank is its number of simple roots: those of the base given,
+    or of ``based_from_datum`` for a bare datum.
     """
-    if isinstance(rd, BasedRootDatum):
-        rd = rd.datum
-    simples = set(based_from_datum(rd).simple_indices)
+    base = rd if isinstance(rd, BasedRootDatum) else based_from_datum(rd)
+    rd, simples = base.datum, set(base.simple_indices)
     lengths = length_classes(rd)
     types = sorted(_type_from_counts(sum(i in simples for i in comp), len(comp),
                                      sum(lengths[i] == "short" for i in comp))

@@ -6,7 +6,7 @@ import pytest
 
 from builders import based_isomorphism, isogeny_spin_to_so
 from oracles import same_type
-from rootfold import catalog as C
+from rootfold import catalog as C, root_datum
 from rootfold.cli import main
 from rootfold.duality_conorm import validate_isogeny
 from rootfold.folding import fold, restricted_root_comparison
@@ -46,6 +46,21 @@ def test_groups_validate_with_expected_types():
         got_types, got_central = cartan_type(b)
         assert same_type(got_types, types)
         assert got_central == central
+
+
+def test_cartan_type_reads_the_base_it_is_given(monkeypatch):
+    bases = [build() for build, _, _ in CLASSICAL] + [C.torus(2), C.gl(1)]
+    for name in C.GOLDEN_FOLDS:
+        action = C.preset(name).action
+        bases += [action.base, fold(action).fixed_base]
+    expected = [cartan_type(b.datum) for b in bases]
+    assert [cartan_type(b) for b in bases] == expected
+
+    def refuse(rd):
+        raise AssertionError("a given base was searched for again")
+
+    monkeypatch.setattr(root_datum, "based_from_datum", refuse)
+    assert [cartan_type(b) for b in bases] == expected
 
 
 def test_sl_and_pgl_are_different_lattforms():

@@ -71,12 +71,31 @@ def test_frobenius_validation():
 
 
 @pytest.mark.parametrize("q, p", [(2**31, 2), (3**19, 3), (1000000007, 1000000007),
-                                  (1000003**2, 1000003)])
+                                  (1000003**2, 1000003), (2**61 - 1, 2**61 - 1),
+                                  ((2**31 - 1)**2, 2**31 - 1), (3**40, 3)])
 def test_frobenius_finds_the_characteristic_of_large_q(q, p):
     assert _least_prime_factor(q) == p
     start = time.process_time()
     assert FrobeniusStructure.untwisted(q, 0).q == q
-    assert time.process_time() - start < 2
+    assert time.process_time() - start < 1
+
+
+@pytest.mark.parametrize("q, message", [
+    (561, "^561 is not a power of 3$"),
+    (2047, "^2047 is not a power of 23$"),
+    # strong pseudoprimes to the bases 2 to 23 and 2 to 37, with no factor
+    # that trial division reaches
+    (3825123056546413051, "^q = 3825123056546413051 is not a prime power$"),
+    (318665857834031151167461, "^q = 318665857834031151167461 is not a prime power$"),
+    ((2**31 - 1) * 1000000007, "is not a prime power$"),
+    ((1000003 * 1000033)**3, "is not a prime power$"),
+    ((2**31 - 1) * (2**61 - 1), "is too large: no exact prime test"),
+])
+def test_frobenius_refuses_large_q_that_is_no_prime_power(q, message):
+    start = time.process_time()
+    with pytest.raises(ValueError, match=message):
+        FrobeniusStructure.untwisted(q, 0)
+    assert time.process_time() - start < 1
 
 
 @pytest.mark.parametrize("q", [1, 0, -3])

@@ -19,9 +19,11 @@ from rootfold.folding import (
     restricted_root_comparison,
     root_survives,
 )
-from rootfold.gamma_action import FiniteGroup, GammaAction, _diagram_problems
+from rootfold.gamma_action import (FiniteGroup, GammaAction, _diagram_problems,
+                                   pinned_projection)
 from rootfold.root_datum import (BasedRootDatum, RootDatum, cartan_type, length_classes,
                                  weyl_group, weyl_matrices)
+from rootfold.verify import SUITES
 
 
 def trivial_action(base, group=None):
@@ -301,19 +303,78 @@ def test_fold_projections_on_catalog_presets(name):
     assert fd.restriction @ conorm == LatticeMap.identity(fd.rank).scale(a.group.size)
 
 
-def test_fold_validates_once(monkeypatch):
+def _count_validations(monkeypatch):
+    """Empty the fold cache, and record each datum ``fold`` validates from now on."""
+    folding._FOLDS.clear()
     calls = []
     real = folding.validate
     monkeypatch.setattr(folding, "validate", lambda rd: calls.append(rd) or real(rd))
+    return calls
+
+
+def test_fold_validates_once(monkeypatch):
+    calls = _count_validations(monkeypatch)
     for name in ("e6ad-pinned", "d4-triality", "gl4-so-twist", "gl2-trivial-z3"):
         calls.clear()
         fd = fold(catalog.preset(name).action)
         assert calls == [fd.fixed_base]
 
 
+def test_actions_with_equal_parts_share_one_fold(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    a = catalog.preset("d4-twisted-a2").action
+    twin = GammaAction(FiniteGroup(a.group.table), a.base, a.diagram, a.twist)
+    fd = fold(a)
+    assert fold(twin) is fd and fd.source is a
+    assert calls == [fd.fixed_base]
+
+
+def test_fold_is_keyed_on_the_twists_not_on_their_pairings(monkeypatch):
+    # a central twist pairs to zero with every root, so __eq__ cannot tell
+    # these apart; their parts differ, and so do their cache entries
+    calls = _count_validations(monkeypatch)
+    plain = trivial_action(B.gl(2), FiniteGroup.cyclic(2))
+    central = GammaAction(plain.group, plain.base, plain.diagram,
+                          [(0, 0), (Fraction(1, 2), Fraction(1, 2))])
+    assert plain == central
+    assert fold(plain) is not fold(central)
+    assert len(calls) == len(folding._FOLDS) == 2
+
+
+def test_preset_and_pinned_projection_entries(monkeypatch):
+    _count_validations(monkeypatch)
+    untwisted = catalog.preset("d4-triality").action
+    assert fold(pinned_projection(untwisted)) is fold(untwisted)
+    twisted = catalog.preset("d4-twisted-a2").action
+    assert fold(pinned_projection(twisted)) is fold(untwisted)
+    assert fold(twisted) is not fold(untwisted)
+    assert len(folding._FOLDS) == 2
+
+
+def test_failed_fold_is_not_kept():
+    ident = LatticeMap.identity(4)
+    bad = GammaAction(FiniteGroup.cyclic(3), B.gl(4), [ident, flip_map(4), ident])
+    folding._FOLDS.clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="invalid action"):
+            fold(bad)
+    assert not folding._FOLDS
+
+
+@pytest.mark.parametrize("which, folds", [("root-inclusion", 14), ("long-roots", 12)])
+def test_comparison_suites_fold_each_action_once(monkeypatch, which, folds):
+    # each suite preset is compared with its pinned projection: an untwisted
+    # preset is its own projection, and a twisted one projects to a suite preset
+    calls = _count_validations(monkeypatch)
+    cases = SUITES[which](None, (2, 3), None)
+    assert all(c["ok"] for c in cases)
+    assert len(calls) == len(folding._FOLDS) == folds
+
+
 def test_restricted_root_comparison_builds_one_table():
     a = catalog.preset("e6ad-pinned").action
     unused = GammaAction(a.group, a.base, a.diagram, a.twist)  # no pinned scalars yet
+    folding._FOLDS.clear()
     build_structure_constants.cache_clear()
     gamma_action._pinned_scalars.cache_clear()
     restricted_root_comparison(unused)
@@ -329,6 +390,7 @@ def test_restricted_root_comparison_propagates_each_diagram_part_once(monkeypatc
     real = gamma_action.propagate_scalars
     monkeypatch.setattr(gamma_action, "propagate_scalars",
                         lambda sc, d: calls.append(d) or real(sc, d))
+    folding._FOLDS.clear()
     gamma_action._pinned_scalars.cache_clear()
     restricted_root_comparison(a)
     assert len(calls) <= a.group.size == 6
@@ -337,6 +399,7 @@ def test_restricted_root_comparison_propagates_each_diagram_part_once(monkeypatc
 @pytest.mark.parametrize("compare", [restricted_root_comparison, dual_length_comparison])
 def test_action_and_pinned_projection_share_one_diagram_check(compare):
     a = catalog.preset("e6ad-twisted-c4").action
+    folding._FOLDS.clear()
     _diagram_problems.cache_clear()
     compare(a)
     info = _diagram_problems.cache_info()
