@@ -224,16 +224,19 @@ def so_twist_gl_action(n) -> GammaAction:
                        [(0,) * n, tw])
 
 
+def _pinned_reversal_action(base: BasedRootDatum) -> GammaAction:
+    """The pinned flip of A_r, on a base whose coordinates follow the nodes of its chain."""
+    r = base.datum.rank
+    return GammaAction(FiniteGroup.cyclic(2), base,
+                       [LatticeMap.identity(r), _perm_matrix(range(r - 1, -1, -1))])
+
+
 def pinned_sl_action(n) -> GammaAction:
-    rev = _perm_matrix(list(range(n - 2, -1, -1)))
-    return GammaAction(FiniteGroup.cyclic(2), sl(n),
-                       [LatticeMap.identity(n - 1), rev])
+    return _pinned_reversal_action(sl(n))
 
 
 def pinned_pgl_action(n) -> GammaAction:
-    rev = _perm_matrix(list(range(n - 2, -1, -1)))
-    return GammaAction(FiniteGroup.cyclic(2), pgl(n),
-                       [LatticeMap.identity(n - 1), rev])
+    return _pinned_reversal_action(pgl(n))
 
 
 def pinned_so_even_action(n) -> GammaAction:
@@ -301,13 +304,7 @@ def rotation_action(base_half: BasedRootDatum, m: int) -> GammaAction:
     prod = base_half
     for _ in range(m - 1):
         prod = direct_sum(prod, base_half)
-    mats = []
-    for k in range(m):
-        rows = [[0] * (m * n) for _ in range(m * n)]
-        for i in range(m * n):
-            block, off = divmod(i, n)
-            rows[((block + k) % m) * n + off][i] = 1
-        mats.append(LatticeMap(rows, m * n))
+    mats = [_perm_matrix([(i + k * n) % (m * n) for i in range(m * n)]) for k in range(m)]
     return GammaAction(FiniteGroup.cyclic(m), prod, mats)
 
 

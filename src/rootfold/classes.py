@@ -5,26 +5,15 @@ closure, is a Weyl orbit of torsion points of the dual torus; in coordinates
 these are torsion vectors in the character lattice.  A Frobenius with twist
 tau acts on points by q * tau, and the classes stable under it are exactly the
 orbits meeting the fixed points of w o (q * tau) for some Weyl element w.
+``enumerate_stable_classes`` finds those fixed points as torsion kernels, and
+is the one place that runs through every Weyl element.
 
 A class is named by its canonical representative, the least point of its
-orbit, found by walking the orbit with the simple reflections; the order of a
-point's stabilizer is |W| over the size of that orbit.  Enumeration stays on
-numerator tuples from the fixed-point solve to the orbit minimum: a fixed
-point y/d is walked at its denominator d even when gcd(d, y) = g > 1, since
-that orbit is g times the orbit of (y/g)/(d/g) and its minimum reduces to the
-same class; the minima are reduced and sorted once, and each class gets one
-``TorsionVector``.  The whole
-breadth-first walk is one function, generated from source text once per
-based datum on its first walk: its text holds only fixed names, reflection
-indices and the exact ``int`` entries of the simple roots and coroots, never
-text from an input.  A step s_i(x) = x - <x, coroot_i> root_i is one short
-pairing with the coroot and an update on the support of the root.  It is
-skipped when the pairing is 0 mod the point's denominator, since s_i then
-fixes the point, and when s_i produced the point, since s_i(s_i x) = x is
-where the walk came from.  That second skip needs <root_i, coroot_i> = 2, so
-the generator checks it for every simple root and raises ``ValueError``
-otherwise.  Enumeration is the one place that runs through every Weyl
-element.
+orbit, found by walking the orbit with the simple reflections in the one
+function ``_walk_function`` generates per based datum; the order of a point's
+stabilizer is |W| over the size of that orbit.  Enumeration stays on numerator
+tuples from the solve to the orbit minimum, and builds one ``TorsionVector``
+per class.
 
 Lifting a class through a fold applies the conorm matrix to a class
 representative and recanonicalizes in the bigger Weyl group.
@@ -36,7 +25,7 @@ from math import gcd, isqrt, lcm
 from operator import index
 from typing import NamedTuple
 
-from .exact_lattice import LatticeMap, TorsionVector, _torsion_fixed_numerators, dot
+from .exact_lattice import LatticeMap, TorsionVector, _torsion_fixed_numerators, dot, vsub
 from .root_datum import (BasedRootDatum, RootDatum, morphism_problem, weyl_group,
                          weyl_group_order, weyl_matrices)
 
@@ -132,11 +121,6 @@ class FrobeniusStructure(namedtuple("FrobeniusStructure", "q tau")):
     def twisted(cls, q, tau):
         return cls(q, tau)
 
-    def point_map(self, w_matrix=None) -> LatticeMap:
-        """The matrix of w o Frobenius on dual-torus torsion points."""
-        m = self.tau.scale(self.q)
-        return m if w_matrix is None else w_matrix @ m
-
 
 class StableClass(NamedTuple):
     rep: TorsionVector
@@ -160,8 +144,9 @@ def _walk_function(base: BasedRootDatum):
     index of the simple reflection that produced it), where each point is
     unpacked into locals and, per simple reflection, the pairing
     <v, coroot_i> mod den is one unrolled expression over the coroot's
-    support and the image one tuple expression over the root's.  A point
-    that s_i produced skips s_i, since s_i(s_i v) = v is already seen; that
+    support and the image one tuple expression over the root's.  A pairing
+    of 0 mod den skips s_i, which then fixes the point; a point that s_i
+    produced skips s_i, since s_i(s_i v) = v is already seen; that
     needs <root_i, coroot_i> = 2, so a simple root that pairs otherwise
     raises ``ValueError``.  The text holds only fixed names, reflection
     indices and the entries of the simple roots and coroots, which the
@@ -271,35 +256,45 @@ def _check_twist(rd: RootDatum, tau: LatticeMap):
 
     tau must be a morphism of the datum to itself (``morphism_problem``);
     the base need not be fixed.  Some power tau^k with
-    k <= max_finite_order(rank) must be the identity.
+    k <= max_finite_order(rank) must be the identity; that bound is worked
+    out only for a tau other than the identity.
     """
     if tau.domain_rank != rd.rank:
         raise ValueError(f"tau has rank {tau.domain_rank} but the datum has rank {rd.rank}")
     problem = morphism_problem(tau, rd, rd)
     if problem:
         raise ValueError(f"tau {problem}")
-    bound = max_finite_order(rd.rank)
     identity = LatticeMap.identity(rd.rank)
+    if tau == identity:
+        return
+    bound = max_finite_order(rd.rank)
     power = tau
-    for _ in range(bound):
+    for _ in range(bound - 1):
+        power = power @ tau
         if power == identity:
             return
-        power = power @ tau
     raise ValueError(f"tau has infinite order: no power up to {bound} is the identity")
 
 
 def enumerate_stable_classes(base: BasedRootDatum, frob: FrobeniusStructure):
     """Sorted canonical representatives of the Frobenius-stable classes.
 
-    Each fixed point y/d of each w o Frobenius is walked as a numerator
-    tuple at its d, and (d, least point of the orbit) is kept; the reduction
-    to lowest terms, which merges the pairs of one class, comes last.
+    The fixed points of w o Frobenius are the torsion kernel of q tau - w^-1,
+    with the same d = |det(q w tau - I)|: w is unimodular, so (w q tau - I) x
+    and w^-1 (w q tau - I) x = (q tau - w^-1) x are integral together; and as
+    w runs over W, so does w^-1.  So each Weyl matrix is subtracted from the
+    rows of q tau, worked out once, and solved.  Each solution y/d is walked
+    as a numerator tuple at its d, even when gcd(d, y) = g > 1, since that
+    orbit is g times the orbit of (y/g)/(d/g); the (d, least point) pairs are
+    reduced to lowest terms, which merges the pairs of one class, and sorted.
     """
     _check_twist(base.datum, frob.tau)
     walk = _walk_function(base)
+    n = base.datum.rank
+    q_tau = frob.tau.scale(frob.q).rows
     minima = set()
     for m in weyl_matrices(base, weyl_group(base)):
-        d, numerators = _torsion_fixed_numerators(frob.point_map(m))
+        d, numerators = _torsion_fixed_numerators(list(map(vsub, q_tau, m.rows)), n)
         for y in numerators:
             minima.add((d, min(walk(y, d, None))))
     reps = set()

@@ -276,18 +276,17 @@ def cmd_fold(cfg: JobConfig):
 def cmd_conorm(cfg: JobConfig):
     action = resolve_action(cfg)
     fd = fold(action)
+    # the constructor raises unless restriction o conorm = |Gamma| I
     conorm = ConormData(fd)
-    k = action.group.size
-    adjoint_ok = fd.restriction @ conorm.matrix == LatticeMap.identity(fd.rank).scale(k)
     payload = {
         "command": "conorm",
-        "group_order": k,
+        "group_order": action.group.size,
         "folded_type": type_string(fd.fixed_base),
         "conorm": _jsonable(conorm.matrix),
         "norm_on_cochar": _jsonable(conorm.matrix.transpose()),
-        "adjoint_ok": adjoint_ok,
+        "adjoint_ok": True,
     }
-    return payload, adjoint_ok
+    return payload, True
 
 
 def cmd_classes(cfg: JobConfig):

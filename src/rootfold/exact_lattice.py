@@ -445,22 +445,22 @@ class TorsionVector:
         return f"TorsionVector({list(self.nums)}/{self.den})"
 
 
-def _torsion_fixed_numerators(m: LatticeMap) -> tuple[int, set[Vec]]:
-    """(d, the numerators y in [0, d)^n of the fixed points y/d of m), d = |det(m - I)|.
+def _torsion_fixed_numerators(rows, n: int) -> tuple[int, set[Vec]]:
+    """(d, the numerators y in [0, d)^n of the x = y/d with A x integral), d = |det A|.
 
-    The row Hermite form H = W @ (m - I), W unimodular, is integral on x
-    exactly when m - I is, and is upper triangular with diagonal h_1 ... h_n
+    A is the n x n integer system given by its ``rows``; the fixed points of
+    m pass m - I.  The row Hermite form H = W @ A, W unimodular, is integral
+    on x exactly when A is, and is upper triangular with diagonal h_1 ... h_n
     of product d.  From the last row up, row i gives h_i values
     y_i = (k d - sum_(j>i) H_ij y_j) / h_i mod d, k < h_i; the division is
     exact because each y_j is a multiple of h_1 ... h_(j-1).  The y are not
     reduced: y/d is in lowest terms only when gcd(d, y) = 1.  Raises
-    ``ValueError`` when m - I is singular.
+    ``ValueError`` when A is singular.
     """
-    n = m.domain_rank
-    h, _ = _echelon((m - LatticeMap.identity(n)).rows, n)
+    h, _ = _echelon(rows, n)
     diag = [h[i][i] for i in range(n)]
     if not all(diag):
-        raise ValueError("m - I is singular; the fixed set is infinite")
+        raise ValueError("the system is singular; its torsion kernel is infinite")
     d = prod(diag)
     tails = [()]
     for i in reversed(range(n)):
@@ -469,7 +469,7 @@ def _torsion_fixed_numerators(m: LatticeMap) -> tuple[int, set[Vec]]:
         tails = [((k * step - s) % d, *t) for t, s in zip(tails, shifts) for k in range(hi)]
     numerators = set(tails)
     if len(numerators) != d:
-        raise AssertionError("solution count does not match |det(m - I)|")
+        raise AssertionError("solution count does not match |det A|")
     return d, numerators
 
 
@@ -477,8 +477,9 @@ def solve_torsion_fixed(m: LatticeMap) -> list[TorsionVector]:
     """All x in (Q/Z)^n with (m - I)x integral; requires det(m - I) != 0.
 
     There are exactly d = |det(m - I)| solutions x = y/d, returned sorted;
-    the numerators y come from ``_torsion_fixed_numerators``, which raises
-    ``ValueError`` on a singular m - I.
+    the numerators y come from ``_torsion_fixed_numerators`` on m - I, which
+    raises ``ValueError`` when it is singular.
     """
-    d, numerators = _torsion_fixed_numerators(m)
+    n = m.domain_rank
+    d, numerators = _torsion_fixed_numerators((m - LatticeMap.identity(n)).rows, n)
     return sorted(TorsionVector(y, d) for y in numerators)

@@ -67,10 +67,6 @@ class RootDatum:
         return LatticeMap([[ (1 if r == c else 0) - a[r] * av[c] for c in range(n)]
                            for r in range(n)])
 
-    def coreflection(self, i: int) -> LatticeMap:
-        """s_i on X^vee: y -> y - <root_i, y> coroot_i, the transpose of s_i on X."""
-        return self.reflection(i).transpose()
-
     def __eq__(self, other):
         return (isinstance(other, RootDatum) and self.rank == other.rank
                 and self.roots == other.roots and self.coroots == other.coroots)
@@ -189,21 +185,16 @@ def validate(rd: RootDatum | BasedRootDatum) -> ValidationReport:
             j = rd.root_index(na)
             if i < j and rd.coroots[j] != vneg(rd.coroots[i]):
                 problems.append(f"roots {i} and {j}: coroot of -a is not -coroot(a)")
-    # s_a(b) = b - <b, a^vee> a permutes the roots, and the coroot of s_a(b)
-    # is s_a on the coroots, b^vee - <a, b^vee> a^vee
-    for i, (a, av) in enumerate(zip(rd.roots, rd.coroots)):
+    # each reflection is an automorphism of the datum; s_a = s_-a once the
+    # coroots of a and -a are opposite, so one root of each pair is checked
+    for i, a in enumerate(rd.roots):
         if problems:
             break
-        for b, bv in zip(rd.roots, rd.coroots):
-            k = dot(b, av)
-            sb = tuple(x - k * y for x, y in zip(b, a))
-            if sb not in root_set:
-                problems.append(f"reflection {i} does not permute the roots")
-                break
-            k = dot(a, bv)
-            if rd.coroot_of(sb) != tuple(x - k * y for x, y in zip(bv, av)):
-                problems.append(f"coreflection {i} incompatible with reflection")
-                break
+        if i > rd.root_index(vneg(a)):
+            continue
+        problem = morphism_problem(rd.reflection(i), rd, rd)
+        if problem:
+            problems.append(f"reflection {i} {problem}")
     if base is not None and not problems:
         for i in base.simple_indices:
             if i < 0 or i >= len(rd.roots):
@@ -220,6 +211,14 @@ def validate(rd: RootDatum | BasedRootDatum) -> ValidationReport:
     return ValidationReport(not problems, tuple(problems))
 
 
+def _combination(coefficients, vectors, total):
+    """``total`` plus x * v for each nonzero x of ``coefficients`` and its v in ``vectors``."""
+    for x, v in zip(coefficients, vectors):
+        if x:
+            total = tuple([a + x * b for a, b in zip(total, v)])
+    return total
+
+
 def morphism_problem(m: LatticeMap, dom: RootDatum, cod: RootDatum) -> str | None:
     """Why m: X(dom) -> X(cod) is no morphism of root data, or None if it is one.
 
@@ -227,14 +226,15 @@ def morphism_problem(m: LatticeMap, dom: RootDatum, cod: RootDatum) -> str | Non
     transpose carries the coroot of each image back to the coroot of the root.
     The message names the first bad root; callers prefix their subject.
     """
-    mt = m.transpose()
+    # m(r) sums columns of m and m^T(c) rows of m: roots and coroots are sparse
+    cols, zero_image, zero_coroot = m.columns(), (0,) * m.codomain_rank, (0,) * m.domain_rank
     images = set()
     for r, rv in zip(dom.roots, dom.coroots):
-        image = m(r)
+        image = _combination(r, cols, zero_image)
         j = cod._index.get(image)
         if j is None or image in images:
             return f"does not permute the roots: {r} goes to {image}"
-        if mt(cod.coroots[j]) != rv:
+        if _combination(cod.coroots[j], m.rows, zero_coroot) != rv:
             return f"does not carry the coroot of {r} to that of {image}"
         images.add(image)
     if len(images) != len(cod.roots):
@@ -504,11 +504,14 @@ def is_closed_subsystem(rd: RootDatum, subset) -> bool:
     return True
 
 
-def generate_datum(rank: int, simple_roots, simple_coroots, cap: int = 100_000) -> BasedRootDatum:
+def generate_datum(rank: int, simple_roots, simple_coroots) -> BasedRootDatum:
     """Close a simple system under its own reflections into a full based datum.
 
     Roots come out in breadth-first discovery order starting from the simples,
-    so the construction is deterministic in the input order.
+    so the construction is deterministic in the input order.  r simple roots
+    of finite type close on at most 3.75 r^2 roots (E8 has 240 for r = 8), so
+    a closure that passes 4 r^2 raises ``ValueError``: the input is not of
+    finite type.
     """
     simples = [tuple(map(index, r)) for r in simple_roots]
     cosimples = [tuple(map(index, c)) for c in simple_coroots]
@@ -518,6 +521,7 @@ def generate_datum(rank: int, simple_roots, simple_coroots, cap: int = 100_000) 
         if a not in pairs:
             pairs[a] = av
             order.append(a)
+    r = len(order)
     frontier = list(order)
     while frontier:
         nxt = []
@@ -527,8 +531,10 @@ def generate_datum(rank: int, simple_roots, simple_coroots, cap: int = 100_000) 
                 k = dot(a, sv)
                 b = vsub(a, tuple(k * x for x in s))
                 if b not in pairs:
-                    if len(pairs) >= cap:
-                        raise ValueError("root closure exceeds cap; input is not finite type")
+                    if len(pairs) >= 4 * r * r:
+                        raise ValueError(f"root closure passes {4 * r * r} roots, 4 r^2 for "
+                                         f"r = {r} simple roots; the input is not of "
+                                         "finite type")
                     bv = vsub(av, tuple(dot(s, av) * x for x in sv))
                     pairs[b] = bv
                     order.append(b)

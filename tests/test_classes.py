@@ -7,8 +7,8 @@ from math import gcd
 import pytest
 
 import builders as B
-from oracles import (brute_force_orbit, fixed_point_count, gl_class_count, steinberg_count,
-                     torsion_fixed_points, weyl_matrices_by_closure)
+from oracles import (brute_force_orbit, fixed_point_count, gl_class_count, solve_rational,
+                     steinberg_count, torsion_fixed_points, weyl_matrices_by_closure)
 from test_action_laws import hypothesis, st
 from test_cartan_oracle import GROUPS
 from test_gamma_action import z2_flip_action
@@ -365,6 +365,21 @@ def test_whole_class_list_matches_the_oracles(label, base, tau, q, ws):
     assert {c.q for c in got} <= {q}
 
 
+@pytest.mark.parametrize("label, base, tau, q, ws", WHOLE_LIST_CASES,
+                         ids=[case[0] for case in WHOLE_LIST_CASES])
+def test_torsion_kernel_of_q_tau_minus_v_is_the_fixed_set_of_v_inverse_q_tau(label, base, tau,
+                                                                             q, ws):
+    # enumeration solves (q tau - v) x integral for each Weyl matrix v
+    n = base.datum.rank
+    identity = [[int(r == c) for c in range(n)] for r in range(n)]
+    for v in ws:
+        system = [[q * x - y for x, y in zip(t, w)] for t, w in zip(tau, v)]
+        d, numerators = exact_lattice._torsion_fixed_numerators(system, n)
+        got = {(d // g, tuple(y // g for y in ys)) for ys in numerators for g in [gcd(d, *ys)]}
+        v_inverse = [[int(x) for x in row] for row in solve_rational(v, identity)]
+        assert sorted(got) == torsion_fixed_points(_point_map(v_inverse, tau, q)), v
+
+
 def test_frobenius_rejects_non_square_tau():
     with pytest.raises(ValueError, match="tau must be square"):
         FrobeniusStructure.twisted(3, LatticeMap([[1, 0]]))
@@ -495,6 +510,14 @@ def test_levi_factorization_rejects_outer():
 def test_max_finite_order_is_the_glnz_bound():
     # largest finite order in GL_n(Z), OEIS A005417
     assert [max_finite_order(n) for n in range(9)] == [1, 2, 6, 6, 12, 12, 30, 30, 60]
+
+
+def test_identity_twist_skips_the_finite_order_bound(monkeypatch):
+    # max_finite_order(64) alone takes seconds; the identity is its own first power
+    monkeypatch.setattr("rootfold.classes.max_finite_order",
+                        lambda n: pytest.fail("max_finite_order was computed"))
+    frob = FrobeniusStructure.untwisted(2, 64)
+    assert len(enumerate_stable_classes(catalog.group_datum("torus64"), frob)) == 1
 
 
 def test_twist_of_infinite_order_is_rejected():

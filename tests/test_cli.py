@@ -321,6 +321,14 @@ def test_classes_at_a_large_prime_q_answers_at_once(capsys):
         assert rc == 0 and doc["count"] == 1 and doc["q"] == q
 
 
+def test_classes_on_a_large_torus_answers_at_once(capsys):
+    # an identity tau is of finite order without the O(n^4) bound max_finite_order(128)
+    start = time.process_time()
+    rc, doc = run_json(capsys, ["classes", "--preset", "torus128", "--q", "2"])
+    assert time.process_time() - start < 1.0
+    assert rc == 0 and doc["count"] == 1
+
+
 def test_untwisted_explicit_action_takes_no_twist_pairing(monkeypatch):
     # zero twists satisfy the cocycle condition; checking it would pair each of
     # the 200^2 twist sums with every root, in the CLI's validation and in fold's

@@ -191,7 +191,7 @@ def test_twisted_catalog_fixed_points_match_a_scan(group, builder, n, q):
     base = catalog.group_datum(group)
     frob = FrobeniusStructure.twisted(q, getattr(catalog, builder)(n).diagram[1])
     for w in weyl_matrices(base, weyl_group(base)):
-        m = frob.point_map(w)
+        m = w @ frob.tau.scale(frob.q)
         assert fixed_point_pairs(m) == oracles.torsion_fixed_points(m.rows), w
 
 

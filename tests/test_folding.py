@@ -190,7 +190,7 @@ def test_folded_weyl_embeds_in_fixed_source_weyl():
         w_source = list(weyl_matrices(a.base, weyl_group(a.base)))
         diags = {d for d in a.diagram}
         for i in fd.fixed_base.simple_indices:
-            target = fd.fixed.coreflection(i)
+            target = fd.fixed.reflection(i).transpose()
             found = False
             for w in w_source:
                 if any(d @ w != w @ d for d in diags):

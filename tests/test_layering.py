@@ -2,7 +2,9 @@
 
 Each module may import only modules earlier in LAYERS.  Imports inside
 functions count too, so a deferred import cannot hide a cycle.  The source
-also holds no ``assert`` statement, since ``python -O`` strips them.
+also holds no ``assert`` statement, since ``python -O`` strips them, and
+turns text into code in one place only: the ``exec`` of the generated orbit
+walk.
 """
 
 import ast
@@ -46,3 +48,25 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def code_from_text_calls(path):
+    """(module, enclosing top-level definition, name) of each call of exec, eval or the
+    builtin compile in a source file; ``re.compile`` is an attribute and not counted."""
+    found = []
+    for top in ast.parse(path.read_text(), str(path)).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("exec", "eval") or (name == "compile" and isinstance(func, ast.Name)):
+                found.append((path.stem, owner, name))
+    return found
+
+
+def test_exec_runs_only_in_the_walk_generator():
+    # the README and _walk_function promise that no input text reaches exec
+    found = [call for path in sorted(PACKAGE.glob("*.py")) for call in code_from_text_calls(path)]
+    assert found == [("classes", "_walk_function", "exec")]

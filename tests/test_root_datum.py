@@ -66,6 +66,14 @@ def test_validate_reports_each_coroot_pair_once():
     assert pairs == ["roots 0 and 1: coroot of -a is not -coroot(a)"]
 
 
+def test_validate_names_the_reflection_that_carries_a_coroot_wrongly():
+    # every root pairs to 2 with its coroot and s_0 permutes the roots, but on
+    # the coroots s_0 sends (-3, 2), the coroot of (0, 1), to (3, 2)
+    rd = RootDatum(2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [(2, 0), (-2, 0), (-3, 2), (3, -2)])
+    assert validate(rd).problems == (
+        "reflection 0 does not carry the coroot of (0, 1) to that of (0, 1)",)
+
+
 def test_validate_torus():
     assert validate(RootDatum(1, [], [])).ok
 
@@ -428,5 +436,16 @@ def test_generate_datum_roundtrip():
 
 def test_generate_datum_rejects_infinite_type():
     # an affine-style matrix closes on infinitely many vectors
-    with pytest.raises(ValueError):
-        generate_datum(2, [(1, 0), (0, 1)], [(2, -2), (-2, 2)], cap=500)
+    with pytest.raises(ValueError, match="passes 16 roots, 4 r\\^2 for r = 2 simple roots"):
+        generate_datum(2, [(1, 0), (0, 1)], [(2, -2), (-2, 2)])
+
+
+def test_generate_datum_closes_every_finite_type_within_its_bound():
+    # r simple roots of finite type close on at most 3.75 r^2 roots, E8's 240 for r = 8
+    e8 = B.from_cartan_sc(B.e_cartan(8))
+    assert len(e8.datum.roots) == 240
+    for base in [e8, *(catalog.group_datum(name) for name in GROUPS)]:
+        r = len(base.simple_indices)
+        closed = generate_datum(base.datum.rank, base.simple_roots, base.simple_coroots)
+        assert closed.datum == base.datum
+        assert len(closed.datum.roots) <= 3.75 * r * r
