@@ -204,7 +204,7 @@ def _perm_matrix(perm) -> LatticeMap:
 
 
 def trivial_action(base: BasedRootDatum, m: int = 1) -> GammaAction:
-    g = FiniteGroup.trivial() if m == 1 else FiniteGroup.cyclic(m)
+    g = FiniteGroup.cyclic(m)
     return GammaAction(g, base, [LatticeMap.identity(base.datum.rank)] * g.size)
 
 
@@ -270,9 +270,9 @@ def _d4_matrix(outer_perm) -> LatticeMap:
     return _perm_matrix(perm)
 
 
-def d4_action(outer_perms, twist=None) -> GammaAction:
+def d4_action(outer_perms) -> GammaAction:
     g = FiniteGroup.from_permutations(list(outer_perms))
-    return GammaAction(g, d4(), [_d4_matrix(p) for p in outer_perms], twist)
+    return GammaAction(g, d4(), [_d4_matrix(p) for p in outer_perms])
 
 
 def triality_action() -> GammaAction:
@@ -454,6 +454,7 @@ def preset(name: str) -> Preset:
     """A named action: a fixed one, or a numbered one as in ``preset_names``.
 
     Each name is built once per process; callers must not mutate the action.
+    A builder's ``ValueError`` is raised again with the name before its reason.
     """
     if name in _FIXED_PRESETS:
         return Preset(name, _FIXED_PRESETS[name]())
@@ -463,7 +464,7 @@ def preset(name: str) -> Preset:
     try:
         action = _NUMBERED_PRESETS[pattern](*numbers)
     except (ValueError, IndexError) as exc:
-        raise ValueError(f"malformed preset name {name!r}") from exc
+        raise ValueError(f"bad preset {name!r}: {exc}") from exc
     return Preset(name, action)
 
 

@@ -6,7 +6,8 @@ these are torsion vectors in the character lattice.  A Frobenius with twist
 tau acts on points by q * tau, and the classes stable under it are exactly the
 orbits meeting the fixed points of w o (q * tau) for some Weyl element w.
 ``enumerate_stable_classes`` finds those fixed points as torsion kernels, and
-is the one place that runs through every Weyl element.
+is the one place that runs through every Weyl element, once ``_check_twist``
+has read off the traces of its powers that tau has finite order.
 
 A class is named by its canonical representative, the least point of its
 orbit, found by walking the orbit with the simple reflections in the one
@@ -21,7 +22,7 @@ representative and recanonicalizes in the bigger Weyl group.
 
 from collections import namedtuple
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import index
 from typing import NamedTuple
 
@@ -236,44 +237,32 @@ def class_stabilizer_size(base: BasedRootDatum, point: TorsionVector) -> int:
     return order // len(seen)
 
 
-@lru_cache(maxsize=None)
-def max_finite_order(n: int) -> int:
-    """M(n), the largest lcm(m_1, ..., m_r) with phi(m_1) + ... + phi(m_r) <= n.
-
-    Every element of finite order in GL_n(Z) has order at most M(n).  A
-    knapsack over m with phi(m) <= n, which forces m <= 2 n^2.
-    """
-    reach = [{1} for _ in range(n + 1)]  # lcms reachable with budget at most b
-    for m in range(2, 2 * n * n + 1):
-        phi = sum(1 for k in range(1, m) if gcd(k, m) == 1)
-        for b in range(n, phi - 1, -1):
-            reach[b] |= {lcm(x, m) for x in reach[b - phi]}
-    return max(reach[n])
-
-
 def _check_twist(rd: RootDatum, tau: LatticeMap):
     """Raise unless tau is an automorphism of the root datum of finite order.
 
     tau must be a morphism of the datum to itself (``morphism_problem``);
-    the base need not be fixed.  Some power tau^k with
-    k <= max_finite_order(rank) must be the identity; that bound is worked
-    out only for a tau other than the identity.
+    the base need not be fixed.  Of tau, tau^2, ..., the first power whose
+    trace t is n = rank, or has |t| > n, must be the identity: a power of
+    finite order has roots of unity for eigenvalues, so |t| <= n, and t = n
+    only for the identity (t = -n, as for tau = -I, goes on).  The walk ends
+    when |det tau| = 1, as ``FrobeniusStructure`` makes sure (each power of
+    [[1, 0], [0, 0]] has trace 1).  If every eigenvalue has modulus 1, each
+    is a root of unity (Kronecker, J. reine angew. Math. 53, 1857) and t
+    first reaches n at the lcm of their orders; otherwise one has modulus
+    above 1, the power sums of the eigenvalues are unbounded, and |t| passes n.
     """
     if tau.domain_rank != rd.rank:
         raise ValueError(f"tau has rank {tau.domain_rank} but the datum has rank {rd.rank}")
     problem = morphism_problem(tau, rd, rd)
     if problem:
         raise ValueError(f"tau {problem}")
-    identity = LatticeMap.identity(rd.rank)
-    if tau == identity:
-        return
-    bound = max_finite_order(rd.rank)
-    power = tau
-    for _ in range(bound - 1):
-        power = power @ tau
-        if power == identity:
-            return
-    raise ValueError(f"tau has infinite order: no power up to {bound} is the identity")
+    n = rd.rank
+    k, power = 1, tau
+    while -n <= (trace := sum(row[i] for i, row in enumerate(power.rows))) < n:
+        k, power = k + 1, power @ tau
+    if power != LatticeMap.identity(n):
+        raise ValueError(f"tau has infinite order: tau^{k} has trace {trace} on a lattice "
+                         f"of rank {n} but is not the identity")
 
 
 def enumerate_stable_classes(base: BasedRootDatum, frob: FrobeniusStructure):

@@ -46,7 +46,7 @@ _KEYS = {
     "tau": (None, 2),
     "format": ("table", ("table", "json")),
     "budget": ("full", tuple(BUDGET_QS)),
-    "which": (None, str),
+    "which": (None, VERIFY_KINDS),
     "group": (None, dict),
     "action_spec": (None, dict),
 }
@@ -325,8 +325,9 @@ def cmd_lift(cfg: JobConfig):
 
 def cmd_verify(cfg: JobConfig):
     from .verify import SUITES
-    if cfg.which not in VERIFY_KINDS:
-        raise UsageError(f"unknown verify target {cfg.which!r}")
+    if cfg.which is None:
+        raise UsageError(f"verify needs a target: one of {', '.join(VERIFY_KINDS)}, "
+                         "as an argument or as the config key 'which'")
     named = cfg.preset is not None or cfg.action is not None or cfg.action_spec is not None
     action = resolve_action(cfg) if named else None
     cases = _jsonable(SUITES[cfg.which](action, BUDGET_QS[cfg.budget], cfg.q))
@@ -335,27 +336,26 @@ def cmd_verify(cfg: JobConfig):
     return payload, ok
 
 
-def _print_table(payload, out):
+def _print_table(payload):
     row_keys = ("classes", "lifts", "provenance", "cases")
     for key, val in payload.items():
         if key not in row_keys:
-            print(f"{key}: {val}", file=out)
+            print(f"{key}: {val}")
     for key in row_keys:
         rows = payload.get(key)
         if not rows:
             continue
-        print(f"{key}:", file=out)
+        print(f"{key}:")
         for row in rows:
             cells = "  ".join(f"{k}={json.dumps(v)}" for k, v in row.items())
-            print(f"  {cells}", file=out)
+            print(f"  {cells}")
 
 
-def emit(payload, cfg: JobConfig, out=None):
-    out = out or sys.stdout
+def emit(payload, cfg: JobConfig):
     if cfg.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2), file=out)
+        print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        _print_table(payload, out)
+        _print_table(payload)
 
 
 COMMANDS = {
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, helptext) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         if name == "verify":
-            p.add_argument("which", choices=VERIFY_KINDS)
+            p.add_argument("which", nargs="?", choices=VERIFY_KINDS)
         p.add_argument("--config", metavar="PATH")
         for key in _FLAGS:
             shape = _KEYS[key][1]

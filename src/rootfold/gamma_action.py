@@ -16,6 +16,9 @@ from .exact_lattice import LatticeMap, TorsionVector
 from .root_datum import BasedRootDatum, ValidationReport, _components, morphism_problem
 
 
+_MAX_CYCLIC_ORDER = 1000  # a table of Z/n then has at most 10^6 entries, as W does
+
+
 class FiniteGroup:
     """Explicit multiplication table; element 0 is the identity."""
 
@@ -113,6 +116,8 @@ class FiniteGroup:
 
     @classmethod
     def cyclic(cls, n):
+        if n > _MAX_CYCLIC_ORDER:
+            raise ValueError(f"a cyclic group of order {n} is past the limit {_MAX_CYCLIC_ORDER}")
         elems = tuple(range(n))
         return cls(tuple(elems[i:] + elems[:i] for i in range(n)))
 
@@ -146,8 +151,8 @@ class FiniteGroup:
 class GammaAction:
     """diagram[i] acts on X, twist[i] is a torsion cocharacter; index 0 = identity.
 
-    ``twist`` is None (all zero), one entry per element, or a dict from element
-    index to twist with zero for the missing ones.  Counts and shapes that do
+    ``twist`` is None (all zero) or one entry per element, each a
+    ``TorsionVector`` or a sequence of fractions.  Counts and shapes that do
     not fit the group and the rank raise ``ValueError``.
     """
 
@@ -168,9 +173,7 @@ class GammaAction:
             if {tuple(d(s)) for s in simple_set} != simple_set:
                 raise ValueError(f"diagram part {i} does not preserve the base")
         if twist is None:
-            twist = {}
-        if isinstance(twist, dict):
-            twist = [twist.get(i, TorsionVector.zero(rank)) for i in range(n)]
+            twist = [TorsionVector.zero(rank)] * n
         self.twist = tuple(t if isinstance(t, TorsionVector) else TorsionVector.from_fractions(t)
                            for t in twist)
         if len(self.twist) != n:

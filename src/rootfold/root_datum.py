@@ -21,6 +21,9 @@ class WeylCapError(RuntimeError):
     pass
 
 
+_WEYL_CAP = 1_000_000  # the largest Weyl group weyl_group builds
+
+
 class RootDatum:
     """Rank, roots, and coroots; index i of `roots` pairs with index i of `coroots`.
 
@@ -242,7 +245,7 @@ def morphism_problem(m: LatticeMap, dom: RootDatum, cod: RootDatum) -> str | Non
     return None
 
 
-def weyl_group(rd: RootDatum | BasedRootDatum, cap: int = 1_000_000) -> list[tuple[int, int]]:
+def weyl_group(rd: RootDatum | BasedRootDatum) -> list[tuple[int, int]]:
     """The Weyl group as its breadth-first tree on the simple reflections.
 
     One (parent index, simple index) pair per element: element k is its
@@ -257,12 +260,12 @@ def weyl_group(rd: RootDatum | BasedRootDatum, cap: int = 1_000_000) -> list[tup
     of them, so the identity's key is (1, ..., 1).  rho is regular and the
     pairings are injective on that span, so the key determines w.  The step
     w -> w s_i subtracts key[i] times row i of the Cartan matrix from the
-    key; rho itself is never built.  Raises WeylCapError before any step when |W| exceeds cap.
+    key; rho itself is never built.  Raises WeylCapError before any step when |W| > _WEYL_CAP.
     """
     base = rd if isinstance(rd, BasedRootDatum) else based_from_datum(rd)
     order = weyl_group_order(base)
-    if order > cap:
-        raise WeylCapError(f"Weyl group of order {order} exceeds the cap {cap}")
+    if order > _WEYL_CAP:
+        raise WeylCapError(f"Weyl group of order {order} exceeds the cap {_WEYL_CAP}")
     cosimples = base.simple_coroots
     cartan_rows = [tuple((j, x) for j, x in enumerate(dot(a, bv) for bv in cosimples) if x)
                    for a in base.simple_roots]

@@ -33,9 +33,10 @@ SUITE_PRESETS = ("gl4-pinned", "gl6-pinned", "gl4-so-twist", "gl6-so-twist",
                  "sl3-pinned", "sl5-pinned", "e6ad-pinned", "e6ad-twisted-c4",
                  "d4-triality", "d4-full-s3", "d4-twisted-a2", "d4-s3-twisted",
                  "gl2-trivial-z3", "gl2-product-swap")
+_LEVI_POINTS = 3  # the subregular lifts verify_levi_factorization checks
 
 
-def random_torsion_points(rank, count, den_bound, p, seed=0):
+def random_torsion_points(rank, count, den_bound, p, seed):
     """Torsion points with denominator at most den_bound and coprime to p."""
     rng = random.Random(seed)
     dens = [d for d in range(1, den_bound + 1) if d % p != 0]
@@ -233,7 +234,7 @@ def levi_for_element(rd: RootDatum, point: TorsionVector):
     return psi, levi
 
 
-def verify_levi_factorization(a: GammaAction, q=3, points_needed=3) -> ValidationReport:
+def verify_levi_factorization(a: GammaAction, q) -> ValidationReport:
     """For an inner twist, lifting factors through the Levi fixed by the twist.
 
     The fold of an inner action is the centralizer of the twist element; the
@@ -272,11 +273,11 @@ def verify_levi_factorization(a: GammaAction, q=3, points_needed=3) -> Validatio
         if canonicalize_class(source, in_levi) != direct:
             problems.append(f"Levi canonicalization changes the class of "
                             f"{lift_pt.fractions()}")
-        if found >= points_needed:
+        if found >= _LEVI_POINTS:
             break
-    if found < points_needed:
+    if found < _LEVI_POINTS:
         problems.append(f"only {found} subregular points found, "
-                        f"needed {points_needed}")
+                        f"needed {_LEVI_POINTS}")
     return ValidationReport(not problems, problems)
 
 

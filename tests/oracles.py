@@ -15,7 +15,9 @@ and builds each matrix from its parent's rows.
 The Fraction eliminations ``_det``, ``_rank`` and ``solve_rational`` are the
 reference for the library's one integer elimination, and the torsion
 fixed-point scan tries every point of denominator |det(m - I)|, where the
-library back-substitutes in a Hermite form.
+library back-substitutes in a Hermite form.  The finite-order oracle tries
+every power of a matrix up to the largest finite order in GL_n(Z), where the
+library stops on the trace of a power.
 
 The last three functions compare Cartan types up to the low-rank
 coincidences and evaluate a bilinear form; only tests need them.
@@ -214,6 +216,25 @@ def _det(rows):
             if f:
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
     return det
+
+
+# the largest order of an element of finite order in GL_n(Z), n = 0, ..., 6
+# (OEIS A005417)
+GLNZ_MAX_ORDER = (1, 2, 6, 6, 12, 12, 30)
+
+
+def has_finite_order(rows):
+    """Whether some power of the integer matrix ``rows``, of size n <= 6, is the
+    identity, trying every power up to ``GLNZ_MAX_ORDER[n]``."""
+    n = len(rows)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    cols = list(zip(*rows))
+    power = [list(row) for row in rows]
+    for _ in range(GLNZ_MAX_ORDER[n]):
+        if power == identity:
+            return True
+        power = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in power]
+    return False
 
 
 def _rank(rows, ncols):

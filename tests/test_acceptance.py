@@ -169,7 +169,7 @@ def test_criterion_7_class_count_oracle():
 
 def test_criterion_8_levi_factorization():
     t0 = time.perf_counter()
-    rep = verify_levi_factorization(C.inner_block_gl4_action(), q=3, points_needed=3)
+    rep = verify_levi_factorization(C.inner_block_gl4_action(), q=3)
     elapsed = time.perf_counter() - t0
     report(8, "levi factorization at subregular points", rep.ok, elapsed, 10.0,
            "; ".join(rep.problems))

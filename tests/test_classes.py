@@ -7,8 +7,9 @@ from math import gcd
 import pytest
 
 import builders as B
-from oracles import (brute_force_orbit, fixed_point_count, gl_class_count, solve_rational,
-                     steinberg_count, torsion_fixed_points, weyl_matrices_by_closure)
+from oracles import (_det, brute_force_orbit, fixed_point_count, gl_class_count,
+                     has_finite_order, solve_rational, steinberg_count, torsion_fixed_points,
+                     weyl_matrices_by_closure)
 from test_action_laws import hypothesis, st
 from test_cartan_oracle import GROUPS
 from test_gamma_action import z2_flip_action
@@ -17,13 +18,13 @@ from rootfold import catalog, exact_lattice, verify
 from rootfold.classes import (
     FrobeniusStructure,
     StableClass,
+    _check_twist,
     _least_prime_factor,
     _walk_function,
     canonicalize_class,
     class_stabilizer_size,
     enumerate_stable_classes,
     lift_stable_class,
-    max_finite_order,
     weyl_orbit_contains,
 )
 from rootfold.duality_conorm import ConormData
@@ -498,7 +499,7 @@ def test_levi_hull_can_grow():
 
 
 def test_levi_factorization_inner_gl4():
-    rep = verify_levi_factorization(inner_block_action(), q=3, points_needed=3)
+    rep = verify_levi_factorization(inner_block_action(), q=3)
     assert rep.ok, rep.problems
 
 
@@ -507,23 +508,103 @@ def test_levi_factorization_rejects_outer():
     assert not rep.ok
 
 
-def test_max_finite_order_is_the_glnz_bound():
-    # largest finite order in GL_n(Z), OEIS A005417
-    assert [max_finite_order(n) for n in range(9)] == [1, 2, 6, 6, 12, 12, 30, 30, 60]
+def _mul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
-def test_identity_twist_skips_the_finite_order_bound(monkeypatch):
-    # max_finite_order(64) alone takes seconds; the identity is its own first power
-    monkeypatch.setattr("rootfold.classes.max_finite_order",
-                        lambda n: pytest.fail("max_finite_order was computed"))
-    frob = FrobeniusStructure.untwisted(2, 64)
-    assert len(enumerate_stable_classes(catalog.group_datum("torus64"), frob)) == 1
+def _unimodular_pair(rng, n, steps):
+    """A random signed permutation times ``steps`` matrices I +- e_ij, and its inverse."""
+    perm = rng.sample(range(n), n)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    p = [[signs[j] if perm[j] == i else 0 for j in range(n)] for i in range(n)]
+    p_inv = [list(col) for col in zip(*p)]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1))
+        e = [[int(r == k) for k in range(n)] for r in range(n)]
+        e_inv = [row[:] for row in e]
+        e[i][j], e_inv[i][j] = c, -c
+        p, p_inv = _mul(p, e), _mul(e_inv, p_inv)
+    return p, p_inv
 
 
-def test_twist_of_infinite_order_is_rejected():
-    tau = LatticeMap([[2, 1], [1, 1]])
+# blocks of finite order: +-1, a swap, and 2 x 2 blocks of order 3, 4 and 6
+FINITE_BLOCKS = ([[1]], [[-1]], [[0, 1], [1, 0]], [[0, -1], [1, -1]], [[0, -1], [1, 0]],
+                 [[1, -1], [1, 0]])
+
+
+def _random_twist(rng, n, kind):
+    """A random n x n integer matrix of one of three kinds.
+
+    Kind 0 conjugates a block-diagonal matrix of ``FINITE_BLOCKS`` by a
+    random unimodular matrix, kind 1 does the same after adding a unit off
+    the diagonal, and kind 2 is a product of elementary matrices.
+    """
+    if kind == 2:
+        return _unimodular_pair(rng, n, rng.randint(1, 4))[0]
+    rows = [[0] * n for _ in range(n)]
+    i = 0
+    while i < n:
+        block = rng.choice([b for b in FINITE_BLOCKS if len(b) <= n - i])
+        for r, row in enumerate(block):
+            rows[i + r][i:i + len(row)] = row
+        i += len(block)
+    if kind == 1 and n > 1:
+        r, c = rng.sample(range(n), 2)
+        rows[r][c] += rng.choice((1, -1))
+    p, p_inv = _unimodular_pair(rng, n, rng.randint(0, 2))
+    return _mul(_mul(p, rows), p_inv)
+
+
+def test_twist_order_matches_every_power_up_to_the_glnz_bound():
+    rng = random.Random(25)
+    verdicts = []
+    while len(verdicts) < 2000:
+        n = rng.randint(1, 6)
+        tau = _random_twist(rng, n, len(verdicts) % 3)
+        if abs(_det(tau)) != 1:
+            continue
+        try:
+            _check_twist(catalog.torus(n).datum, LatticeMap(tau))
+            finite = True
+        except ValueError as exc:
+            assert str(exc).startswith("tau has infinite order"), exc
+            finite = False
+        assert finite == has_finite_order(tau), tau
+        verdicts.append(finite)
+    assert min(verdicts.count(True), verdicts.count(False)) > 400
+
+
+def _torus_twist(n, block):
+    """The n x n identity with ``block`` in its top left corner."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, row in enumerate(block):
+        rows[i][:len(row)] = row
+    return LatticeMap(rows)
+
+
+@pytest.mark.parametrize("n, q, block, count", [
+    (64, 2, [[1]], 1),
+    (64, 2, [[0, 1], [1, 0]], 3),
+    (64, 2, [[1, -1], [1, 0]], 3),
+    (2, 3, [[-1, 0], [0, -1]], 16),
+])
+def test_twist_of_finite_order_on_a_torus_answers_at_once(n, q, block, count):
+    start = time.process_time()
+    frob = FrobeniusStructure.twisted(q, _torus_twist(n, block))
+    assert len(enumerate_stable_classes(catalog.torus(n), frob)) == count
+    assert time.process_time() - start < 1.0
+
+
+@pytest.mark.parametrize("n, block", [(2, [[2, 1], [1, 1]]), (32, [[2, 1], [1, 1]]),
+                                      (64, [[2, 1], [1, 1]]), (64, [[1, 1], [0, 1]])])
+def test_twist_of_infinite_order_is_rejected(n, block):
+    start = time.process_time()
+    frob = FrobeniusStructure.twisted(2, _torus_twist(n, block))
     with pytest.raises(ValueError, match="^tau has infinite order"):
-        enumerate_stable_classes(catalog.group_datum("torus2"), FrobeniusStructure.twisted(2, tau))
+        enumerate_stable_classes(catalog.torus(n), frob)
+    assert time.process_time() - start < 1.0
 
 
 @pytest.mark.parametrize("group, tau", [("gl2", [[0, 1], [1, 0]]),

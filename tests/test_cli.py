@@ -92,6 +92,25 @@ def test_verify_kinds_are_the_suite_table_keys():
     assert cli.VERIFY_KINDS == tuple(verify.SUITES)
 
 
+@pytest.mark.parametrize("argv, which", [([], "trivial"), (["product"], "product")])
+def test_verify_target_from_config_unless_given_as_argument(capsys, tmp_path, argv, which):
+    path = config_path(tmp_path, {"which": "trivial", "budget": "small"})
+    rc, payload = run_json(capsys, ["verify", *argv, "--config", path])
+    assert rc == 0 and payload["which"] == which
+
+
+def test_verify_without_a_target_exits_two(capsys):
+    assert main(["verify", "--budget", "small"]) == 2
+    assert_one_usage_line(capsys.readouterr(), "rootfold: verify needs a target: one of product")
+
+
+@pytest.mark.parametrize("command", ["verify", "classes"])
+def test_unknown_which_in_a_config_exits_two(capsys, tmp_path, command):
+    path = config_path(tmp_path, {"preset": "gl2", "q": 3, "which": "nonsense"})
+    assert main([command, "--config", path]) == 2
+    assert_one_usage_line(capsys.readouterr(), "rootfold: unknown which 'nonsense'")
+
+
 # the layers every command loads: the CLI's imports and theirs
 _CLI_LAYERS = {"rootfold", "rootfold.cli", "rootfold.catalog", "rootfold.chevalley",
                "rootfold.duality_conorm", "rootfold.exact_lattice", "rootfold.folding",
@@ -322,7 +341,6 @@ def test_classes_at_a_large_prime_q_answers_at_once(capsys):
 
 
 def test_classes_on_a_large_torus_answers_at_once(capsys):
-    # an identity tau is of finite order without the O(n^4) bound max_finite_order(128)
     start = time.process_time()
     rc, doc = run_json(capsys, ["classes", "--preset", "torus128", "--q", "2"])
     assert time.process_time() - start < 1.0
@@ -395,6 +413,28 @@ def test_preset_numbers_are_digits_only(capsys, name):
     captured = capsys.readouterr()
     assert_one_usage_line(captured, "rootfold: ")
     assert f"preset {name!r}" in captured.err or f"preset name {name!r}" in captured.err
+
+
+def test_cyclic_preset_order_over_the_limit_exits_two(capsys):
+    rc, doc = run_json(capsys, ["fold", "--preset", "gl2-trivial-z1000"])
+    assert rc == 0 and doc["rank"] == 2
+    for order in (1001, 20000):
+        start = time.process_time()
+        assert main(["fold", "--preset", f"gl2-trivial-z{order}"]) == 2
+        assert time.process_time() - start < 1.0
+        assert_one_usage_line(capsys.readouterr(), f"rootfold: bad preset 'gl2-trivial-z{order}': "
+                              f"a cyclic group of order {order} is past the limit 1000")
+
+
+def test_singular_tau_never_reaches_enumeration(capsys, tmp_path, monkeypatch):
+    # every power of [[1, 0], [0, 0]] has trace 1, so the twist check would not end
+    for name in ("_check_twist", "enumerate_stable_classes"):
+        monkeypatch.setattr(f"rootfold.classes.{name}",
+                            lambda *args: pytest.fail("a singular tau reached enumeration"))
+    path = config_path(tmp_path, {"preset": "torus2", "q": 2, "tau": [[1, 0], [0, 0]]})
+    assert main(["classes", "--config", path]) == 2
+    assert_one_usage_line(capsys.readouterr(), "rootfold: bad frobenius data: twist must be "
+                          "invertible over the integers")
 
 
 def test_non_unimodular_diagram_exits_two(capsys, tmp_path):

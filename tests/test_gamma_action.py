@@ -128,7 +128,7 @@ def test_pinned_involution_valid():
 
 
 def test_so_twist_valid():
-    a = z2_flip_action(4, {1: (Fraction(1, 2), Fraction(1, 2), 0, 0)})
+    a = z2_flip_action(4, [(0,) * 4, (Fraction(1, 2), Fraction(1, 2), 0, 0)])
     rep = validate_action(a)
     assert rep.ok, rep.problems
 
@@ -139,7 +139,7 @@ def test_trivial_group_valid():
 
 
 def test_cocycle_violation_reported():
-    a = z2_flip_action(4, {1: (Fraction(1, 3), 0, 0, 0)})
+    a = z2_flip_action(4, [(0,) * 4, (Fraction(1, 3), 0, 0, 0)])
     rep = validate_action(a)
     assert not rep.ok
     assert any("cocycle" in p for p in rep.problems)
@@ -190,7 +190,7 @@ def test_diagram_verdict_is_kept_per_diagram(first):
 def test_twist_half_runs_for_every_action():
     _diagram_problems.cache_clear()
     assert validate_action(z2_flip_action(4)).ok
-    rep = validate_action(z2_flip_action(4, {1: (Fraction(1, 3), 0, 0, 0)}))
+    rep = validate_action(z2_flip_action(4, [(0,) * 4, (Fraction(1, 3), 0, 0, 0)]))
     assert any("cocycle" in p for p in rep.problems)
     assert _diagram_problems.cache_info().hits == 1
 
@@ -216,7 +216,7 @@ def test_triality_fixes_center_node():
 
 
 def test_identity_scalar_zero():
-    a = z2_flip_action(4, {1: (Fraction(1, 2), Fraction(1, 2), 0, 0)})
+    a = z2_flip_action(4, [(0,) * 4, (Fraction(1, 2), Fraction(1, 2), 0, 0)])
     for r in a.base.datum.roots:
         assert root_space_scalar(a, 0, r) == 0
 
@@ -228,7 +228,7 @@ def test_a2_pinned_scalar():
 
 
 def test_twist_contributes_on_fixed_roots():
-    a = z2_flip_action(4, {1: (Fraction(1, 2), Fraction(1, 2), 0, 0)})
+    a = z2_flip_action(4, [(0,) * 4, (Fraction(1, 2), Fraction(1, 2), 0, 0)])
     # both flip-fixed roots: pinned part 0, twist pairing 1/2
     assert root_space_scalar(a, 1, (1, 0, 0, -1)) == Fraction(1, 2)
     assert root_space_scalar(a, 1, (0, 1, -1, 0)) == Fraction(1, 2)
@@ -239,7 +239,7 @@ def test_twist_contributes_on_fixed_roots():
 
 def test_scalar_cocycle_identity():
     actions = [
-        z2_flip_action(4, {1: (Fraction(1, 2), Fraction(1, 2), 0, 0)}),
+        z2_flip_action(4, [(0,) * 4, (Fraction(1, 2), Fraction(1, 2), 0, 0)]),
         z2_flip_action(5),
         d4_action(S3_PERMS),
     ]
@@ -264,7 +264,7 @@ def test_pinned_scalars_vanish_on_simples():
 # --- pinned projection ---
 
 def test_pinned_projection_strips_twist():
-    a = z2_flip_action(4, {1: (Fraction(1, 2), Fraction(1, 2), 0, 0)})
+    a = z2_flip_action(4, [(0,) * 4, (Fraction(1, 2), Fraction(1, 2), 0, 0)])
     p = pinned_projection(a)
     assert p.diagram == a.diagram
     assert all(t.is_zero() for t in p.twist)
@@ -273,9 +273,9 @@ def test_pinned_projection_strips_twist():
 
 
 def test_central_twist_equals_untwisted():
-    central = {1: (Fraction(1, 2),) * 4}
+    central = [(0,) * 4, (Fraction(1, 2),) * 4]
     assert z2_flip_action(4, central) == z2_flip_action(4)
-    assert z2_flip_action(4, {1: (Fraction(1, 2), 0, 0, 0)}) != z2_flip_action(4)
+    assert z2_flip_action(4, [(0,) * 4, (Fraction(1, 2), 0, 0, 0)]) != z2_flip_action(4)
 
 
 # --- stabilizer hypothesis ---

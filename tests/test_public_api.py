@@ -1,7 +1,9 @@
-"""The package root exports each name of its one table once, on first use."""
+"""The package root exports each name of its one table once, on first use; the
+package's parameters with defaults are one table too."""
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -77,3 +79,34 @@ def test_unknown_name_raises_and_dir_covers_exports():
 def test_every_import_is_exported():
     unlisted = sorted(set(imported_names()) - set(rootfold.__all__))
     assert not unlisted, unlisted
+
+
+# every parameter with a default of each public function and class (through
+# its constructor) defined in a module of the package; a new knob is a new line
+DEFAULTED_PARAMETERS = {
+    "exact_lattice.LatticeMap": ("domain_rank=None",),
+    "gamma_action.GammaAction": ("twist=None",),
+    "catalog.pinned_e6_action": ("form='adjoint'",),
+    "catalog.trivial_action": ("m=1",),
+    "verify.verify_conorm_well_defined": ("count=100", "den_bound=24", "p=2", "seed=0"),
+    "cli.JobConfig": ("preset=None", "action=None", "q=None", "tau=None", "format='table'",
+                      "budget='full'", "which=None", "group=None", "action_spec=None"),
+    "cli.main": ("argv=None",),
+}
+
+
+def test_defaulted_parameters_are_the_table():
+    found = {}
+    for layer in (*rootfold._EXPORTS, "cli"):
+        module = importlib.import_module(f"rootfold.{layer}")
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or not callable(obj)
+                    or getattr(obj, "__module__", None) != module.__name__
+                    or isinstance(obj, type) and issubclass(obj, BaseException)):
+                continue
+            defaults = tuple(f"{p.name}={p.default!r}"
+                             for p in inspect.signature(obj).parameters.values()
+                             if p.default is not p.empty)
+            if defaults:
+                found[f"{layer}.{name}"] = defaults
+    assert found == DEFAULTED_PARAMETERS

@@ -154,18 +154,21 @@ def test_weyl_torus_is_trivial():
     assert words_of(table) == [()]
 
 
-def test_weyl_cap():
+def test_weyl_cap(monkeypatch):
     from rootfold.root_datum import WeylCapError
+    monkeypatch.setattr("rootfold.root_datum._WEYL_CAP", 100)
     with pytest.raises(WeylCapError, match="order 1152 exceeds the cap 100"):
-        weyl_group(B.from_cartan_sc(B.F4_CARTAN), cap=100)
+        weyl_group(B.from_cartan_sc(B.F4_CARTAN))
 
 
-def test_weyl_cap_boundary():
+def test_weyl_cap_boundary(monkeypatch):
     from rootfold.root_datum import WeylCapError
     f4 = catalog.group_datum("f4")
-    assert len(weyl_group(f4, cap=1152)) == 1152
+    monkeypatch.setattr("rootfold.root_datum._WEYL_CAP", 1152)
+    assert len(weyl_group(f4)) == 1152
+    monkeypatch.setattr("rootfold.root_datum._WEYL_CAP", 1151)
     with pytest.raises(WeylCapError, match="order 1152 exceeds the cap 1151"):
-        weyl_group(f4, cap=1151)
+        weyl_group(f4)
 
 
 def test_a2_canonical_words():
