@@ -33,9 +33,6 @@ class StructureConstants:
         self._sq = sq
         self._extra = extra
 
-    def positive_roots(self):
-        return self.order
-
     def extraspecial_pair(self, root):
         """Distinguished decomposition of a non-simple positive root, else None."""
         return self._extra.get(tuple(root))

@@ -2,8 +2,10 @@
 
 One job per invocation: fold, conorm, classes, lift, or verify.  Jobs come
 from flags, from a JSON config document, or both (flags win).  Output is a
-human table or canonical JSON; verify commands exit 0 on pass, 1 on fail,
-and 2 on unusable input.
+human table or canonical JSON.  Each command returns its payload; ``main``
+alone picks the exit code: 2 with one line for input the command cannot run
+on (a ``UsageError``, ``ValueError`` or ``WeylCapError``, a verify target's
+precondition included), 1 when the payload says ``ok`` is false, else 0.
 """
 
 import argparse
@@ -29,7 +31,7 @@ VERIFY_KINDS = ("product", "trivial", "normal-subgroup", "isogeny", "pinning",
 
 
 class UsageError(Exception):
-    """Configuration or flag problem; maps to exit code 2."""
+    """Configuration or flag problem; ``main`` maps it to exit code 2."""
 
 
 # nesting depth of the integers under a key -> its description
@@ -177,10 +179,7 @@ def resolve_action(cfg: JobConfig) -> GammaAction:
     if cfg.preset is None:
         raise UsageError("no action: give --preset (and --action) or a config")
     name = cfg.preset if cfg.action is None else f"{cfg.preset}-{cfg.action}"
-    try:
-        return catalog.preset(name).action
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return catalog.preset(name).action
 
 
 def resolve_group(cfg: JobConfig) -> BasedRootDatum:
@@ -214,14 +213,10 @@ def _stable_classes(cfg: JobConfig, base: BasedRootDatum):
                 raise ValueError(f"tau is ragged: rows of lengths {lengths}")
             tau = LatticeMap(cfg.tau, lengths[0] if lengths else base.datum.rank)
             frob = FrobeniusStructure.twisted(cfg.q, tau)
+        # a WeylCapError is a RuntimeError: it reaches main without the prefix
+        return frob.q, enumerate_stable_classes(base, frob)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad frobenius data: {exc}") from exc
-    try:
-        return frob.q, enumerate_stable_classes(base, frob)
-    except ValueError as exc:
-        raise UsageError(f"bad frobenius data: {exc}") from exc
-    except WeylCapError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _jsonable(x):
@@ -261,7 +256,7 @@ def cmd_fold(cfg: JobConfig):
             "orbit_size": len(rec.orbit),
             "multiplier": rec.multiplier,
         })
-    payload = {
+    return {
         "command": "fold",
         "source_type": type_string(action.base),
         "rank": fd.rank,
@@ -270,7 +265,6 @@ def cmd_fold(cfg: JobConfig):
         "restriction": _jsonable(fd.restriction),
         "provenance": prov,
     }
-    return payload, True
 
 
 def cmd_conorm(cfg: JobConfig):
@@ -278,7 +272,7 @@ def cmd_conorm(cfg: JobConfig):
     fd = fold(action)
     # the constructor raises unless restriction o conorm = |Gamma| I
     conorm = ConormData(fd)
-    payload = {
+    return {
         "command": "conorm",
         "group_order": action.group.size,
         "folded_type": type_string(fd.fixed_base),
@@ -286,21 +280,19 @@ def cmd_conorm(cfg: JobConfig):
         "norm_on_cochar": _jsonable(conorm.matrix.transpose()),
         "adjoint_ok": True,
     }
-    return payload, True
 
 
 def cmd_classes(cfg: JobConfig):
     base = resolve_group(cfg)
     q, classes = _stable_classes(cfg, base)
     rows = [{"rep": _jsonable(c.rep), "order": c.rep.den} for c in classes]
-    payload = {
+    return {
         "command": "classes",
         "group_type": type_string(base),
         "q": q,
         "count": len(rows),
         "classes": rows,
     }
-    return payload, True
 
 
 def cmd_lift(cfg: JobConfig):
@@ -313,14 +305,13 @@ def cmd_lift(cfg: JobConfig):
     for c in classes:
         lifted = lift_stable_class(conorm, c)
         rows.append({"class": _jsonable(c.rep), "lift": _jsonable(lifted.rep)})
-    payload = {
+    return {
         "command": "lift",
         "folded_type": type_string(fd.fixed_base),
         "q": q,
         "count": len(rows),
         "lifts": rows,
     }
-    return payload, True
 
 
 def cmd_verify(cfg: JobConfig):
@@ -331,9 +322,8 @@ def cmd_verify(cfg: JobConfig):
     named = cfg.preset is not None or cfg.action is not None or cfg.action_spec is not None
     action = resolve_action(cfg) if named else None
     cases = _jsonable(SUITES[cfg.which](action, BUDGET_QS[cfg.budget], cfg.q))
-    ok = all(c["ok"] for c in cases)
-    payload = {"command": "verify", "which": cfg.which, "ok": ok, "cases": cases}
-    return payload, ok
+    return {"command": "verify", "which": cfg.which, "ok": all(c["ok"] for c in cases),
+            "cases": cases}
 
 
 def _print_table(payload):
@@ -399,12 +389,12 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config_file(ns.config) if ns.config else JobConfig()
         cfg = merge_flags(cfg, ns)
-        payload, ok = COMMANDS[ns.command][0](cfg)
-    except UsageError as exc:
+        payload = COMMANDS[ns.command][0](cfg)
+    except (UsageError, ValueError, WeylCapError) as exc:
         print(f"rootfold: {exc}", file=sys.stderr)
         return EXIT_USAGE
     emit(payload, cfg)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return EXIT_FAIL if payload.get("ok") is False else EXIT_PASS
 
 
 if __name__ == "__main__":

@@ -8,7 +8,10 @@ run by ``rootfold verify <name>``:
 - normal-subgroup: folding in stages factors the conorm
 - isogeny: the conorm commutes with an equivariant isogeny after folding
 - pinning: lifting through the pinned fold of a twisted action changes nothing
-- levi: an inner twist lifts through the Levi hull of the vanishing roots
+- levi: an inner twist lifts through the Levi hull of the vanishing roots:
+  at subregular lifts x, Phi_x is closed on the coroot side, |Stab_W(x)| =
+  |W(Phi_x)|, and canonicalizing in the Levi first keeps the class; it needs
+  an inner action, X/ZPhi torsion-free and three subregular points at q
 - root-inclusion, long-roots: fixed-group roots against restricted roots, and
   their duals, on every action in ``SUITE_PRESETS``
 
@@ -237,47 +240,51 @@ def levi_for_element(rd: RootDatum, point: TorsionVector):
 def verify_levi_factorization(a: GammaAction, q) -> ValidationReport:
     """For an inner twist, lifting factors through the Levi fixed by the twist.
 
-    The fold of an inner action is the centralizer of the twist element; the
-    check confirms that, that lifted subregular classes have their Weyl
-    stabilizer inside the Levi hull of their vanishing subsystem, and that
-    canonicalizing inside the Levi first does not change the lift.
+    Preconditions, each a ``ValueError`` naming it: the action is inner (every
+    diagram part is the identity), X/ZPhi is torsion-free (so the dual group's
+    derived group is simply connected and Steinberg's theorem applies), and at
+    q there are at least three stable classes of the fold whose lifts x are
+    subregular (Phi_x neither empty nor all of Phi).  The checks: the fold's
+    roots are the centralizer of the twist, and at each of those three lifts
+    the coroots of Phi_x are closed in the dual system (Phi_x is closed on the
+    coroot side, not always on the root side), |Stab_W(x)| = |W(Phi_x)|, and
+    canonicalizing x in the Levi hull of Phi_x first does not change its class.
     """
-    problems = []
-    if any(d != LatticeMap.identity(a.base.datum.rank) for d in a.diagram):
-        return ValidationReport(False, ["action is not inner (nontrivial diagrams)"])
     rd = a.base.datum
+    if any(d != LatticeMap.identity(rd.rank) for d in a.diagram):
+        raise ValueError("levi needs an inner action")
+    root_lattice = Sublattice(rd.rank, LatticeMap.from_columns(list(rd.roots), rd.rank))
+    if root_lattice.saturation() != root_lattice:
+        raise ValueError("levi needs X/ZPhi torsion-free")
     fd = fold(a)
     conorm = ConormData(fd)
     # the fold is the centralizer of the twist: same ambient lattice
     if set(fd.fixed.roots) != {r for r in rd.roots if all(t.pairing(r) == 0 for t in a.twist)}:
-        problems.append("fold is not the centralizer of the twist element")
-        return ValidationReport(False, problems)
+        return ValidationReport(False, ["fold is not the centralizer of the twist element"])
     frob = FrobeniusStructure.untwisted(q, fd.rank)
-    source = a.base
-    found = 0
+    subregular = []
     for cls in enumerate_stable_classes(fd.fixed_base, frob):
         lift_pt = conorm.apply(cls.rep)
         psi, levi = levi_for_element(rd, lift_pt)
-        if not psi or len(psi) == len(rd.roots):
-            continue
-        found += 1
-        if not is_closed_subsystem(rd, psi):
+        if psi and len(psi) < len(rd.roots):
+            subregular.append((lift_pt, psi, levi))
+            if len(subregular) == _LEVI_POINTS:
+                break
+    if len(subregular) < _LEVI_POINTS:
+        raise ValueError(f"levi found only {len(subregular)} subregular points at q={q}, "
+                         f"needs {_LEVI_POINTS}")
+    problems = []
+    source, dual = a.base, dual_root_datum(rd)
+    for lift_pt, psi, levi in subregular:
+        if not is_closed_subsystem(dual, [rd.coroot_of(r) for r in psi]):
             problems.append(f"vanishing subsystem of {lift_pt.fractions()} not closed")
-        levi_base = _based_subsystem(rd, levi)
-        psi_base = _based_subsystem(rd, psi)
-        if class_stabilizer_size(source, lift_pt) != weyl_group_order(psi_base):
+        if class_stabilizer_size(source, lift_pt) != weyl_group_order(_based_subsystem(rd, psi)):
             problems.append(f"stabilizer of {lift_pt.fractions()} is not the "
                             "vanishing-subsystem Weyl group")
-        in_levi = canonicalize_class(levi_base, lift_pt)
-        direct = canonicalize_class(source, lift_pt)
-        if canonicalize_class(source, in_levi) != direct:
+        in_levi = canonicalize_class(_based_subsystem(rd, levi), lift_pt)
+        if canonicalize_class(source, in_levi) != canonicalize_class(source, lift_pt):
             problems.append(f"Levi canonicalization changes the class of "
                             f"{lift_pt.fractions()}")
-        if found >= _LEVI_POINTS:
-            break
-    if found < _LEVI_POINTS:
-        problems.append(f"only {found} subregular points found, "
-                        f"needed {_LEVI_POINTS}")
     return ValidationReport(not problems, problems)
 
 

@@ -504,8 +504,8 @@ def test_levi_factorization_inner_gl4():
 
 
 def test_levi_factorization_rejects_outer():
-    rep = verify_levi_factorization(z2_flip_action(4), q=3)
-    assert not rep.ok
+    with pytest.raises(ValueError, match="inner"):
+        verify_levi_factorization(z2_flip_action(4), q=3)
 
 
 def _mul(a, b):

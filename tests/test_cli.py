@@ -471,6 +471,78 @@ def test_verify_rejects_a_bad_action(capsys, argv):
     assert_one_usage_line(capsys.readouterr(), "rootfold: ")
 
 
+# one instance of each numbered preset pattern
+NUMBERED_INSTANCES = ("gl4-pinned", "gl4-so-twist", "sl3-pinned", "pgl3-pinned",
+                      "so6-pinned", "gl2-trivial-z2", "gl2-product-swap")
+FIXED_PRESETS = tuple(n for n in catalog.preset_names() if "<n>" not in n)
+# CPU seconds with --budget small: 12.7 (e6ad-twisted-c4), 66 (e6sc-pinned) and
+# 92 (e6ad-pinned); ROADMAP items 2 and 3 (fewer and cheaper orbit walks) fix the cost
+SLOW_PINNING = ("e6ad-twisted-c4", "e6sc-pinned", "e6ad-pinned")
+LEVI_EXITS = {"gl4-inner-block": (0, ""),
+              "gl2-trivial-z2": (2, "rootfold: levi found only 0 subregular points at q=3, "
+                                    "needs 3\n")}
+
+
+def test_numbered_instances_cover_every_pattern():
+    patterns = {catalog._pattern(n)[0] for n in NUMBERED_INSTANCES}
+    assert patterns == {n for n in catalog.preset_names() if "<n>" in n}
+
+
+@pytest.mark.parametrize("which, preset", [
+    *(("levi", p) for p in FIXED_PRESETS + NUMBERED_INSTANCES),
+    *(pytest.param("pinning", p, marks=pytest.mark.slow) if p in SLOW_PINNING
+      else ("pinning", p) for p in FIXED_PRESETS + NUMBERED_INSTANCES),
+])
+def test_verify_matrix(capsys, which, preset):
+    """Each cell's exact exit code: levi refuses all but gl4-inner-block, pinning passes."""
+    rc = main(["verify", which, "--preset", preset, "--budget", "small"])
+    captured = capsys.readouterr()
+    if which == "pinning":
+        expected = (0, "")
+    else:
+        expected = LEVI_EXITS.get(preset, (2, "rootfold: levi needs an inner action\n"))
+    assert (rc, captured.err) == expected
+    if rc == 2:
+        assert captured.out == ""
+
+
+def test_verify_levi_refuses_a_q_that_is_no_prime_power(capsys):
+    assert main(["verify", "levi", "--q", "6"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "rootfold: 6 is not a power of 2\n")
+
+
+def _inner_twist_config(group, num, q):
+    """verify levi on an explicit ``group`` with Gamma = Z/2 acting by the twist num/2."""
+    base = catalog.group_datum(group)
+    rd = base.datum
+    identity = [[int(i == j) for j in range(rd.rank)] for i in range(rd.rank)]
+    return {"group": {"rank": rd.rank, "roots": [list(r) for r in rd.roots],
+                      "coroots": [list(c) for c in rd.coroots],
+                      "simples": list(base.simple_indices)},
+            "action_spec": {"cyclic": 2, "diagrams": [identity, identity],
+                            "twists": [{"num": [0] * rd.rank, "den": 1},
+                                       {"num": num, "den": 2}]},
+            "which": "levi", "q": q}
+
+
+# Phi_x is closed among the coroots but not among the roots at some of these points
+@pytest.mark.parametrize("group, num, q", [("so5", [0, 1], 5), ("so5", [0, 1], 7),
+                                           ("g2", [0, 1], 5), ("g2", [0, 1], 7)])
+def test_verify_levi_checks_closure_on_the_coroot_side(capsys, tmp_path, group, num, q):
+    path = config_path(tmp_path, _inner_twist_config(group, num, q))
+    rc, payload = run_json(capsys, ["verify", "--config", path])
+    assert rc == 0, payload["cases"]
+    assert payload["ok"] is True
+
+
+def test_verify_levi_needs_a_torsion_free_root_quotient(capsys, tmp_path):
+    path = config_path(tmp_path, _inner_twist_config("sl4", [1, 1, 0], 3))
+    assert main(["verify", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "rootfold: levi needs X/ZPhi torsion-free\n")
+
+
 @pytest.mark.parametrize("command, doc, match", [
     ("classes", {"preset": "gl2", "q": 3, "tau": [[1, 1], [0, 1]]}, "permute the roots"),
     ("classes", {"preset": "gl2", "q": 3, "tau": [[2, 1], [-1, 0]]}, "coroot"),
