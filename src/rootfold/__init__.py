@@ -13,20 +13,18 @@ _EXPORTS = {
     "exact_lattice": ("LatticeMap", "Sublattice", "TorsionVector",
                       "smith_normal_form", "fixed_sublattice", "solve_torsion_fixed"),
     "root_datum": ("RootDatum", "BasedRootDatum", "validate", "weyl_group", "weyl_matrices",
-                   "invariant_inner_product", "classify_length", "cartan_type",
-                   "is_closed_subsystem", "dual_root_datum"),
+                   "cartan_type", "is_closed_subsystem", "dual_root_datum"),
     "chevalley": ("StructureConstants", "build_structure_constants", "propagate_scalars"),
     "gamma_action": ("FiniteGroup", "GammaAction", "validate_action", "pinned_projection",
                      "root_orbit", "root_stabilizer", "root_space_scalar",
                      "stabilizer_hypothesis"),
     "folding": ("FoldedDatum", "fold", "restricted_root_comparison", "dual_length_comparison"),
-    "duality_conorm": ("ConormData", "Isogeny", "dual_isogeny"),
+    "duality_conorm": ("ConormData", "Isogeny"),
     "catalog": ("rotation_action",),
     "classes": ("StableClass", "FrobeniusStructure", "canonicalize_class",
                 "enumerate_stable_classes", "lift_stable_class"),
     "verify": ("verify_isogeny_square", "levi_for_element", "subgroup_action",
-               "induced_quotient_action", "verify_conorm_well_defined",
-               "verify_product_conorm", "verify_trivial_lift",
+               "induced_quotient_action", "verify_product_conorm", "verify_trivial_lift",
                "verify_normal_subgroup_composition", "verify_pinning_factorization",
                "verify_levi_factorization"),
 }

@@ -253,7 +253,10 @@ def pinned_so_even_action(n) -> GammaAction:
 _E6_INVOLUTION = (5, 1, 4, 3, 2, 0)
 
 
-def pinned_e6_action(form="adjoint") -> GammaAction:
+def pinned_e6_action(form: str) -> GammaAction:
+    """The E6 diagram involution on the ``"adjoint"`` or the ``"sc"`` (simply connected) datum."""
+    if form not in ("adjoint", "sc"):
+        raise ValueError(f"E6 form {form!r} is neither 'adjoint' nor 'sc'")
     base = e6_adjoint() if form == "adjoint" else e6_simply_connected()
     return GammaAction(FiniteGroup.cyclic(2), base,
                        [LatticeMap.identity(6), _perm_matrix(_E6_INVOLUTION)])
@@ -377,6 +380,7 @@ def sl_gl1_flip_action(n) -> GammaAction:
                        [LatticeMap.identity(n), LatticeMap(rows)])
 
 
+# a record, not the bare action, because perfbench/worker.py and README read preset(name).action
 class Preset(NamedTuple):
     name: str
     action: GammaAction

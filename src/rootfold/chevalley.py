@@ -33,10 +33,6 @@ class StructureConstants:
         self._sq = sq
         self._extra = extra
 
-    def extraspecial_pair(self, root):
-        """Distinguished decomposition of a non-simple positive root, else None."""
-        return self._extra.get(tuple(root))
-
     def string_p(self, a, b):
         """Largest p with b - p*a still a root."""
         rd = self.base.datum

@@ -118,6 +118,7 @@ class FrobeniusStructure(namedtuple("FrobeniusStructure", "q tau")):
     def untwisted(cls, q, rank):
         return cls(q, LatticeMap.identity(rank))
 
+    # the constructor by another name, kept while perfbench/worker.py binds it (ROADMAP item 1)
     @classmethod
     def twisted(cls, q, tau):
         return cls(q, tau)
@@ -196,11 +197,12 @@ def _orbit_walk(base, point, needle=None):
 
     Both points must have the rank of the datum; a needle with another
     denominator is not in the orbit, which is then returned unwalked.  Keep
-    the needle exit: containment checks mostly meet the needle early, and the
-    conorm check of acceptance criterion 6 takes 18 s without it, 3 s with it
-    (2-vCPU host).  The walk itself is the function ``_walk_function``
-    generates for the base, started from ``point.nums``, which the
-    ``TorsionVector`` constructor has already reduced mod den.
+    the needle exit: containment checks mostly meet the needle early, and
+    ``verify_conorm_well_defined`` in ``tests/oracles.py``, run by acceptance
+    criterion 6, takes 18 s without it, 3 s with it (2-vCPU host).  The walk
+    itself is the function ``_walk_function`` generates for the base, started
+    from ``point.nums``, which the ``TorsionVector`` constructor has already
+    reduced mod den.
     """
     rank = base.datum.rank
     _check_rank(point, rank)
@@ -218,6 +220,7 @@ def _orbit_walk(base, point, needle=None):
     return walk(start, den, needle)
 
 
+# no command calls this; perfbench's tracer binds it until ROADMAP item 1, and tests use it
 def weyl_orbit_contains(base: BasedRootDatum, a: TorsionVector,
                         b: TorsionVector) -> bool:
     """Whether two torsion points are Weyl translates of each other."""

@@ -212,7 +212,7 @@ def _stable_classes(cfg: JobConfig, base: BasedRootDatum):
             if len(set(lengths)) > 1:
                 raise ValueError(f"tau is ragged: rows of lengths {lengths}")
             tau = LatticeMap(cfg.tau, lengths[0] if lengths else base.datum.rank)
-            frob = FrobeniusStructure.twisted(cfg.q, tau)
+            frob = FrobeniusStructure(cfg.q, tau)
         # a WeylCapError is a RuntimeError: it reaches main without the prefix
         return frob.q, enumerate_stable_classes(base, frob)
     except (TypeError, ValueError) as exc:

@@ -14,10 +14,10 @@ the diagram sum.
 Every map here is an exact integer matrix; nothing is floating point.
 """
 
-from .exact_lattice import LatticeMap, TorsionVector, smith_normal_form
+from .exact_lattice import LatticeMap, TorsionVector
 from .folding import FoldedDatum
 from .gamma_action import GammaAction
-from .root_datum import BasedRootDatum, ValidationReport, dual_based, morphism_problem
+from .root_datum import BasedRootDatum, ValidationReport, morphism_problem
 
 
 class ConormData:
@@ -64,18 +64,6 @@ class Isogeny:
         self.target = target
         self.char_pullback = char_pullback
 
-    def degree(self) -> int:
-        return abs(self.char_pullback.det())
-
-    def cokernel_invariants(self):
-        """Elementary divisors of coker(char_pullback), ones dropped."""
-        _, d, _ = smith_normal_form(self.char_pullback)
-        k = min(d.codomain_rank, d.domain_rank)
-        return tuple(d.rows[i][i] for i in range(k) if d.rows[i][i] != 1)
-
-    def __repr__(self):
-        return f"Isogeny(degree={self.degree()})"
-
 
 def validate_isogeny(phi: Isogeny) -> ValidationReport:
     problems = []
@@ -91,12 +79,6 @@ def validate_isogeny(phi: Isogeny) -> ValidationReport:
     if problem:
         problems.append(f"char_pullback {problem}")
     return ValidationReport(not problems, problems)
-
-
-def dual_isogeny(phi: Isogeny) -> Isogeny:
-    """The transposed isogeny between the dual groups, in the other direction."""
-    return Isogeny(dual_based(phi.target), dual_based(phi.source),
-                   phi.char_pullback.transpose())
 
 
 def equivariant_for(phi: Isogeny, a_src: GammaAction, a_tgt: GammaAction) -> bool:

@@ -4,10 +4,10 @@ All matrices are tuples of tuples of Python ints, so every operation is
 arbitrary-precision and deterministic.  One integer elimination, ``_echelon``
 (row Hermite form carried across augmented rows), underlies every normal
 form, determinant, inverse, kernel, section and solve here, torsion fixed
-points included; only cokernel invariants take a Smith form, whose passes
-alternate on a matrix and its transpose.  Torsion vectors model points of a
-torus with cocharacter lattice Z^n: an element of (Q/Z)^n kept in reduced
-canonical form.
+points included.  No command takes a Smith form: ``smith_normal_form`` stays
+only because the tracer in ``perfbench/`` binds it, until ROADMAP item 1
+re-points that tracer.  Torsion vectors model points of a torus with
+cocharacter lattice Z^n: an element of (Q/Z)^n kept in reduced canonical form.
 """
 
 from __future__ import annotations
@@ -150,15 +150,11 @@ class LatticeMap:
             raise ValueError("vector length mismatch")
         return tuple([sum(map(mul, r, v)) for r in self.rows])
 
-    def compose(self, other: "LatticeMap") -> "LatticeMap":
+    def __matmul__(self, other: "LatticeMap") -> "LatticeMap":
         """self after other, i.e. the matrix product self @ other."""
         if self.domain_rank != other.codomain_rank:
             raise ValueError("rank mismatch in composition")
-        ocols = other.columns()
-        return LatticeMap.from_columns([self(c) for c in ocols], self.codomain_rank)
-
-    def __matmul__(self, other):
-        return self.compose(other)
+        return LatticeMap.from_columns([self(c) for c in other.columns()], self.codomain_rank)
 
     def _check_same_shape(self, other):
         if (self.codomain_rank, self.domain_rank) != (other.codomain_rank, other.domain_rank):
@@ -196,9 +192,6 @@ class LatticeMap:
         if any(rows[i][i] != 1 for i in range(n)):
             raise ValueError("matrix is not unimodular")
         return LatticeMap([r[n:] for r in rows], n)
-
-    def inverse_transpose(self) -> "LatticeMap":
-        return self.inverse_unimodular().transpose()
 
     def __eq__(self, other):
         return (isinstance(other, LatticeMap) and self.rows == other.rows
@@ -242,6 +235,7 @@ def solve_integer(a: LatticeMap, b: LatticeMap):
     return tuple(back_substitute(j) for j in range(k, k + b.domain_rank))
 
 
+# no command calls this; perfbench's tracer binds it until ROADMAP item 1
 def smith_normal_form(m: LatticeMap) -> tuple[LatticeMap, LatticeMap, LatticeMap]:
     """Return (U, D, V) with U @ m @ V = D, U and V unimodular, D diagonal
     with nonnegative entries d_1 | d_2 | ... .
@@ -473,6 +467,7 @@ def _torsion_fixed_numerators(rows, n: int) -> tuple[int, set[Vec]]:
     return d, numerators
 
 
+# no command calls this; perfbench's tracer binds it until ROADMAP item 1
 def solve_torsion_fixed(m: LatticeMap) -> list[TorsionVector]:
     """All x in (Q/Z)^n with (m - I)x integral; requires det(m - I) != 0.
 

@@ -53,9 +53,6 @@ class FiniteGroup:
     def mult(self, i, j):
         return self.table[i][j]
 
-    def inverse(self, i):
-        return next(j for j in range(self.size) if self.table[i][j] == 0)
-
     def order_of(self, i):
         k, cur = 1, i
         while cur != 0:
@@ -109,10 +106,6 @@ class FiniteGroup:
         m = len(reps)
         table = [[coset_of[self.table[reps[a]][reps[b]]] for b in range(m)] for a in range(m)]
         return FiniteGroup(table), tuple(coset_of), tuple(reps)
-
-    @classmethod
-    def trivial(cls):
-        return cls(((0,),))
 
     @classmethod
     def cyclic(cls, n):
@@ -189,9 +182,6 @@ class GammaAction:
     def act_root(self, i, root):
         return tuple(self.diagram[i](root))
 
-    def pinned_scalars(self, i):
-        return _pinned_scalars(self.base, self.diagram[i])
-
     def __eq__(self, other):
         """Same diagrams and same twist pairings against every root."""
         if not isinstance(other, GammaAction):
@@ -213,7 +203,7 @@ class GammaAction:
 @lru_cache(maxsize=None)
 def _coaction(diagram: LatticeMap) -> LatticeMap:
     """Inverse transpose of a diagram part, once per matrix."""
-    return diagram.inverse_transpose()
+    return diagram.inverse_unimodular().transpose()
 
 
 @lru_cache(maxsize=None)
@@ -298,7 +288,7 @@ def root_space_scalar(a: GammaAction, i, root) -> Fraction:
     beta root space by beta(t), applied after the pinned map).
     """
     r = tuple(root)
-    pinned = a.pinned_scalars(i)[r]
+    pinned = _pinned_scalars(a.base, a.diagram[i])[r]
     return (pinned + a.twist[i].pairing(a.act_root(i, r))) % 1
 
 

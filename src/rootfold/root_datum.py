@@ -9,7 +9,6 @@ pairing.  Roots are stored as explicit vectors so that non-semisimple groups
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from operator import index
@@ -57,10 +56,6 @@ class RootDatum:
 
     def coroot_of(self, v):
         return self.coroots[self._index[tuple(v)]]
-
-    def pairing(self, i: int, j: int) -> int:
-        """<root_i, coroot_j>."""
-        return dot(self.roots[i], self.coroots[j])
 
     def reflection(self, i: int) -> LatticeMap:
         """s_i on X: x -> x - <x, coroot_i> root_i."""
@@ -135,12 +130,6 @@ class BasedRootDatum:
         """Roots whose simple-root coefficients are all nonnegative."""
         return tuple(i for i, c in enumerate(self.root_coefficients())
                      if c is not None and all(x >= 0 for x in c))
-
-    def height(self, v) -> int:
-        c = self.simple_coefficients(v)
-        if c is None:
-            raise ValueError("not in the root lattice of the base")
-        return sum(c)
 
     def __eq__(self, other):
         return (isinstance(other, BasedRootDatum) and self.datum == other.datum
@@ -374,24 +363,6 @@ def _component_grams(rd: RootDatum):
 
 
 @lru_cache(maxsize=None)
-def invariant_inner_product(rd: RootDatum):
-    """Weyl- and automorphism-invariant form on X (x) Q as a Fraction matrix.
-
-    Built from the coroots componentwise, then scaled so long roots in every
-    irreducible component have squared length 2.  Positive semidefinite with
-    radical exactly the central directions.
-    """
-    n = rd.rank
-    b = [[Fraction(0)] * n for _ in range(n)]
-    for gram, lengths in _component_grams(rd):
-        scale = Fraction(2, max(lengths.values()))
-        for r in range(n):
-            for c in range(n):
-                b[r][c] += scale * gram[r][c]
-    return tuple(tuple(row) for row in b)
-
-
-@lru_cache(maxsize=None)
 def _components(rd: RootDatum):
     """Irreducible components as tuples of root indices (non-orthogonality classes).
 
@@ -423,13 +394,6 @@ def length_classes(rd: RootDatum):
         for i, length in lengths.items():
             out[i] = "long" if length == longest else "short"
     return out
-
-
-def classify_length(rd: RootDatum, root) -> str:
-    """Length class of one root; "long" everywhere in simply-laced components."""
-    if not rd.is_root(root):
-        raise ValueError("not a root of this datum")
-    return length_classes(rd)[rd.root_index(root)]
 
 
 def _type_from_counts(n: int, roots: int, short: int) -> tuple[str, int]:
@@ -555,7 +519,3 @@ def generate_datum(rank: int, simple_roots, simple_coroots) -> BasedRootDatum:
 def dual_root_datum(rd: RootDatum) -> RootDatum:
     """Swap roots and coroots; exact involution."""
     return RootDatum(rd.rank, rd.coroots, rd.roots)
-
-
-def dual_based(base: BasedRootDatum) -> BasedRootDatum:
-    return BasedRootDatum(dual_root_datum(base.datum), base.simple_indices)

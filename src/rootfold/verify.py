@@ -19,11 +19,9 @@ No check lists a Weyl group: orbits are walked from the simple reflections,
 and a stabilizer's order is |W| over the size of its orbit.
 """
 
-import random
-
 from . import catalog
 from .classes import (FrobeniusStructure, canonicalize_class, class_stabilizer_size,
-                      enumerate_stable_classes, lift_stable_class, weyl_orbit_contains)
+                      enumerate_stable_classes, lift_stable_class)
 from .duality_conorm import ConormData, Isogeny, equivariant_for, fold_isogeny, validate_isogeny
 from .exact_lattice import LatticeMap, Sublattice, TorsionVector
 from .folding import dual_length_comparison, fold, restricted_root_comparison
@@ -36,41 +34,7 @@ SUITE_PRESETS = ("gl4-pinned", "gl6-pinned", "gl4-so-twist", "gl6-so-twist",
                  "sl3-pinned", "sl5-pinned", "e6ad-pinned", "e6ad-twisted-c4",
                  "d4-triality", "d4-full-s3", "d4-twisted-a2", "d4-s3-twisted",
                  "gl2-trivial-z3", "gl2-product-swap")
-_LEVI_POINTS = 3  # the subregular lifts verify_levi_factorization checks
-
-
-def random_torsion_points(rank, count, den_bound, p, seed):
-    """Torsion points with denominator at most den_bound and coprime to p."""
-    rng = random.Random(seed)
-    dens = [d for d in range(1, den_bound + 1) if d % p != 0]
-    out = []
-    for _ in range(count):
-        den = rng.choice(dens)
-        out.append(TorsionVector(tuple(rng.randrange(den) for _ in range(rank)), den))
-    return out
-
-
-def verify_conorm_well_defined(a: GammaAction, count=100, den_bound=24, p=2,
-                               seed=0) -> ValidationReport:
-    """Weyl-equivalent folded points must lift to Weyl-equivalent source points.
-
-    A point's partner is its image under a random word in the folded simple
-    reflections, no longer than the number of folded roots.
-    """
-    fd = fold(a)
-    conorm = ConormData(fd)
-    target = fd.source.base
-    simples = [fd.fixed.reflection(i) for i in fd.fixed_base.simple_indices]
-    rng = random.Random(seed + 1)
-    problems = []
-    for x in random_torsion_points(fd.rank, count, den_bound, p, seed):
-        y = x
-        for _ in range(rng.randrange(len(fd.fixed.roots) + 1)):
-            y = y.apply(rng.choice(simples))
-        if not weyl_orbit_contains(target, conorm.apply(x), conorm.apply(y)):
-            problems.append(f"lift depends on representative at {x.fractions()}")
-            break
-    return ValidationReport(not problems, problems)
+_LEVI_POINTS = 3  # the pairwise non-conjugate subregular lifts verify_levi_factorization checks
 
 
 def _lift_problems(conorm: ConormData, qs, explicit_map, problem: str) -> list:
@@ -243,12 +207,13 @@ def verify_levi_factorization(a: GammaAction, q) -> ValidationReport:
     Preconditions, each a ``ValueError`` naming it: the action is inner (every
     diagram part is the identity), X/ZPhi is torsion-free (so the dual group's
     derived group is simply connected and Steinberg's theorem applies), and at
-    q there are at least three stable classes of the fold whose lifts x are
-    subregular (Phi_x neither empty nor all of Phi).  The checks: the fold's
-    roots are the centralizer of the twist, and at each of those three lifts
-    the coroots of Phi_x are closed in the dual system (Phi_x is closed on the
-    coroot side, not always on the root side), |Stab_W(x)| = |W(Phi_x)|, and
-    canonicalizing x in the Levi hull of Phi_x first does not change its class.
+    q the stable classes of the fold lift to at least three source classes of
+    subregular points x (Phi_x neither empty nor all of Phi).  The checks: the
+    fold's roots are the centralizer of the twist, and at the first lift x in
+    each of three such classes, no two conjugate, the coroots of Phi_x are
+    closed in the dual system (Phi_x is closed on the coroot side, not always
+    on the root side), |Stab_W(x)| = |W(Phi_x)|, and canonicalizing x in the
+    Levi hull of Phi_x first does not change its class.
     """
     rd = a.base.datum
     if any(d != LatticeMap.identity(rd.rank) for d in a.diagram):
@@ -262,27 +227,27 @@ def verify_levi_factorization(a: GammaAction, q) -> ValidationReport:
     if set(fd.fixed.roots) != {r for r in rd.roots if all(t.pairing(r) == 0 for t in a.twist)}:
         return ValidationReport(False, ["fold is not the centralizer of the twist element"])
     frob = FrobeniusStructure.untwisted(q, fd.rank)
-    subregular = []
+    source, dual = a.base, dual_root_datum(rd)
+    subregular = {}  # source class -> (its first lift, Phi_x, Levi hull)
     for cls in enumerate_stable_classes(fd.fixed_base, frob):
         lift_pt = conorm.apply(cls.rep)
         psi, levi = levi_for_element(rd, lift_pt)
         if psi and len(psi) < len(rd.roots):
-            subregular.append((lift_pt, psi, levi))
+            subregular.setdefault(canonicalize_class(source, lift_pt), (lift_pt, psi, levi))
             if len(subregular) == _LEVI_POINTS:
                 break
     if len(subregular) < _LEVI_POINTS:
         raise ValueError(f"levi found only {len(subregular)} subregular points at q={q}, "
                          f"needs {_LEVI_POINTS}")
     problems = []
-    source, dual = a.base, dual_root_datum(rd)
-    for lift_pt, psi, levi in subregular:
+    for cls_key, (lift_pt, psi, levi) in subregular.items():
         if not is_closed_subsystem(dual, [rd.coroot_of(r) for r in psi]):
             problems.append(f"vanishing subsystem of {lift_pt.fractions()} not closed")
         if class_stabilizer_size(source, lift_pt) != weyl_group_order(_based_subsystem(rd, psi)):
             problems.append(f"stabilizer of {lift_pt.fractions()} is not the "
                             "vanishing-subsystem Weyl group")
         in_levi = canonicalize_class(_based_subsystem(rd, levi), lift_pt)
-        if canonicalize_class(source, in_levi) != canonicalize_class(source, lift_pt):
+        if canonicalize_class(source, in_levi) != cls_key:
             problems.append(f"Levi canonicalization changes the class of "
                             f"{lift_pt.fractions()}")
     return ValidationReport(not problems, problems)

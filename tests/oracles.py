@@ -19,13 +19,26 @@ library back-substitutes in a Hermite form.  The finite-order oracle tries
 every power of a matrix up to the largest finite order in GL_n(Z), where the
 library stops on the trace of a power.
 
-The last three functions compare Cartan types up to the low-rank
-coincidences and evaluate a bilinear form; only tests need them.
+The invariant form is built from the coroots of each irreducible
+component, found here by its own pairing scan.  The last three functions
+compare Cartan types up to the low-rank coincidences and evaluate a bilinear
+form; only tests need them.
+
+``verify_conorm_well_defined`` is no independent oracle: it drives the
+library's fold, conorm and orbit walk on random points, and lives here
+because no command runs it.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import gcd
+
+from rootfold.classes import weyl_orbit_contains
+from rootfold.duality_conorm import ConormData
+from rootfold.exact_lattice import TorsionVector
+from rootfold.folding import fold
+from rootfold.root_datum import ValidationReport
 
 
 def bracket_factory(sc):
@@ -529,6 +542,65 @@ def diagram_cartan_type(rank, roots, coroots):
         types.append(_recognize_diagram(pair))
     types.sort()
     return tuple(types), rank - sum(n for _, n in types)
+
+
+def invariant_inner_product(rd):
+    """Weyl- and automorphism-invariant form on X (x) Q as a Fraction matrix.
+
+    Per irreducible component (roots linked by nonzero pairings), the sum of
+    c c^T over its coroots c, scaled so that its long roots have squared
+    length 2.  Positive semidefinite with radical exactly the central
+    directions.  ``rd`` is anything with ``rank``, ``roots`` and ``coroots``.
+    """
+    n = rd.rank
+    form = [[Fraction(0)] * n for _ in range(n)]
+    left = set(range(len(rd.roots)))
+    while left:
+        comp = [left.pop()]
+        for i in comp:
+            linked = [j for j in left if _dot(rd.roots[i], rd.coroots[j])]
+            left.difference_update(linked)
+            comp.extend(linked)
+        gram = [[sum(rd.coroots[k][r] * rd.coroots[k][c] for k in comp) for c in range(n)]
+                for r in range(n)]
+        longest = max(_dot(rd.roots[k], _apply(gram, rd.roots[k])) for k in comp)
+        for r in range(n):
+            for c in range(n):
+                form[r][c] += Fraction(2 * gram[r][c], longest)
+    return tuple(tuple(row) for row in form)
+
+
+def random_torsion_points(rank, count, den_bound, p, seed):
+    """Torsion points with denominator at most den_bound and coprime to p."""
+    rng = random.Random(seed)
+    dens = [d for d in range(1, den_bound + 1) if d % p != 0]
+    out = []
+    for _ in range(count):
+        den = rng.choice(dens)
+        out.append(TorsionVector(tuple(rng.randrange(den) for _ in range(rank)), den))
+    return out
+
+
+def verify_conorm_well_defined(a, count=100, den_bound=24, p=2, seed=0) -> ValidationReport:
+    """Weyl-equivalent folded points must lift to Weyl-equivalent source points.
+
+    A point's partner is its image under a random word in the folded simple
+    reflections, no longer than the number of folded roots.
+    """
+    fd = fold(a)
+    conorm = ConormData(fd)
+    target = fd.source.base
+    simples = [fd.fixed.reflection(i) for i in fd.fixed_base.simple_indices]
+    rng = random.Random(seed + 1)
+    problems = []
+    for x in random_torsion_points(fd.rank, count, den_bound, p, seed):
+        y = x
+        for _ in range(rng.randrange(len(fd.fixed.roots) + 1)):
+            y = y.apply(rng.choice(simples))
+        if not weyl_orbit_contains(target, conorm.apply(x), conorm.apply(y)):
+            problems.append(f"lift depends on representative at {x.fractions()}")
+            break
+    return ValidationReport(not problems, problems)
 
 
 _TYPE_ALIASES = {

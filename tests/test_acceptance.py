@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 import oracles
-from oracles import same_type
+from oracles import same_type, verify_conorm_well_defined
 
 from rootfold import catalog as C
 from rootfold.chevalley import build_structure_constants, propagate_scalars
@@ -22,10 +22,9 @@ from rootfold.folding import (
     root_survives,
 )
 from rootfold.gamma_action import root_orbit, root_space_scalar, stabilizer_hypothesis
-from rootfold.root_datum import cartan_type, classify_length
+from rootfold.root_datum import cartan_type, length_classes
 from rootfold.verify import (
     SUITE_PRESETS,
-    verify_conorm_well_defined,
     verify_isogeny_square,
     verify_levi_factorization,
     verify_normal_subgroup_composition,
@@ -90,7 +89,8 @@ def test_criterion_3_lemma_suite():
                 if len(root_orbit(a, alpha)) != 1:
                     continue
                 beta = tuple(fd.restriction(alpha))
-                if fd.fixed.is_root(beta) and classify_length(fd.fixed, beta) != "long":
+                if (fd.fixed.is_root(beta)
+                        and length_classes(fd.fixed)[fd.fixed.root_index(beta)] != "long"):
                     bad.append(f"{name}: fixed root {alpha} restricts short")
         try:
             dual = dual_length_comparison(a)

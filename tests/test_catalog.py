@@ -9,6 +9,7 @@ from oracles import same_type
 from rootfold import catalog as C, root_datum
 from rootfold.cli import main
 from rootfold.duality_conorm import validate_isogeny
+from rootfold.exact_lattice import smith_normal_form
 from rootfold.folding import fold, restricted_root_comparison
 from rootfold.gamma_action import validate_action
 from rootfold.root_datum import cartan_type, validate
@@ -133,16 +134,24 @@ def test_catalog_isogenies_validate():
     for n in (2, 3, 4):
         phi = C.isogeny_sl_to_pgl(n)
         assert validate_isogeny(phi).ok
-        assert phi.degree() == n
-        assert phi.cokernel_invariants() == (n,)
+        # the cokernel is cyclic of order n: elementary divisors 1, ..., 1, n
+        _, d, _ = smith_normal_form(phi.char_pullback)
+        assert [d.rows[i][i] for i in range(n - 1)] == [1] * (n - 2) + [n]
     for n in (2, 3):
         phi = C.isogeny_sl_gl1_to_gl(n)
         assert validate_isogeny(phi).ok
-        assert phi.degree() == n
+        assert abs(phi.char_pullback.det()) == n
     for n in (5, 6, 7, 8, 9, 10):
         phi = isogeny_spin_to_so(n)
         assert validate_isogeny(phi).ok
-        assert phi.degree() == 2
+        assert abs(phi.char_pullback.det()) == 2
+
+
+def test_pinned_e6_action_takes_one_of_two_forms():
+    assert C.pinned_e6_action("adjoint").base == C.e6_adjoint()
+    assert C.pinned_e6_action("sc").base == C.e6_simply_connected()
+    with pytest.raises(ValueError, match="'simply connected' is neither"):
+        C.pinned_e6_action("simply connected")
 
 
 def test_spin_8_is_the_triality_base():

@@ -6,11 +6,11 @@ import pytest
 
 import builders as B
 import oracles
-from oracles import form_value
+from oracles import form_value, invariant_inner_product
 from rootfold import catalog
 from rootfold.chevalley import build_structure_constants, propagate_scalars
 from rootfold.exact_lattice import LatticeMap, vadd, vneg
-from rootfold.root_datum import BasedRootDatum, _components, invariant_inner_product
+from rootfold.root_datum import BasedRootDatum, _components
 
 
 def flip_map(m):
@@ -49,8 +49,7 @@ def test_order_prefers_earlier_simples():
     sc = build_structure_constants(base)
     a1, a2 = base.simple_roots
     assert sc.order == (a1, a2, vadd(a1, a2))
-    assert sc.extraspecial_pair(vadd(a1, a2)) == (a1, a2)
-    assert sc.extraspecial_pair(a1) is None
+    assert sc._extra == {vadd(a1, a2): (a1, a2)}
 
 
 def test_antisymmetry_and_magnitude():

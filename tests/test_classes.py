@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -9,7 +9,7 @@ import pytest
 import builders as B
 from oracles import (_det, brute_force_orbit, fixed_point_count, gl_class_count,
                      has_finite_order, solve_rational, steinberg_count, torsion_fixed_points,
-                     weyl_matrices_by_closure)
+                     verify_conorm_well_defined, weyl_matrices_by_closure)
 from test_action_laws import hypothesis, st
 from test_cartan_oracle import GROUPS
 from test_gamma_action import z2_flip_action
@@ -36,7 +36,6 @@ from rootfold.verify import (
     levi_for_element,
     subgroup_action,
     vanishing_subsystem,
-    verify_conorm_well_defined,
     verify_levi_factorization,
     verify_normal_subgroup_composition,
     verify_pinning_factorization,
@@ -501,6 +500,25 @@ def test_levi_hull_can_grow():
 def test_levi_factorization_inner_gl4():
     rep = verify_levi_factorization(inner_block_action(), q=3)
     assert rep.ok, rep.problems
+
+
+def test_levi_factorization_checks_three_pairwise_non_conjugate_points(monkeypatch):
+    # the first three subregular lifts on gl4-inner-block at q = 3 are one class,
+    # so the check must go on to lifts in two other classes
+    checked = []
+    stabilizer_size = verify.class_stabilizer_size
+    monkeypatch.setattr(verify, "class_stabilizer_size",
+                        lambda base, x: checked.append(x) or stabilizer_size(base, x))
+    a = inner_block_action()
+    assert verify_levi_factorization(a, q=3).ok
+    rd = a.base.datum
+    assert len(checked) == 3
+    for x, y in combinations(checked, 2):
+        assert (x.den != y.den
+                or y.nums not in brute_force_orbit(x.nums, x.den, rd.roots, rd.coroots)), (x, y)
+    # q = 2 lifts to two distinct subregular classes only
+    with pytest.raises(ValueError, match="only 2 subregular points at q=2, needs 3"):
+        verify_levi_factorization(a, q=2)
 
 
 def test_levi_factorization_rejects_outer():

@@ -506,6 +506,19 @@ def test_verify_matrix(capsys, which, preset):
         assert captured.out == ""
 
 
+def test_verify_normal_subgroup_fails_when_the_staged_map_is_broken(capsys, monkeypatch):
+    # the correct program exits 0; doubling the point before the rank-2
+    # canonicalization of the staged map must exit 1
+    assert main(["verify", "normal-subgroup"]) == 0
+    capsys.readouterr()
+    canonicalize = verify.canonicalize_class
+    monkeypatch.setattr(verify, "canonicalize_class", lambda base, x: canonicalize(
+        base, x.scale(2) if base.datum.rank == 2 else x))
+    rc, payload = run_json(capsys, ["verify", "normal-subgroup"])
+    assert rc == 1 and payload["ok"] is False
+    assert "lifts differently through the stages" in payload["cases"][0]["problems"][0]
+
+
 def test_verify_levi_refuses_a_q_that_is_no_prime_power(capsys):
     assert main(["verify", "levi", "--q", "6"]) == 2
     captured = capsys.readouterr()

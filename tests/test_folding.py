@@ -27,7 +27,7 @@ from rootfold.verify import SUITES
 
 
 def trivial_action(base, group=None):
-    g = group or FiniteGroup.trivial()
+    g = group or FiniteGroup.cyclic(1)
     n = base.datum.rank
     return GammaAction(g, base, [LatticeMap.identity(n)] * g.size)
 
@@ -181,7 +181,7 @@ def test_pinned_folded_simples_come_from_source_simples():
 
 def _induced_cochar_matrix(fd, m):
     lift = right_inverse(fd.restriction)
-    return lift.transpose() @ m.inverse_transpose() @ fd.restriction.transpose()
+    return lift.transpose() @ m.inverse_unimodular().transpose() @ fd.restriction.transpose()
 
 
 def test_folded_weyl_embeds_in_fixed_source_weyl():

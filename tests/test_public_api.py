@@ -5,6 +5,7 @@ import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,14 +82,44 @@ def test_every_import_is_exported():
     assert not unlisted, unlisted
 
 
+def referenced_names(tree, skip=None):
+    """Names, attributes and import aliases in ``tree`` outside the top-level def ``skip``."""
+    out = set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == skip:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.asname or node.name)
+    return out
+
+
+def test_every_export_is_used_outside_the_tests():
+    """Each export is referenced by code in the package other than its own
+    definition, or named in ``perfbench/`` or README.md; a name that only tests
+    use belongs in ``tests/``."""
+    root = INIT.parents[2]
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in INIT.parent.glob("*.py")
+             if p.stem != "__init__"}
+    text = "".join(p.read_text() for p in sorted((root / "perfbench").glob("*.py")))
+    text += (root / "README.md").read_text()
+    unused = [f"{layer}.{name}" for layer, names in rootfold._EXPORTS.items() for name in names
+              if not any(name in referenced_names(tree, name if stem == layer else None)
+                         for stem, tree in trees.items())
+              and not re.search(rf"\b{name}\b", text)]
+    assert not unused, unused
+
+
 # every parameter with a default of each public function and class (through
 # its constructor) defined in a module of the package; a new knob is a new line
 DEFAULTED_PARAMETERS = {
     "exact_lattice.LatticeMap": ("domain_rank=None",),
     "gamma_action.GammaAction": ("twist=None",),
-    "catalog.pinned_e6_action": ("form='adjoint'",),
     "catalog.trivial_action": ("m=1",),
-    "verify.verify_conorm_well_defined": ("count=100", "den_bound=24", "p=2", "seed=0"),
     "cli.JobConfig": ("preset=None", "action=None", "q=None", "tau=None", "format='table'",
                       "budget='full'", "which=None", "group=None", "action_spec=None"),
     "cli.main": ("argv=None",),
