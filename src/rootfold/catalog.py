@@ -449,13 +449,9 @@ _NUMBERED_PRESETS = {
 }
 
 
-def preset_names():
-    return sorted(_FIXED_PRESETS) + list(_NUMBERED_PRESETS)
-
-
 @lru_cache(maxsize=None)
 def preset(name: str) -> Preset:
-    """A named action: a fixed one, or a numbered one as in ``preset_names``.
+    """A named action: a fixed one, or a numbered one whose pattern ``_NUMBERED_PRESETS`` maps.
 
     Each name is built once per process; callers must not mutate the action.
     A builder's ``ValueError`` is raised again with the name before its reason.

@@ -199,20 +199,24 @@ def resolve_group(cfg: JobConfig) -> BasedRootDatum:
         raise UsageError(f"{exc} ({group_error})") from exc
 
 
-def _stable_classes(cfg: JobConfig, base: BasedRootDatum):
-    """The job's q and the stable classes of its Frobenius on ``base``."""
-    from .classes import FrobeniusStructure, enumerate_stable_classes
+def _frobenius(cfg: JobConfig, rank: int):
+    """The job's Frobenius on a datum of ``rank``, with the checks of ``FrobeniusStructure``."""
+    from .classes import FrobeniusStructure
     if cfg.q is None:
         raise UsageError("this command needs --q")
+    if cfg.tau is None:
+        return FrobeniusStructure.untwisted(cfg.q, rank)
+    lengths = [len(row) for row in cfg.tau]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"tau is ragged: rows of lengths {lengths}")
+    return FrobeniusStructure(cfg.q, LatticeMap(cfg.tau, lengths[0] if lengths else rank))
+
+
+def _stable_classes(cfg: JobConfig, base: BasedRootDatum):
+    """The job's q and the stable classes of its Frobenius on ``base``."""
+    from .classes import enumerate_stable_classes
     try:
-        if cfg.tau is None:
-            frob = FrobeniusStructure.untwisted(cfg.q, base.datum.rank)
-        else:
-            lengths = [len(row) for row in cfg.tau]
-            if len(set(lengths)) > 1:
-                raise ValueError(f"tau is ragged: rows of lengths {lengths}")
-            tau = LatticeMap(cfg.tau, lengths[0] if lengths else base.datum.rank)
-            frob = FrobeniusStructure(cfg.q, tau)
+        frob = _frobenius(cfg, base.datum.rank)
         # a WeylCapError is a RuntimeError: it reaches main without the prefix
         return frob.q, enumerate_stable_classes(base, frob)
     except (TypeError, ValueError) as exc:
@@ -296,9 +300,17 @@ def cmd_classes(cfg: JobConfig):
 
 
 def cmd_lift(cfg: JobConfig):
-    from .classes import lift_stable_class
+    from .classes import _check_twist, lift_stable_class
     action = resolve_action(cfg)
     fd = fold(action)
+    if cfg.tau is not None:
+        # a tau twists the fold alone, and no source Frobenius is named to make the
+        # lifts stable (ROADMAP item 6): lift checks it as classes does, then refuses it
+        try:
+            _check_twist(fd.fixed, _frobenius(cfg, fd.rank).tau)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"bad frobenius data: {exc}") from exc
+        raise UsageError("lift takes no tau until it reads the source Frobenius")
     conorm = ConormData(fd)
     q, classes = _stable_classes(cfg, fd.fixed_base)
     rows = []

@@ -70,7 +70,7 @@ def validate_isogeny(phi: Isogeny) -> ValidationReport:
     m = phi.char_pullback
     src, tgt = phi.source.datum, phi.target.datum
     if m.codomain_rank != src.rank or m.domain_rank != tgt.rank:
-        return ValidationReport(False, ["char_pullback has wrong shape"])
+        return ValidationReport(["char_pullback has wrong shape"])
     if src.rank != tgt.rank:
         problems.append("isogenous groups must have equal rank")
     elif m.det() == 0:
@@ -78,7 +78,7 @@ def validate_isogeny(phi: Isogeny) -> ValidationReport:
     problem = morphism_problem(m, tgt, src)
     if problem:
         problems.append(f"char_pullback {problem}")
-    return ValidationReport(not problems, problems)
+    return ValidationReport(problems)
 
 
 def equivariant_for(phi: Isogeny, a_src: GammaAction, a_tgt: GammaAction) -> bool:

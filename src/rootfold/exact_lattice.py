@@ -410,12 +410,6 @@ class TorsionVector:
         b = den // other.den
         return TorsionVector([a * x + b * y for x, y in zip(self.nums, other.nums, strict=True)], den)
 
-    def __neg__(self) -> "TorsionVector":
-        return TorsionVector([-x for x in self.nums], self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c: int) -> "TorsionVector":
         return TorsionVector([c * x for x in self.nums], self.den)
 

@@ -92,11 +92,11 @@ _FOLDS = {}
 def fold(a: GammaAction) -> FoldedDatum:
     """The fold of ``a``, computed once per process for its defining parts.
 
-    The key is the group table, the base, the diagram parts and the twists,
-    not ``GammaAction.__eq__`` (which only compares twist pairings).  Every
-    action with those parts gets the same ``FoldedDatum``, whose ``source``
-    is the first of them folded; callers must not mutate it.  A fold that
-    raises is not kept.
+    The key is the group table, the base, the diagram parts and the twists
+    themselves, so twists that differ by a central element, and pair alike
+    with every root, get folds of their own.  Every action with those parts
+    gets the same ``FoldedDatum``, whose ``source`` is the first of them
+    folded; callers must not mutate it.  A fold that raises is not kept.
     """
     key = (a.group.table, a.base, a.diagram, a.twist)
     fd = _FOLDS.get(key)
@@ -161,12 +161,16 @@ def _fold(a: GammaAction) -> FoldedDatum:
 class RestrictionComparison(NamedTuple):
     phi: tuple
     underline_phi: tuple
-    phi_in_underline: bool
-    underline_short_in_phi: bool
-    missing_short: tuple | None
+    missing_short: tuple | None  # least averaged short root of the pinned fold not in phi
     hypothesis: object
-    folded: FoldedDatum
-    folded_pinned: FoldedDatum
+
+    @property
+    def phi_in_underline(self) -> bool:
+        return set(self.phi) <= set(self.underline_phi)
+
+    @property
+    def underline_short_in_phi(self) -> bool:
+        return self.missing_short is None
 
 
 def restricted_root_comparison(a: GammaAction) -> RestrictionComparison:
@@ -182,20 +186,14 @@ def restricted_root_comparison(a: GammaAction) -> RestrictionComparison:
     uphi = {orbit_average(a, rec.source_rep) for rec in fp.provenance.values()}
     uphi |= {tuple(-x for x in v) for v in uphi}
     lens = length_classes(fp.fixed)
-    short_avgs = {}
-    for rec in fp.provenance.values():
-        if lens[fp.fixed.root_index(rec.root)] == "short":
-            short_avgs[orbit_average(a, rec.source_rep)] = rec.root
+    short_avgs = {orbit_average(a, rec.source_rep) for rec in fp.provenance.values()
+                  if lens[fp.fixed.root_index(rec.root)] == "short"}
     missing = next((v for v in sorted(short_avgs) if v not in phi), None)
     return RestrictionComparison(
         phi=tuple(sorted(phi)),
         underline_phi=tuple(sorted(uphi)),
-        phi_in_underline=phi <= uphi,
-        underline_short_in_phi=missing is None,
         missing_short=missing,
         hypothesis=stabilizer_hypothesis(a),
-        folded=fd,
-        folded_pinned=fp,
     )
 
 
@@ -203,8 +201,11 @@ class DualLengthComparison(NamedTuple):
     phi_dual: tuple
     underline_dual: tuple
     long_dual_in_phi_dual: bool
-    phi_dual_in_underline_dual: bool
     two_lengths: bool
+
+    @property
+    def phi_dual_in_underline_dual(self) -> bool:
+        return set(self.phi_dual) <= set(self.underline_dual)
 
 
 def dual_length_comparison(a: GammaAction) -> DualLengthComparison:
@@ -215,14 +216,12 @@ def dual_length_comparison(a: GammaAction) -> DualLengthComparison:
     fd = fold(a)
     fp = fold(pinned_projection(a))
     phi_dual = set(fd.fixed.coroots)
-    underline_dual = set(fp.fixed.coroots)
     dual_datum = dual_root_datum(fp.fixed)
     lens = length_classes(dual_datum)
     longs = {r for i, r in enumerate(dual_datum.roots) if lens[i] == "long"}
     return DualLengthComparison(
         phi_dual=tuple(sorted(phi_dual)),
-        underline_dual=tuple(sorted(underline_dual)),
+        underline_dual=tuple(sorted(fp.fixed.coroots)),
         long_dual_in_phi_dual=longs <= phi_dual,
-        phi_dual_in_underline_dual=phi_dual <= underline_dual,
         two_lengths=len({lens[i] for i in range(len(dual_datum.roots))}) == 2,
     )

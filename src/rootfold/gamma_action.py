@@ -50,9 +50,6 @@ class FiniteGroup:
                 if self.table[row_x[g]] != tuple(map(row_x.__getitem__, row_g)):
                     raise ValueError("multiplication is not associative")
 
-    def mult(self, i, j):
-        return self.table[i][j]
-
     def order_of(self, i):
         k, cur = 1, i
         while cur != 0:
@@ -182,20 +179,6 @@ class GammaAction:
     def act_root(self, i, root):
         return tuple(self.diagram[i](root))
 
-    def __eq__(self, other):
-        """Same diagrams and same twist pairings against every root."""
-        if not isinstance(other, GammaAction):
-            return NotImplemented
-        if self.base != other.base or self.group.table != other.group.table:
-            return False
-        if self.diagram != other.diagram:
-            return False
-        roots = self.base.datum.roots
-        for t1, t2 in zip(self.twist, other.twist):
-            if any(t1.pairing(r) != t2.pairing(r) for r in roots):
-                return False
-        return True
-
     def __repr__(self):
         return f"GammaAction(|Gamma|={self.group.size}, rank={self.base.datum.rank})"
 
@@ -235,7 +218,7 @@ def validate_action(a: GammaAction) -> ValidationReport:
                 if t.pairing(r) != combined.pairing(r):
                     problems.append(f"twist cocycle fails at ({i},{j}) on root {r}")
                     break
-    return ValidationReport(not problems, problems)
+    return ValidationReport(problems)
 
 
 @lru_cache(maxsize=None)
@@ -298,13 +281,19 @@ class ComponentStabilizerRecord(NamedTuple):
     image_order: int
     cyclic: bool
     faithful: bool
-    trivial: bool
+
+    @property
+    def trivial(self) -> bool:
+        return self.image_order == 1
 
 
 class StabilizerReport(NamedTuple):
-    holds: bool
     components: tuple
     witness: int | None  # index of first component with non-cyclic image
+
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
     def __bool__(self):
         return self.holds
@@ -320,7 +309,6 @@ def stabilizer_hypothesis(a: GammaAction) -> StabilizerReport:
     rd = a.base.datum
     comps = _components(rd)
     records = []
-    witness = None
     for ci, comp in enumerate(comps):
         comp_roots = frozenset(rd.roots[k] for k in comp)
         stab = [i for i in a.group.elements()
@@ -332,9 +320,6 @@ def stabilizer_hypothesis(a: GammaAction) -> StabilizerReport:
         cyclic = FiniteGroup.from_permutations(sorted(image)).is_cyclic()
         kernel = [i for i in stab if perms[i] == tuple(range(len(ordered)))]
         faithful = len(kernel) == 1
-        trivial = len(image) == 1
-        records.append(ComponentStabilizerRecord(
-            ci, tuple(stab), len(image), cyclic, faithful, trivial))
-        if not cyclic and witness is None:
-            witness = ci
-    return StabilizerReport(witness is None, tuple(records), witness)
+        records.append(ComponentStabilizerRecord(ci, tuple(stab), len(image), cyclic, faithful))
+    witness = next((rec.component_index for rec in records if not rec.cyclic), None)
+    return StabilizerReport(tuple(records), witness)

@@ -142,13 +142,17 @@ class BasedRootDatum:
         return f"BasedRootDatum(rank={self.datum.rank}, {len(self.simple_indices)} simples)"
 
 
-class ValidationReport(namedtuple("ValidationReport", "ok problems")):
-    """Whether a check passed, and the problems it found as a tuple of strings."""
+class ValidationReport(namedtuple("ValidationReport", "problems")):
+    """The problems a check found, as a tuple of strings; it passed when there are none."""
 
     __slots__ = ()
 
-    def __new__(cls, ok: bool, problems):
-        return super().__new__(cls, ok, tuple(problems))
+    def __new__(cls, problems):
+        return super().__new__(cls, tuple(problems))
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
 
     def __bool__(self):
         return self.ok
@@ -200,7 +204,7 @@ def validate(rd: RootDatum | BasedRootDatum) -> ValidationReport:
                 if c is None or not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
                     problems.append(f"root {r} is not one-signed over the base")
                     break
-    return ValidationReport(not problems, tuple(problems))
+    return ValidationReport(problems)
 
 
 def _combination(coefficients, vectors, total):

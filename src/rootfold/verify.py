@@ -11,7 +11,8 @@ run by ``rootfold verify <name>``:
 - levi: an inner twist lifts through the Levi hull of the vanishing roots:
   at subregular lifts x, Phi_x is closed on the coroot side, |Stab_W(x)| =
   |W(Phi_x)|, and canonicalizing in the Levi first keeps the class; it needs
-  an inner action, X/ZPhi torsion-free and three subregular points at q
+  an inner action, X/ZPhi torsion-free, semisimple rank at least 2 and three
+  subregular points at q
 - root-inclusion, long-roots: fixed-group roots against restricted roots, and
   their duals, on every action in ``SUITE_PRESETS``
 
@@ -55,18 +56,15 @@ def _lift_problems(conorm: ConormData, qs, explicit_map, problem: str) -> list:
 
 def verify_product_conorm(base_half: BasedRootDatum, m: int, qs) -> ValidationReport:
     """For the rotation of H^m the lift is the diagonal (``ConormData`` checks the norm x^m)."""
-    problems = []
-    fd = fold(catalog.rotation_action(base_half, m))
-    conorm = ConormData(fd)
+    conorm = ConormData(fold(catalog.rotation_action(base_half, m)))
     n = base_half.datum.rank
     stacked = LatticeMap([[1 if c == r % n else 0 for c in range(n)]
                           for r in range(m * n)], n)
-    if conorm.matrix != stacked:
-        problems.append("conorm is not the diagonal embedding")
+    problems = [] if conorm.matrix == stacked else ["conorm is not the diagonal embedding"]
     # W(H^m) = W(H)^m acts blockwise: the least point of (x, ..., x) is (min Wx, ...)
     problems += _lift_problems(conorm, qs, lambda x: TorsionVector(x.nums * m, x.den),
                                "lift of {rep} at q={q} is not diagonal up to the Weyl group")
-    return ValidationReport(not problems, problems)
+    return ValidationReport(problems)
 
 
 def verify_trivial_lift(base: BasedRootDatum, m: int, qs) -> ValidationReport:
@@ -77,7 +75,7 @@ def verify_trivial_lift(base: BasedRootDatum, m: int, qs) -> ValidationReport:
         problems.append("conorm of the trivial action is not multiplication by m")
     problems += _lift_problems(conorm, qs, lambda x: x.scale(m),
                                "lift of {rep} at q={q} is not the m-th power")
-    return ValidationReport(not problems, problems)
+    return ValidationReport(problems)
 
 
 def subgroup_action(a: GammaAction, indices) -> GammaAction:
@@ -86,16 +84,10 @@ def subgroup_action(a: GammaAction, indices) -> GammaAction:
     if indices[0] != 0:
         raise ValueError("subgroup must contain the identity")
     pos = {g: k for k, g in enumerate(indices)}
-    table = []
-    for g in indices:
-        row = []
-        for h in indices:
-            gh = a.group.mult(g, h)
-            if gh not in pos:
-                raise ValueError("indices are not closed under multiplication")
-            row.append(pos[gh])
-        table.append(row)
-    sub = FiniteGroup(table)
+    table = a.group.table
+    if any(table[g][h] not in pos for g in indices for h in indices):
+        raise ValueError("indices are not closed under multiplication")
+    sub = FiniteGroup([[pos[table[g][h]] for h in indices] for g in indices])
     return GammaAction(sub, a.base, [a.diagram[g] for g in indices],
                        [a.twist[g] for g in indices])
 
@@ -123,8 +115,7 @@ def verify_normal_subgroup_composition(a: GammaAction, normal_indices,
     conorm_bar = ConormData(fd_bar)
     transport = fd_bar.restriction @ fd0.restriction @ fd_full.section
     if abs(transport.det()) != 1:
-        problems.append("stagewise and direct folds are not unimodularly identified")
-        return ValidationReport(False, problems)
+        return ValidationReport(["stagewise and direct folds are not unimodularly identified"])
     if conorm_full.matrix != conorm0.matrix @ conorm_bar.matrix @ transport:
         problems.append("conorm does not factor through the stages")
 
@@ -134,7 +125,7 @@ def verify_normal_subgroup_composition(a: GammaAction, normal_indices,
 
     problems += _lift_problems(conorm_full, qs, staged,
                                "class {rep} at q={q} lifts differently through the stages")
-    return ValidationReport(not problems, problems)
+    return ValidationReport(problems)
 
 
 def verify_isogeny_square(phi: Isogeny, a_src: GammaAction,
@@ -145,20 +136,17 @@ def verify_isogeny_square(phi: Isogeny, a_src: GammaAction,
     ``char_pullback @ conorm_tgt`` as maps from folded target characters to
     source characters.
     """
-    problems = []
     rep = validate_isogeny(phi)
     if not rep.ok:
-        return ValidationReport(False, ("invalid isogeny", *rep.problems))
+        return ValidationReport(("invalid isogeny", *rep.problems))
     if not equivariant_for(phi, a_src, a_tgt):
-        return ValidationReport(False, ["isogeny is not equivariant for the actions"])
+        return ValidationReport(["isogeny is not equivariant for the actions"])
     f_src, f_tgt = fold(a_src), fold(a_tgt)
     bar = fold_isogeny(phi, f_src, f_tgt)
     c_src, c_tgt = ConormData(f_src), ConormData(f_tgt)
     left = c_src.matrix @ bar.char_pullback
     right = phi.char_pullback @ c_tgt.matrix
-    if left != right:
-        problems.append("conorm square does not commute")
-    return ValidationReport(not problems, problems)
+    return ValidationReport([] if left == right else ["conorm square does not commute"])
 
 
 def verify_pinning_factorization(a: GammaAction, qs) -> ValidationReport:
@@ -183,7 +171,7 @@ def verify_pinning_factorization(a: GammaAction, qs) -> ValidationReport:
     problems += _lift_problems(
         conorm, qs, lambda x: conorm_p.apply(canonicalize_class(fp.fixed_base, x)),
         "class {rep} at q={q} lifts differently through the pinned fold")
-    return ValidationReport(not problems, problems)
+    return ValidationReport(problems)
 
 
 def vanishing_subsystem(rd: RootDatum, point: TorsionVector):
@@ -206,9 +194,10 @@ def verify_levi_factorization(a: GammaAction, q) -> ValidationReport:
 
     Preconditions, each a ``ValueError`` naming it: the action is inner (every
     diagram part is the identity), X/ZPhi is torsion-free (so the dual group's
-    derived group is simply connected and Steinberg's theorem applies), and at
-    q the stable classes of the fold lift to at least three source classes of
-    subregular points x (Phi_x neither empty nor all of Phi).  The checks: the
+    derived group is simply connected and Steinberg's theorem applies), ZPhi
+    has rank at least 2 (else Phi_x is empty or Phi), and at q the stable
+    classes of the fold lift to at least three source classes of subregular
+    points x (Phi_x neither empty nor all of Phi).  The checks: the
     fold's roots are the centralizer of the twist, and at the first lift x in
     each of three such classes, no two conjugate, the coroots of Phi_x are
     closed in the dual system (Phi_x is closed on the coroot side, not always
@@ -221,11 +210,13 @@ def verify_levi_factorization(a: GammaAction, q) -> ValidationReport:
     root_lattice = Sublattice(rd.rank, LatticeMap.from_columns(list(rd.roots), rd.rank))
     if root_lattice.saturation() != root_lattice:
         raise ValueError("levi needs X/ZPhi torsion-free")
+    if root_lattice.rank < 2:
+        raise ValueError("levi needs semisimple rank at least 2")
     fd = fold(a)
     conorm = ConormData(fd)
     # the fold is the centralizer of the twist: same ambient lattice
     if set(fd.fixed.roots) != {r for r in rd.roots if all(t.pairing(r) == 0 for t in a.twist)}:
-        return ValidationReport(False, ["fold is not the centralizer of the twist element"])
+        return ValidationReport(["fold is not the centralizer of the twist element"])
     frob = FrobeniusStructure.untwisted(q, fd.rank)
     source, dual = a.base, dual_root_datum(rd)
     subregular = {}  # source class -> (its first lift, Phi_x, Levi hull)
@@ -250,7 +241,7 @@ def verify_levi_factorization(a: GammaAction, q) -> ValidationReport:
         if canonicalize_class(source, in_levi) != cls_key:
             problems.append(f"Levi canonicalization changes the class of "
                             f"{lift_pt.fractions()}")
-    return ValidationReport(not problems, problems)
+    return ValidationReport(problems)
 
 
 def _based_subsystem(rd: RootDatum, roots) -> BasedRootDatum:

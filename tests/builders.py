@@ -7,7 +7,8 @@ against itself.
 
 The helpers at the end are tools only tests use: a search for a unimodular
 identification of two based data, the spin-to-so isogeny of the catalog's
-groups, and the canonical JSON text of a CLI job config.
+groups, the canonical JSON text of a CLI job config, the catalog's preset
+names, and a comparison of two actions by their twist pairings.
 """
 
 import json
@@ -226,3 +227,20 @@ def serialize_config(cfg) -> str:
     """Canonical JSON text of a ``rootfold.cli.JobConfig``: its keys that are not the default."""
     doc = {key: val for key, val in cfg._asdict().items() if val != cfg._field_defaults[key]}
     return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def preset_names():
+    """The fixed preset names, sorted, then the numbered patterns (each number written <n>)."""
+    return sorted(catalog._FIXED_PRESETS) + list(catalog._NUMBERED_PRESETS)
+
+
+def same_action(a, b) -> bool:
+    """Same group table, base and diagram parts, and twists that pair alike with every root.
+
+    Twists that differ by a central element compare equal here, though
+    ``fold`` keys them apart.
+    """
+    roots = a.base.datum.roots
+    return (a.base == b.base and a.group.table == b.group.table and a.diagram == b.diagram
+            and all(s.pairing(r) == t.pairing(r) for s, t in zip(a.twist, b.twist)
+                    for r in roots))

@@ -600,7 +600,7 @@ def verify_conorm_well_defined(a, count=100, den_bound=24, p=2, seed=0) -> Valid
         if not weyl_orbit_contains(target, conorm.apply(x), conorm.apply(y)):
             problems.append(f"lift depends on representative at {x.fractions()}")
             break
-    return ValidationReport(not problems, problems)
+    return ValidationReport(problems)
 
 
 _TYPE_ALIASES = {

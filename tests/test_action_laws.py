@@ -5,6 +5,7 @@ from functools import cache
 
 import pytest
 
+from builders import preset_names
 from oracles import action_is_valid
 from rootfold import catalog
 from rootfold.exact_lattice import TorsionVector
@@ -14,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
 
-ACTIONS = [name for name in catalog.preset_names() if "<" not in name] + [
+ACTIONS = [name for name in preset_names() if "<" not in name] + [
     "gl3-pinned", "gl4-so-twist", "sl4-pinned", "pgl4-pinned", "gl2-product-swap",
     # the trivial group has no generators: only the pair (0, 0) checks its twist
     "gl2-trivial-z1", "gl2-trivial-z3", "gl2-trivial-z5"]
@@ -60,7 +61,7 @@ def mutated_actions(draw):
             # t(x) + s - x.s is a cocycle whenever t is
             s = TorsionVector.from_fractions(
                 draw(st.lists(FRACTIONS, min_size=rank, max_size=rank)))
-            twist = [t + s - s.apply(a.coaction(x)) for x, t in enumerate(twist)]
+            twist = [t + s + s.apply(a.coaction(x)).scale(-1) for x, t in enumerate(twist)]
     return GammaAction(a.group, a.base, diagram, twist)
 
 

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from builders import based_isomorphism, isogeny_spin_to_so
+from builders import based_isomorphism, isogeny_spin_to_so, preset_names
 from oracles import same_type
 from rootfold import catalog as C, root_datum
 from rootfold.cli import main
@@ -159,7 +159,7 @@ def test_spin_8_is_the_triality_base():
 
 
 def test_preset_names_lists_fixed_entries():
-    names = C.preset_names()
+    names = preset_names()
     for fixed in ["d4-triality", "e6ad-twisted-c4", "gl2gl2-z4"]:
         assert fixed in names
 

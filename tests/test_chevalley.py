@@ -218,7 +218,7 @@ CATALOG_GROUPS = ("e6ad", "e6sc", "f4", "g2", "d4", "gl2", "gl4", "sl3", "pgl3",
 
 def catalog_bases():
     bases = {catalog.group_datum(name) for name in CATALOG_GROUPS}
-    presets = [*catalog.GOLDEN_FOLDS, *(n for n in catalog.preset_names() if "<" not in n)]
+    presets = [*catalog.GOLDEN_FOLDS, *(n for n in B.preset_names() if "<" not in n)]
     return bases | {catalog.preset(name).action.base for name in presets}
 
 

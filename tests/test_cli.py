@@ -474,18 +474,17 @@ def test_verify_rejects_a_bad_action(capsys, argv):
 # one instance of each numbered preset pattern
 NUMBERED_INSTANCES = ("gl4-pinned", "gl4-so-twist", "sl3-pinned", "pgl3-pinned",
                       "so6-pinned", "gl2-trivial-z2", "gl2-product-swap")
-FIXED_PRESETS = tuple(n for n in catalog.preset_names() if "<n>" not in n)
+FIXED_PRESETS = tuple(n for n in B.preset_names() if "<n>" not in n)
 # CPU seconds with --budget small: 12.7 (e6ad-twisted-c4), 66 (e6sc-pinned) and
 # 92 (e6ad-pinned); ROADMAP items 2 and 3 (fewer and cheaper orbit walks) fix the cost
 SLOW_PINNING = ("e6ad-twisted-c4", "e6sc-pinned", "e6ad-pinned")
 LEVI_EXITS = {"gl4-inner-block": (0, ""),
-              "gl2-trivial-z2": (2, "rootfold: levi found only 0 subregular points at q=3, "
-                                    "needs 3\n")}
+              "gl2-trivial-z2": (2, "rootfold: levi needs semisimple rank at least 2\n")}
 
 
 def test_numbered_instances_cover_every_pattern():
     patterns = {catalog._pattern(n)[0] for n in NUMBERED_INSTANCES}
-    assert patterns == {n for n in catalog.preset_names() if "<n>" in n}
+    assert patterns == {n for n in B.preset_names() if "<n>" in n}
 
 
 @pytest.mark.parametrize("which, preset", [
@@ -574,6 +573,18 @@ def test_bad_tau_exits_two(capsys, tmp_path, command, doc, match):
     captured = capsys.readouterr()
     assert_one_usage_line(captured, "rootfold: bad frobenius data: tau ")
     assert match in captured.err
+
+
+@pytest.mark.parametrize("doc", [
+    {"preset": "gl2-product-swap", "q": 3, "tau": [[0, -1], [-1, 0]]},
+    {"preset": "gl4-pinned", "q": 3, "tau": [[1, 0], [0, 1]]},
+])
+def test_lift_refuses_a_valid_tau(capsys, tmp_path, doc):
+    # tau twists the fold alone: no source Frobenius is named that would make
+    # the lifts stable, so a tau that passes the checks above still exits 2
+    assert main(["lift", "--config", config_path(tmp_path, doc)]) == 2
+    assert_one_usage_line(capsys.readouterr(),
+                          "rootfold: lift takes no tau until it reads the source Frobenius\n")
 
 
 @pytest.mark.parametrize("command", ["fold", "conorm", "lift"])

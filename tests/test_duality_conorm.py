@@ -189,7 +189,7 @@ def coboundary_twisted_actions(draw):
     a = catalog_action(draw(st.sampled_from(ACTIONS)))
     rank = a.base.datum.rank
     s = TorsionVector.from_fractions(draw(st.lists(FRACTIONS, min_size=rank, max_size=rank)))
-    twist = [t + s - s.apply(a.coaction(x)) for x, t in enumerate(a.twist)]
+    twist = [t + s + s.apply(a.coaction(x)).scale(-1) for x, t in enumerate(a.twist)]
     return a, GammaAction(a.group, a.base, a.diagram, twist)
 
 

@@ -82,35 +82,52 @@ def test_every_import_is_exported():
     assert not unlisted, unlisted
 
 
-def referenced_names(tree, skip=None):
-    """Names, attributes and import aliases in ``tree`` outside the top-level def ``skip``."""
+def referenced_names(tree, skip):
+    """Names, attributes and import aliases in ``tree`` outside the definition node ``skip``."""
     out = set()
-    for top in tree.body:
-        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == skip:
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
             continue
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
-            elif isinstance(node, ast.alias):
-                out.add(node.asname or node.name)
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+        stack.extend(ast.iter_child_nodes(node))
     return out
 
 
+def public_definitions(tree):
+    """(qualified name, node) of each public module-level function or class, and of
+    each method of a module-level class whose name starts with no underscore."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+            yield top.name, top
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield f"{top.name}.{node.name}", node
+
+
 def test_every_export_is_used_outside_the_tests():
-    """Each export is referenced by code in the package other than its own
-    definition, or named in ``perfbench/`` or README.md; a name that only tests
-    use belongs in ``tests/``."""
+    """Each export, public function and public method is referenced by code in
+    the package other than its own definition, or named in ``perfbench/`` or
+    README.md; a name that only tests use belongs in ``tests/``."""
     root = INIT.parents[2]
     trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in INIT.parent.glob("*.py")
              if p.stem != "__init__"}
     text = "".join(p.read_text() for p in sorted((root / "perfbench").glob("*.py")))
     text += (root / "README.md").read_text()
-    unused = [f"{layer}.{name}" for layer, names in rootfold._EXPORTS.items() for name in names
-              if not any(name in referenced_names(tree, name if stem == layer else None)
-                         for stem, tree in trees.items())
-              and not re.search(rf"\b{name}\b", text)]
+    definitions = {f"{stem}.{qualname}": node for stem, tree in trees.items()
+                   for qualname, node in public_definitions(tree)}
+    exports = [f"{layer}.{name}" for layer, names in rootfold._EXPORTS.items() for name in names]
+    assert set(exports) <= set(definitions), sorted(set(exports) - set(definitions))
+    unused = [qualname for qualname, node in sorted(definitions.items())
+              if not any(node.name in referenced_names(tree, node) for tree in trees.values())
+              and not re.search(rf"\b{node.name}\b", text)]
     assert not unused, unused
 
 
