@@ -138,25 +138,24 @@ def _terms_text(terms):
 
 @lru_cache(maxsize=None)
 def _walk_function(base: BasedRootDatum):
-    """``walk(start, den, needle)``: the orbit of ``start`` mod den, or None once it meets ``needle``.
+    """``walk(start, den)``: the orbit of ``start`` mod den, a set of numerator tuples.
 
-    ``start`` is a numerator tuple reduced mod den; ``needle`` is None or
-    another such tuple.  Generated from source text once per based datum, as
-    ``namedtuple`` does: a breadth-first walk over a frontier of (point,
-    index of the simple reflection that produced it), where each point is
-    unpacked into locals and, per simple reflection, the pairing
-    <v, coroot_i> mod den is one unrolled expression over the coroot's
-    support and the image one tuple expression over the root's.  A pairing
-    of 0 mod den skips s_i, which then fixes the point; a point that s_i
-    produced skips s_i, since s_i(s_i v) = v is already seen; that
-    needs <root_i, coroot_i> = 2, so a simple root that pairs otherwise
+    ``start`` is a numerator tuple reduced mod den.  Generated from source
+    text once per based datum, as ``namedtuple`` does: a breadth-first walk
+    over a frontier of (point, index of the simple reflection that produced
+    it), where each point is unpacked into locals and, per simple
+    reflection, the pairing <v, coroot_i> mod den is one unrolled expression
+    over the coroot's support and the image one tuple expression over the
+    root's.  A pairing of 0 mod den skips s_i, which then fixes the point; a
+    point that s_i produced skips s_i, since s_i(s_i v) = v is already seen;
+    that needs <root_i, coroot_i> = 2, so a simple root that pairs otherwise
     raises ``ValueError``.  The text holds only fixed names, reflection
     indices and the entries of the simple roots and coroots, which the
     ``RootDatum`` constructor has made exact ``int``s with ``operator.index``;
     so no text from an input reaches ``exec``.
     """
     names = [f"v{j}" for j in range(base.datum.rank)]
-    lines = ["def walk(start, den, needle):",
+    lines = ["def walk(start, den):",
              "    seen = {start}",
              "    add = seen.add",
              "    frontier = [(start, -1)]",
@@ -177,8 +176,6 @@ def _walk_function(base: BasedRootDatum):
                   "                if c:",
                   f"                    w = ({', '.join(image)},)",
                   "                    if w not in seen:",
-                  "                        if w == needle:",
-                  "                            return None",
                   "                        add(w)",
                   f"                        push((w, {i}))"]
     lines += ["        frontier = nxt", "    return seen"]
@@ -192,39 +189,20 @@ def _check_rank(point, rank):
         raise ValueError(f"point of rank {point.rank} for a datum of rank {rank}")
 
 
-def _orbit_walk(base, point, needle=None):
-    """The orbit of ``point`` as numerator tuples, or None if it meets ``needle``.
-
-    Both points must have the rank of the datum; a needle with another
-    denominator is not in the orbit, which is then returned unwalked.  Keep
-    the needle exit: containment checks mostly meet the needle early, and
-    ``verify_conorm_well_defined`` in ``tests/oracles.py``, run by acceptance
-    criterion 6, takes 18 s without it, 3 s with it (2-vCPU host).  The walk
-    itself is the function ``_walk_function`` generates for the base, started
-    from ``point.nums``, which the ``TorsionVector`` constructor has already
-    reduced mod den.
-    """
-    rank = base.datum.rank
-    _check_rank(point, rank)
-    if needle is not None:
-        _check_rank(needle, rank)
-    walk = _walk_function(base)
-    den = point.den
-    start = point.nums
-    if needle is not None:
-        if needle.den != den:
-            return {start}
-        needle = needle.nums
-        if needle == start:
-            return None
-    return walk(start, den, needle)
+def _orbit_walk(base, point):
+    """The orbit of ``point`` as numerator tuples: the generated walk from
+    ``point.nums``, which the ``TorsionVector`` constructor has reduced mod den."""
+    _check_rank(point, base.datum.rank)
+    return _walk_function(base)(point.nums, point.den)
 
 
 # no command calls this; perfbench's tracer binds it until ROADMAP item 1, and tests use it
 def weyl_orbit_contains(base: BasedRootDatum, a: TorsionVector,
                         b: TorsionVector) -> bool:
     """Whether two torsion points are Weyl translates of each other."""
-    return _orbit_walk(base, a, b) is None
+    _check_rank(b, base.datum.rank)
+    orbit = _orbit_walk(base, a)  # walked first, so that a bad datum raises at any den
+    return a.den == b.den and b.nums in orbit
 
 
 def canonicalize_class(base: BasedRootDatum, point: TorsionVector) -> TorsionVector:
@@ -288,7 +266,7 @@ def enumerate_stable_classes(base: BasedRootDatum, frob: FrobeniusStructure):
     for m in weyl_matrices(base, weyl_group(base)):
         d, numerators = _torsion_fixed_numerators(list(map(vsub, q_tau, m.rows)), n)
         for y in numerators:
-            minima.add((d, min(walk(y, d, None))))
+            minima.add((d, min(walk(y, d))))
     reps = set()
     for d, y in minima:
         g = gcd(d, *y)

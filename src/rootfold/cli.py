@@ -176,6 +176,8 @@ def _explicit_action(cfg: JobConfig) -> GammaAction:
 def resolve_action(cfg: JobConfig) -> GammaAction:
     if cfg.action_spec is not None:
         return _explicit_action(cfg)
+    if cfg.group is not None:
+        raise UsageError("explicit group needs an action_spec")
     if cfg.preset is None:
         raise UsageError("no action: give --preset (and --action) or a config")
     name = cfg.preset if cfg.action is None else f"{cfg.preset}-{cfg.action}"
@@ -331,7 +333,7 @@ def cmd_verify(cfg: JobConfig):
     if cfg.which is None:
         raise UsageError(f"verify needs a target: one of {', '.join(VERIFY_KINDS)}, "
                          "as an argument or as the config key 'which'")
-    named = cfg.preset is not None or cfg.action is not None or cfg.action_spec is not None
+    named = any(key is not None for key in (cfg.preset, cfg.action, cfg.group, cfg.action_spec))
     action = resolve_action(cfg) if named else None
     cases = _jsonable(SUITES[cfg.which](action, BUDGET_QS[cfg.budget], cfg.q))
     return {"command": "verify", "which": cfg.which, "ok": all(c["ok"] for c in cases),

@@ -482,13 +482,16 @@ def generate_datum(rank: int, simple_roots, simple_coroots) -> BasedRootDatum:
     so the construction is deterministic in the input order.  r simple roots
     of finite type close on at most 3.75 r^2 roots (E8 has 240 for r = 8), so
     a closure that passes 4 r^2 raises ``ValueError``: the input is not of
-    finite type.
+    finite type.  So does a simple root a that does not pair to 2 with its
+    coroot; s_a(a) = -a needs that pairing, and puts each -a in the closure.
     """
     simples = [tuple(map(index, r)) for r in simple_roots]
     cosimples = [tuple(map(index, c)) for c in simple_coroots]
     pairs = {}
     order = []
     for a, av in zip(simples, cosimples):
+        if (k := dot(a, av)) != 2:
+            raise ValueError(f"simple root {a} pairs to {k} with its coroot, not 2")
         if a not in pairs:
             pairs[a] = av
             order.append(a)
@@ -511,11 +514,6 @@ def generate_datum(rank: int, simple_roots, simple_coroots) -> BasedRootDatum:
                     order.append(b)
                     nxt.append(b)
         frontier = nxt
-    for a in list(order):
-        na = vneg(a)
-        if na not in pairs:
-            pairs[na] = vneg(pairs[a])
-            order.append(na)
     rd = RootDatum(rank, order, [pairs[a] for a in order])
     return BasedRootDatum(rd, tuple(rd.root_index(a) for a in simples))
 

@@ -9,7 +9,9 @@ of the Dynkin diagram, where the library reads it off root counts.  The
 action oracle checks the homomorphism and twist-cocycle laws of a group
 action on every pair of elements, where the library checks generators only.
 The orbit oracle closes a torsion point under full reflection matrices, where
-the library steps by one sparse coroot pairing.  The Weyl-group oracle closes
+the library steps by one sparse coroot pairing in generated code;
+``orbit_meets`` steps by sparse pairings too, in a plain loop written here
+that stops at the point it looks for.  The Weyl-group oracle closes
 the identity under the same matrices, where the library walks integer keys
 and builds each matrix from its parent's rows.
 The Fraction eliminations ``_det``, ``_rank`` and ``solve_rational`` are the
@@ -24,9 +26,10 @@ component, found here by its own pairing scan.  The last three functions
 compare Cartan types up to the low-rank coincidences and evaluate a bilinear
 form; only tests need them.
 
-``verify_conorm_well_defined`` is no independent oracle: it drives the
-library's fold, conorm and orbit walk on random points, and lives here
-because no command runs it.
+``verify_conorm_well_defined`` drives the library's fold and conorm on random
+points and tests the lifts for Weyl equivalence with ``orbit_meets``, so it
+shares no orbit code with the library; it lives here because no
+command runs it.
 """
 
 import random
@@ -34,7 +37,6 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from rootfold.classes import weyl_orbit_contains
 from rootfold.duality_conorm import ConormData
 from rootfold.exact_lattice import TorsionVector
 from rootfold.folding import fold
@@ -375,6 +377,30 @@ def brute_force_orbit(nums, den, roots, coroots):
     return orbit
 
 
+def orbit_meets(start, needle, den, roots, coroots) -> bool:
+    """Whether needle/den lies in the orbit of start/den under the reflections in ``roots``.
+
+    ``roots[k]`` pairs with ``coroots[k]``.  Breadth-first from ``start``; a
+    step pairs a point with a coroot over the coroot's nonzero entries only,
+    and the walk stops as soon as it meets ``needle``.
+    """
+    start = tuple(x % den for x in start)
+    needle = tuple(x % den for x in needle)
+    steps = [(a, [(j, x) for j, x in enumerate(av) if x]) for a, av in zip(roots, coroots)]
+    seen, frontier = {start}, [start]
+    while frontier and needle not in seen:
+        found = []
+        for v in frontier:
+            for a, support in steps:
+                c = sum(v[j] * x for j, x in support) % den
+                w = tuple((y - c * z) % den for y, z in zip(v, a))
+                if w not in seen:
+                    seen.add(w)
+                    found.append(w)
+        frontier = found
+    return needle in seen
+
+
 def weyl_matrices_by_closure(n, simple_roots, simple_coroots):
     """The Weyl group's matrices on X = Z^n, each with its lex-least reduced word.
 
@@ -597,7 +623,9 @@ def verify_conorm_well_defined(a, count=100, den_bound=24, p=2, seed=0) -> Valid
         y = x
         for _ in range(rng.randrange(len(fd.fixed.roots) + 1)):
             y = y.apply(rng.choice(simples))
-        if not weyl_orbit_contains(target, conorm.apply(x), conorm.apply(y)):
+        lx, ly = conorm.apply(x), conorm.apply(y)
+        if lx.den != ly.den or not orbit_meets(lx.nums, ly.nums, lx.den, target.simple_roots,
+                                               target.simple_coroots):
             problems.append(f"lift depends on representative at {x.fractions()}")
             break
     return ValidationReport(problems)

@@ -7,9 +7,11 @@ from math import gcd
 import pytest
 
 import builders as B
+import oracles
 from oracles import (_det, brute_force_orbit, fixed_point_count, gl_class_count,
-                     has_finite_order, solve_rational, steinberg_count, torsion_fixed_points,
-                     verify_conorm_well_defined, weyl_matrices_by_closure)
+                     has_finite_order, orbit_meets, solve_rational, steinberg_count,
+                     torsion_fixed_points, verify_conorm_well_defined,
+                     weyl_matrices_by_closure)
 from test_action_laws import hypothesis, st
 from test_cartan_oracle import GROUPS
 from test_gamma_action import z2_flip_action
@@ -154,8 +156,7 @@ def test_equal_data_built_apart_hash_equal_and_share_a_walk():
 
 
 def test_generated_walk_matches_the_brute_force_orbit():
-    """The generated walk returns the orbit, or None once it meets a needle in it
-    other than the start; an equal base gets the same function."""
+    """The generated walk returns the orbit; an equal base gets the same function."""
     rng = random.Random(19)
     for base, dens in walk_cases():
         rd = base.datum
@@ -167,12 +168,7 @@ def test_generated_walk_matches_the_brute_force_orbit():
             points += [tuple(rng.randrange(den) for _ in range(rd.rank)) for _ in range(3)]
             for v in points:
                 orbit = brute_force_orbit(v, den, base.simple_roots, base.simple_coroots)
-                assert walk(v, den, None) == orbit, (base, v, den)
-                if len(orbit) > 1:
-                    assert walk(v, den, max(orbit - {v})) is None, (base, v, den)
-                outside = tuple((x + 1) % den for x in v)
-                if outside not in orbit:
-                    assert walk(v, den, outside) == orbit, (base, v, den)
+                assert walk(v, den) == orbit, (base, v, den)
 
 
 @pytest.mark.parametrize("walk", [
@@ -256,6 +252,25 @@ def test_orbit_walks_match_the_brute_force_orbit(case):
     hypothesis.event(f"a point outside: {outside is not None}")
     if outside is not None:
         assert not weyl_orbit_contains(base, point, TorsionVector(outside, den))
+
+
+def test_the_containment_oracle_matches_brute_force_orbit_membership():
+    """``orbit_meets`` on orbit points and on random points, most of them outside."""
+    rng = random.Random(23)
+    outcomes = set()
+    for name in SMALL_W_GROUPS:
+        base = catalog.group_datum(name)
+        rank = base.datum.rank
+        roots, coroots = base.simple_roots, base.simple_coroots
+        for den in (2, 5, 12):
+            start = tuple(rng.randrange(den) for _ in range(rank))
+            orbit = brute_force_orbit(start, den, roots, coroots)
+            others = [tuple(rng.randrange(den) for _ in range(rank)) for _ in range(4)]
+            for point in [min(orbit), max(orbit), *others]:
+                met = orbit_meets(start, point, den, roots, coroots)
+                assert met == (point in orbit), (name, start, point, den)
+                outcomes.add(met)
+    assert outcomes == {True, False}
 
 
 def test_enumerate_gl1():
@@ -452,6 +467,20 @@ def test_conorm_well_defined_on_random_points():
     tw = [(0, 0, 0, 0), (Fraction(1, 2), Fraction(1, 2), 0, 0)]
     assert verify_conorm_well_defined(z2_flip_action(4, twist=tw), count=25, p=3,
                                       seed=7).ok
+
+
+def test_conorm_oracle_reports_a_lift_that_is_not_weyl_equivariant(monkeypatch):
+    # lifting the first coordinate alone gives Weyl-equivalent points unequal lifts
+    class FirstCoordinate(ConormData):
+        __slots__ = ()
+
+        def apply(self, point):
+            rest = (0,) * (point.rank - 1)
+            return super().apply(TorsionVector(point.nums[:1] + rest, point.den))
+
+    monkeypatch.setattr(oracles, "ConormData", FirstCoordinate)
+    assert any(not verify_conorm_well_defined(catalog.preset(name).action, count=25).ok
+               for name in verify.SUITE_PRESETS)
 
 
 def test_subgroup_action_extraction():

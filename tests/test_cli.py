@@ -555,6 +555,16 @@ def test_verify_levi_needs_a_torsion_free_root_quotient(capsys, tmp_path):
     assert (captured.out, captured.err) == ("", "rootfold: levi needs X/ZPhi torsion-free\n")
 
 
+@pytest.mark.parametrize("argv", [["verify", "pinning"], ["verify", "levi"], ["fold"]])
+def test_an_explicit_group_without_an_action_spec_is_refused(capsys, tmp_path, argv):
+    # verify once fell back to its default action and checked that instead
+    group = {"rank": 1, "roots": [[2], [-2]], "coroots": [[1], [-1]], "simples": [0]}
+    path = config_path(tmp_path, {"group": group, "q": 2})
+    assert main([*argv, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "rootfold: explicit group needs an action_spec\n")
+
+
 @pytest.mark.parametrize("command, doc, match", [
     ("classes", {"preset": "gl2", "q": 3, "tau": [[1, 1], [0, 1]]}, "permute the roots"),
     ("classes", {"preset": "gl2", "q": 3, "tau": [[2, 1], [-1, 0]]}, "coroot"),

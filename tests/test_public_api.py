@@ -83,21 +83,21 @@ def test_every_import_is_exported():
 
 
 def referenced_names(tree, skip):
-    """Names, attributes and import aliases in ``tree`` outside the definition node ``skip``."""
-    out = set()
+    """(names and import aliases, attributes) in ``tree`` outside the definition node ``skip``."""
+    names, attributes = set(), set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
-            out.add(node.asname or node.name)
+            names.add(node.asname or node.name)
         stack.extend(ast.iter_child_nodes(node))
-    return out
+    return names, attributes
 
 
 def public_definitions(tree):
@@ -115,7 +115,9 @@ def public_definitions(tree):
 def test_every_export_is_used_outside_the_tests():
     """Each export, public function and public method is referenced by code in
     the package other than its own definition, or named in ``perfbench/`` or
-    README.md; a name that only tests use belongs in ``tests/``."""
+    README.md; a name that only tests use belongs in ``tests/``.  A method
+    counts as referenced only through an attribute of its name, so a local
+    variable that shares its name does not keep it."""
     root = INIT.parents[2]
     trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in INIT.parent.glob("*.py")
              if p.stem != "__init__"}
@@ -125,8 +127,17 @@ def test_every_export_is_used_outside_the_tests():
                    for qualname, node in public_definitions(tree)}
     exports = [f"{layer}.{name}" for layer, names in rootfold._EXPORTS.items() for name in names]
     assert set(exports) <= set(definitions), sorted(set(exports) - set(definitions))
+
+    def referenced(node, method):
+        for tree in trees.values():
+            names, attributes = referenced_names(tree, node)
+            if node.name in attributes or node.name in names and not method:
+                return True
+        return False
+
+    # a method's qualified name is layer.Class.method
     unused = [qualname for qualname, node in sorted(definitions.items())
-              if not any(node.name in referenced_names(tree, node) for tree in trees.values())
+              if not referenced(node, qualname.count(".") == 2)
               and not re.search(rf"\b{node.name}\b", text)]
     assert not unused, unused
 

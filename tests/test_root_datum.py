@@ -437,6 +437,14 @@ def test_generate_datum_rejects_infinite_type():
         generate_datum(2, [(1, 0), (0, 1)], [(2, -2), (-2, 2)])
 
 
+@pytest.mark.parametrize("root, pairs_to", [((1,), 1), ((2,), 4)])
+def test_generate_datum_refuses_a_simple_root_that_does_not_pair_to_two(root, pairs_to):
+    # (1,)/(1,) closed on a zero "root", (2,)/(2,) on a closure that passed its bound
+    with pytest.raises(ValueError, match=rf"simple root \({root[0]},\) pairs to {pairs_to} "
+                                         "with its coroot, not 2"):
+        generate_datum(1, [root], [root])
+
+
 def test_generate_datum_closes_every_finite_type_within_its_bound():
     # r simple roots of finite type close on at most 3.75 r^2 roots, E8's 240 for r = 8
     e8 = B.from_cartan_sc(B.e_cartan(8))
