@@ -153,26 +153,6 @@ def spin(n) -> BasedRootDatum:
     return simply_connected("B" if n % 2 else "D", n // 2)
 
 
-def e6_adjoint() -> BasedRootDatum:
-    return adjoint("E", 6)
-
-
-def e6_simply_connected() -> BasedRootDatum:
-    return simply_connected("E", 6)
-
-
-def f4() -> BasedRootDatum:
-    return adjoint("F", 4)
-
-
-def g2() -> BasedRootDatum:
-    return adjoint("G", 2)
-
-
-def d4() -> BasedRootDatum:
-    return simply_connected("D", 4)
-
-
 def torus(n) -> BasedRootDatum:
     return BasedRootDatum(RootDatum(n, [], []), ())
 
@@ -253,12 +233,9 @@ def pinned_so_even_action(n) -> GammaAction:
 _E6_INVOLUTION = (5, 1, 4, 3, 2, 0)
 
 
-def pinned_e6_action(form: str) -> GammaAction:
-    """The E6 diagram involution on the ``"adjoint"`` or the ``"sc"`` (simply connected) datum."""
-    if form not in ("adjoint", "sc"):
-        raise ValueError(f"E6 form {form!r} is neither 'adjoint' nor 'sc'")
-    base = e6_adjoint() if form == "adjoint" else e6_simply_connected()
-    return GammaAction(FiniteGroup.cyclic(2), base,
+def pinned_e6_action(form) -> GammaAction:
+    """The E6 diagram involution on ``form("E", 6)``: ``adjoint`` or ``simply_connected``."""
+    return GammaAction(FiniteGroup.cyclic(2), form("E", 6),
                        [LatticeMap.identity(6), _perm_matrix(_E6_INVOLUTION)])
 
 
@@ -275,15 +252,7 @@ def _d4_matrix(outer_perm) -> LatticeMap:
 
 def d4_action(outer_perms) -> GammaAction:
     g = FiniteGroup.from_permutations(list(outer_perms))
-    return GammaAction(g, d4(), [_d4_matrix(p) for p in outer_perms])
-
-
-def triality_action() -> GammaAction:
-    return d4_action(_S3_PERMS[:3])
-
-
-def full_s3_action() -> GammaAction:
-    return d4_action(_S3_PERMS)
+    return GammaAction(g, simply_connected("D", 4), [_d4_matrix(p) for p in outer_perms])
 
 
 def inner_block_gl4_action() -> GammaAction:
@@ -317,7 +286,7 @@ def twisted_e6_c4_action() -> GammaAction:
     The two-torsion twist at node 4 keeps eight of the involution-fixed
     roots, and the fold is the adjoint C4.
     """
-    a = pinned_e6_action("adjoint")
+    a = pinned_e6_action(adjoint)
     return GammaAction(a.group, a.base, a.diagram,
                        [(0,) * 6, (0, 0, 0, _HALF, 0, 0)])
 
@@ -328,7 +297,7 @@ def twisted_triality_a2_action() -> GammaAction:
     The twist kills every triality-fixed root; the six orbit restrictions
     survive and form the short hexagon.
     """
-    a = triality_action()
+    a = d4_action(_S3_PERMS[:3])
     t = TorsionVector((0, 1, 0, 0), 3)
     return GammaAction(a.group, a.base, a.diagram,
                        [TorsionVector.zero(4), t, t + t.apply(a.coaction(1))])
@@ -343,7 +312,7 @@ def s3_twisted_d4_action() -> GammaAction:
     remove matched long-short pairs and the fold lands strictly inside G2;
     the short-inclusion report then carries a concrete missing root.
     """
-    a = full_s3_action()
+    a = d4_action(_S3_PERMS)
     z = (0,) * 4
     return GammaAction(a.group, a.base, a.diagram,
                        [z, z, z, (0, 0, 0, _HALF), (0, 0, 0, _HALF), (_HALF, 0, 0, 0)])
@@ -387,11 +356,11 @@ class Preset(NamedTuple):
 
 
 _FIXED_PRESETS = {
-    "e6ad-pinned": lambda: pinned_e6_action("adjoint"),
-    "e6sc-pinned": lambda: pinned_e6_action("sc"),
+    "e6ad-pinned": lambda: pinned_e6_action(adjoint),
+    "e6sc-pinned": lambda: pinned_e6_action(simply_connected),
     "e6ad-twisted-c4": twisted_e6_c4_action,
-    "d4-triality": triality_action,
-    "d4-full-s3": full_s3_action,
+    "d4-triality": lambda: d4_action(_S3_PERMS[:3]),
+    "d4-full-s3": lambda: d4_action(_S3_PERMS),
     "d4-twisted-a2": twisted_triality_a2_action,
     "d4-s3-twisted": s3_twisted_d4_action,
     "gl4-inner-block": inner_block_gl4_action,
@@ -409,9 +378,10 @@ def _pattern(name):
     return _NUMBER.sub("<n>", name), [int(x) for x in _NUMBER.findall(name)]
 
 
+# name -> (form, family, rank)
 _NAMED_GROUPS = {
-    "e6ad": e6_adjoint, "e6sc": e6_simply_connected,
-    "f4": f4, "g2": g2, "d4": d4,
+    "e6ad": (adjoint, "E", 6), "e6sc": (simply_connected, "E", 6),
+    "f4": (adjoint, "F", 4), "g2": (adjoint, "G", 2), "d4": (simply_connected, "D", 4),
 }
 
 # pattern of a numbered group -> builder and least number
@@ -424,7 +394,8 @@ _GROUP_FAMILIES = {
 def group_datum(name: str) -> BasedRootDatum:
     """A based root datum by short name: gl4, sl3, sp6, so7, spin8, e6ad, ..."""
     if name in _NAMED_GROUPS:
-        return _NAMED_GROUPS[name]()
+        form, family, rank = _NAMED_GROUPS[name]
+        return form(family, rank)
     pattern, numbers = _pattern(name)
     if pattern not in _GROUP_FAMILIES:
         raise ValueError(f"unknown group {name!r}")

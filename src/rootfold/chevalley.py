@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact_lattice import LatticeMap, vadd, vneg, vsub
-from .root_datum import BasedRootDatum, _component_grams
+from .root_datum import BasedRootDatum, _component_lengths
 
 
 class StructureConstants:
@@ -77,7 +77,7 @@ def build_structure_constants(base: BasedRootDatum) -> StructureConstants:
     rd = base.datum
     # each component's integer squared lengths; both rules divide two lengths
     # of one component, so the scale of each component's form cancels
-    sq = {rd.roots[i]: length for _, lengths in _component_grams(rd)
+    sq = {rd.roots[i]: length for lengths in _component_lengths(rd)
           for i, length in lengths.items()}
     all_coeffs = base.root_coefficients()
     coeffs = {rd.roots[i]: all_coeffs[i] for i in base.positive_roots()}

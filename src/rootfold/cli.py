@@ -106,6 +106,8 @@ def parse_config_file(path: str) -> JobConfig:
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise UsageError(f"{path}: invalid JSON: nested too deeply") from exc
     return JobConfig.from_dict(doc)
 
 

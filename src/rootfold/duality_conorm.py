@@ -87,7 +87,7 @@ def equivariant_for(phi: Isogeny, a_src: GammaAction, a_tgt: GammaAction) -> boo
         return False
     m = phi.char_pullback
     return all(a_src.diagram[i] @ m == m @ a_tgt.diagram[i]
-               for i in a_src.group.elements())
+               for i in range(a_src.group.size))
 
 
 def fold_isogeny(phi: Isogeny, f_src: FoldedDatum, f_tgt: FoldedDatum) -> Isogeny:

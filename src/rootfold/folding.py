@@ -182,9 +182,7 @@ def restricted_root_comparison(a: GammaAction) -> RestrictionComparison:
     fd = fold(a)
     fp = fold(pinned_projection(a))
     phi = {orbit_average(a, rec.source_rep) for rec in fd.provenance.values()}
-    phi |= {tuple(-x for x in v) for v in phi}
     uphi = {orbit_average(a, rec.source_rep) for rec in fp.provenance.values()}
-    uphi |= {tuple(-x for x in v) for v in uphi}
     lens = length_classes(fp.fixed)
     short_avgs = {orbit_average(a, rec.source_rep) for rec in fp.provenance.values()
                   if lens[fp.fixed.root_index(rec.root)] == "short"}

@@ -57,9 +57,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    def elements(self):
-        return range(self.size)
-
     def is_cyclic(self):
         return any(self.order_of(i) == self.size for i in range(self.size))
 
@@ -176,9 +173,6 @@ class GammaAction:
         """Action of element i on the cocharacter lattice."""
         return _coaction(self.diagram[i])
 
-    def act_root(self, i, root):
-        return tuple(self.diagram[i](root))
-
     def __repr__(self):
         return f"GammaAction(|Gamma|={self.group.size}, rank={self.base.datum.rank})"
 
@@ -210,7 +204,7 @@ def validate_action(a: GammaAction) -> ValidationReport:
     # zero twists satisfy the cocycle condition trivially
     if not problems and not all(t.is_zero() for t in a.twist):
         roots = a.base.datum.roots
-        pairs = [(0, 0)] + [(i, j) for j in group.generators for i in group.elements()]
+        pairs = [(0, 0)] + [(i, j) for j in group.generators for i in range(group.size)]
         for i, j in pairs:
             combined = a.twist[i] + a.twist[j].apply(a.coaction(i))
             t = a.twist[group.table[i][j]]
@@ -255,12 +249,12 @@ def pinned_projection(a: GammaAction) -> GammaAction:
 
 def root_orbit(a: GammaAction, root):
     r = tuple(root)
-    return tuple(sorted({a.act_root(i, r) for i in a.group.elements()}))
+    return tuple(sorted({a.diagram[i](r) for i in range(a.group.size)}))
 
 
 def root_stabilizer(a: GammaAction, root):
     r = tuple(root)
-    return tuple(i for i in a.group.elements() if a.act_root(i, r) == r)
+    return tuple(i for i in range(a.group.size) if a.diagram[i](r) == r)
 
 
 def root_space_scalar(a: GammaAction, i, root) -> Fraction:
@@ -272,7 +266,7 @@ def root_space_scalar(a: GammaAction, i, root) -> Fraction:
     """
     r = tuple(root)
     pinned = _pinned_scalars(a.base, a.diagram[i])[r]
-    return (pinned + a.twist[i].pairing(a.act_root(i, r))) % 1
+    return (pinned + a.twist[i].pairing(a.diagram[i](r))) % 1
 
 
 class ComponentStabilizerRecord(NamedTuple):
@@ -311,10 +305,10 @@ def stabilizer_hypothesis(a: GammaAction) -> StabilizerReport:
     records = []
     for ci, comp in enumerate(comps):
         comp_roots = frozenset(rd.roots[k] for k in comp)
-        stab = [i for i in a.group.elements()
-                if all(a.act_root(i, r) in comp_roots for r in comp_roots)]
+        stab = [i for i in range(a.group.size)
+                if all(a.diagram[i](r) in comp_roots for r in comp_roots)]
         ordered = sorted(comp_roots)
-        perms = {i: tuple(ordered.index(a.act_root(i, r)) for r in ordered) for i in stab}
+        perms = {i: tuple(ordered.index(a.diagram[i](r)) for r in ordered) for i in stab}
         image = set(perms.values())
         # the identity permutation sorts first
         cyclic = FiniteGroup.from_permutations(sorted(image)).is_cyclic()

@@ -346,12 +346,12 @@ def based_from_datum(rd: RootDatum) -> BasedRootDatum:
     return BasedRootDatum(rd, indecomposable_indices(rd, (r for r in rd.roots if dot(f, r) > 0)))
 
 
-def _component_grams(rd: RootDatum):
-    """For each irreducible component, its integer form and its roots' lengths.
+def _component_lengths(rd: RootDatum):
+    """For each irreducible component, its roots' integer lengths.
 
     The form is G = sum of c c^T over the component's coroots c, invariant
     under the Weyl group; a root's length is the integer a^T G a.  Returns a
-    list of (G as rows, {root index: a^T G a}) in ``_components`` order.
+    list of {root index: a^T G a} in ``_components`` order.
     """
     n = rd.rank
     out = []
@@ -362,7 +362,7 @@ def _component_grams(rd: RootDatum):
         for i in comp:
             a = rd.roots[i]
             lengths[i] = dot(a, [dot(row, a) for row in gram])
-        out.append((gram, lengths))
+        out.append(lengths)
     return out
 
 
@@ -393,7 +393,7 @@ def length_classes(rd: RootDatum):
     In simply-laced components every root is long by convention.
     """
     out = {}
-    for _, lengths in _component_grams(rd):
+    for lengths in _component_lengths(rd):
         longest = max(lengths.values())
         for i, length in lengths.items():
             out[i] = "long" if length == longest else "short"

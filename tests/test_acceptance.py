@@ -180,8 +180,8 @@ def test_criterion_9_structure_constant_integrity():
     bad = []
     data = [("gl4", C.gl(4)), ("sl5", C.sl(5)), ("pgl3", C.pgl(3)),
             ("so7", C.so(7)), ("sp3", C.sp(3)), ("spin10", C.spin(10)),
-            ("so12", C.so(12)), ("d4", C.d4()), ("g2", C.g2()),
-            ("f4", C.f4()), ("e6", C.e6_adjoint())]
+            ("so12", C.so(12)), ("d4", C.group_datum("d4")), ("g2", C.group_datum("g2")),
+            ("f4", C.group_datum("f4")), ("e6", C.group_datum("e6ad"))]
     tables = {}
     for name, base in data:
         sc = build_structure_constants(base)
@@ -200,9 +200,9 @@ def test_criterion_9_structure_constant_integrity():
     indep_cases = [
         (tables["gl4"], C.pinned_gl_action(4).diagram[1]),
         (tables["sl5"], C.pinned_sl_action(5).diagram[1]),
-        (tables["d4"], C.triality_action().diagram[1]),
-        (build_structure_constants(C.e6_simply_connected()),
-         C.pinned_e6_action("sc").diagram[1]),
+        (tables["d4"], C.preset("d4-triality").action.diagram[1]),
+        (build_structure_constants(C.group_datum("e6sc")),
+         C.preset("e6sc-pinned").action.diagram[1]),
         (build_structure_constants(C.so(8)), C.pinned_so_even_action(8).diagram[1]),
     ]
     for sc, d in indep_cases:

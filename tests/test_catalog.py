@@ -32,11 +32,11 @@ CLASSICAL = [
     (lambda: C.spin(7), (("B", 3),), 0),
     (lambda: C.spin(8), (("D", 4),), 0),
     (lambda: C.spin(11), (("B", 5),), 0),
-    (lambda: C.e6_adjoint(), (("E", 6),), 0),
-    (lambda: C.e6_simply_connected(), (("E", 6),), 0),
-    (lambda: C.f4(), (("F", 4),), 0),
-    (lambda: C.g2(), (("G", 2),), 0),
-    (lambda: C.d4(), (("D", 4),), 0),
+    (lambda: C.group_datum("e6ad"), (("E", 6),), 0),
+    (lambda: C.group_datum("e6sc"), (("E", 6),), 0),
+    (lambda: C.group_datum("f4"), (("F", 4),), 0),
+    (lambda: C.group_datum("g2"), (("G", 2),), 0),
+    (lambda: C.group_datum("d4"), (("D", 4),), 0),
 ]
 
 
@@ -147,15 +147,14 @@ def test_catalog_isogenies_validate():
         assert abs(phi.char_pullback.det()) == 2
 
 
-def test_pinned_e6_action_takes_one_of_two_forms():
-    assert C.pinned_e6_action("adjoint").base == C.e6_adjoint()
-    assert C.pinned_e6_action("sc").base == C.e6_simply_connected()
-    with pytest.raises(ValueError, match="'simply connected' is neither"):
-        C.pinned_e6_action("simply connected")
+def test_pinned_e6_presets_act_on_the_named_e6_groups():
+    assert C.preset("e6ad-pinned").action.base is C.group_datum("e6ad")
+    assert C.preset("e6sc-pinned").action.base is C.group_datum("e6sc")
+    assert C.group_datum("e6ad") != C.group_datum("e6sc")
 
 
 def test_spin_8_is_the_triality_base():
-    assert C.spin(8) is C.d4()
+    assert C.spin(8) is C.preset("d4-triality").action.base
 
 
 def test_preset_names_lists_fixed_entries():

@@ -185,6 +185,15 @@ def test_unknown_config_keys_rejected(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth", [1000, 100_000])
+def test_a_config_nested_too_deeply_gives_one_line(capsys, tmp_path, depth):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * depth + "]" * depth)
+    assert main(["fold", "--config", str(doc)]) == 2
+    assert_one_usage_line(capsys.readouterr(),
+                          f"rootfold: {doc}: invalid JSON: nested too deeply")
+
+
 def test_q_below_two_gives_one_line_from_a_flag_and_from_a_config(capsys, tmp_path):
     assert main(["classes", "--preset", "gl2", "--q", "1"]) == 2
     from_flag = capsys.readouterr()
@@ -633,7 +642,7 @@ def test_module_entry_point():
 
 def test_group_datum_names():
     assert catalog.group_datum("sp6").datum.rank == 3
-    assert catalog.group_datum("spin8") is catalog.d4()
+    assert catalog.group_datum("spin8") is catalog.group_datum("d4")
     with pytest.raises(ValueError):
         catalog.group_datum("sp5")
     for name in ("so0", "so1", "so2", "sp0", "spin13"):

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import rootfold
+from rootfold.root_datum import cartan_type
 
 INIT = Path(__file__).resolve().parents[1] / "src" / "rootfold" / "__init__.py"
 
@@ -80,6 +81,18 @@ def test_unknown_name_raises_and_dir_covers_exports():
 def test_every_import_is_exported():
     unlisted = sorted(set(imported_names()) - set(rootfold.__all__))
     assert not unlisted, unlisted
+
+
+def test_readme_python_blocks_run_in_order(capsys):
+    """The README's ``python`` blocks run as one script, and its fold is G2."""
+    text = (INIT.parents[2] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert cartan_type(namespace["fd"].fixed_base) == ((("G", 2),), 0)
+    assert "->" in capsys.readouterr().out
 
 
 def referenced_names(tree, skip):

@@ -112,7 +112,7 @@ def test_weyl_group_order_matches_closure():
     for name in names:
         base = catalog.group_datum(name)
         assert weyl_group_order(base) == len(weyl_group(base)), name
-    mixed = catalog.direct_sum(catalog.g2(), catalog.gl(3))
+    mixed = catalog.direct_sum(catalog.group_datum("g2"), catalog.gl(3))
     assert weyl_group_order(mixed) == len(weyl_group(mixed)) == 72
 
 
@@ -201,7 +201,7 @@ ORACLE_GROUPS = [name for name in GROUPS
 
 def oracle_group(name):
     if name == "g2+gl3":
-        return catalog.direct_sum(catalog.g2(), catalog.gl(3))
+        return catalog.direct_sum(catalog.group_datum("g2"), catalog.gl(3))
     return catalog.group_datum(name)
 
 
